@@ -33,15 +33,19 @@ let run ?(sink = Sink.null) ~name f =
     let path = push name in
     let w0 = Clock.wall () and c0 = Clock.cpu () in
     let sp = { sink; extra = [] } in
+    let close extra =
+      pop ();
+      Sink.emit sink ~ev:"span" ~name:path
+        (("wall_s", Sink.Float (Clock.wall () -. w0))
+        :: ("cpu_s", Sink.Float (Clock.cpu () -. c0))
+        :: List.rev_append sp.extra extra)
+    in
     match f sp with
     | r ->
-        pop ();
-        Sink.emit sink ~ev:"span" ~name:path
-          (("wall_s", Sink.Float (Clock.wall () -. w0))
-          :: ("cpu_s", Sink.Float (Clock.cpu () -. c0))
-          :: List.rev sp.extra);
+        close [];
         r
     | exception e ->
-        pop ();
-        raise e
+        let bt = Printexc.get_raw_backtrace () in
+        close [ ("error", Sink.Str (Printexc.to_string e)) ];
+        Printexc.raise_with_backtrace e bt
   end

@@ -75,6 +75,39 @@ let map_ranges ~domains ~lo ~hi f =
           (first :: !joined)
   end
 
+let iter_chunks ~domains ~chunk ~lo ~hi f =
+  if lo > hi then invalid_arg "Par.iter_chunks: lo > hi";
+  if domains < 1 then invalid_arg "Par.iter_chunks: domains < 1";
+  if chunk < 1 then invalid_arg "Par.iter_chunks: chunk < 1";
+  let workers = max 1 (min domains ((hi - lo + chunk - 1) / chunk)) in
+  if workers = 1 then begin
+    if hi > lo then f ~worker:0 ~lo ~hi;
+    1
+  end
+  else begin
+    (* Workers claim consecutive chunks from one cursor, so a domain
+       that drew cheap chunks takes more of them; the failure flag
+       stops every worker from claiming new chunks once one raises.
+       [map_ranges] over [0, workers) runs one worker per domain and
+       supplies the join-everything / first-failure-wins guarantees. *)
+    let next = Atomic.make lo and failed = Atomic.make false in
+    let rec work worker =
+      if not (Atomic.get failed) then begin
+        let a = Atomic.fetch_and_add next chunk in
+        if a < hi then begin
+          (try f ~worker ~lo:a ~hi:(min hi (a + chunk))
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             Atomic.set failed true;
+             Printexc.raise_with_backtrace e bt);
+          work worker
+        end
+      end
+    in
+    ignore (map_ranges ~domains:workers ~lo:0 ~hi:workers (fun ~lo ~hi:_ -> work lo));
+    workers
+  end
+
 let map_list ?(min_per_domain = 1) ~domains f xs =
   if domains < 1 then invalid_arg "Par.map_list: domains < 1";
   if min_per_domain < 1 then invalid_arg "Par.map_list: min_per_domain < 1";

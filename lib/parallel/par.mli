@@ -2,10 +2,13 @@
     the library (OCaml 5 domains, no external dependencies).
 
     Used by {!Zero_one} to split exact 0-1 verification across
-    test-input ranges and by the experiment harness for independent
-    sampling legs. Work is split into contiguous chunks, one domain per
-    chunk; domains never share mutable state, so no synchronisation
-    beyond [join] is needed. *)
+    test-input ranges, by the experiment harness for independent
+    sampling legs, and by the search driver. {!map_ranges} and
+    {!map_list} split work into contiguous chunks, one domain per
+    chunk; {!iter_chunks} hands out small chunks from an atomic cursor
+    for work whose cost varies along the range. Domains never share
+    mutable state, so no synchronisation beyond [join] (and that
+    cursor) is needed. *)
 
 val default_cap : int
 (** 8 — the ceiling of the {e heuristic} default below. *)
@@ -50,6 +53,36 @@ val map_ranges :
     (first failing chunk in range order, original backtrace) only after
     all chunks have been joined, so no work is left in flight.
     @raise Invalid_argument if [lo > hi] or [domains < 1]. *)
+
+val iter_chunks :
+  domains:int ->
+  chunk:int ->
+  lo:int ->
+  hi:int ->
+  (worker:int -> lo:int -> hi:int -> unit) ->
+  int
+(** [iter_chunks ~domains ~chunk ~lo ~hi f] cuts [\[lo, hi)] into
+    consecutive chunks of [chunk] indices (the last may be shorter) and
+    hands them out dynamically: each of up to [domains] workers claims
+    the next unclaimed chunk from a shared atomic cursor and calls
+    [f ~worker ~lo ~hi] on it, so workers whose chunks run cheap take
+    more of them — the balance contiguous {!map_ranges} halves lack
+    when per-index cost grows along the range. [worker] is in
+    [\[0, result)] and names the domain running the call (worker [0]
+    is the calling domain), so [f] can pick per-domain scratch.
+
+    Returns the number of workers that ran: [min domains chunks], and
+    [1] when the range fits one chunk (or is empty), in which case [f]
+    runs once inline over the whole range with no spawn. [f] must not
+    touch mutable state shared with other calls except at indices
+    private to its own chunk.
+
+    Exception safety is {!map_ranges}': every spawned domain is joined
+    before the call returns; once any call raises, no worker claims
+    another chunk, and the failure of the lowest-numbered failing
+    worker is re-raised with its original backtrace.
+    @raise Invalid_argument if [lo > hi], [domains < 1] or
+    [chunk < 1]. *)
 
 val map_list :
   ?min_per_domain:int -> domains:int -> ('a -> 'b) -> 'a list -> 'b list

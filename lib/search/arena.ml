@@ -36,11 +36,31 @@ type layout = {
   guards : int array; (* per signature word: OR of guard bits *)
 }
 
+(* Per-domain scratch: everything [subsumes] and the signature packing
+   write besides [t.sigs]. A domain holding its own scratch can run
+   both against the committed rows while other domains do the same. *)
+type scratch = {
+  (* packed-count accumulators (n <= 10 fast path): index = popcount
+     of the byte position, 4 x 8-bit fields = counts by low-3-bit
+     popcount *)
+  accl : int array;
+  accc : int array array;
+  lvl : int array;
+  chan : int array array;
+  zeros : int array;
+  cand : int array;
+  order : int array;
+  opc : int array;
+  pi : int array;
+  perm : row; (* wpr words: row A permuted by [pi] in the leaf test *)
+}
+
 type t = {
   n : int;
   wpr : int; (* int64 words per row *)
   mutable cap : int; (* allocated rows (one extra staging row) *)
   mutable len : int; (* committed states *)
+  mutable signed : int; (* rows [0, signed) carry their signatures *)
   mutable words : row; (* (cap + 1) * wpr; row [len] is the staging slot *)
   mutable card : int array;
   mutable level : int array;
@@ -62,18 +82,7 @@ type t = {
   count_pat : row;
   byte_pc : int array; (* popcount of each global byte index *)
   byte_hc : int array array; (* per byte position: its high channels 3+d *)
-  (* packed-count scratch (n <= 10 fast path): index = popcount of the
-     byte position, 4 x 8-bit fields = counts by low-3-bit popcount *)
-  sc_accl : int array;
-  sc_accc : int array array;
-  (* reusable subsumption scratch (single-domain use) *)
-  sc_lvl : int array;
-  sc_chan : int array array;
-  sc_zeros : int array;
-  sc_cand : int array;
-  sc_order : int array;
-  sc_opc : int array;
-  sc_pi : int array;
+  own : scratch; (* the arena's domain: [commit] and [subsumes] *)
   (* local stats, flushed to Metrics by [record_metrics] *)
   mutable st_probes : int;
   mutable st_collisions : int;
@@ -187,6 +196,20 @@ let check_n n =
   if n < 2 || n > 16 then
     invalid_arg "Arena.create: n must be in [2, 16] (rows are 2^n bits)"
 
+let make_scratch ~n ~wpr =
+  { accl = Array.make (max 1 (n - 2)) 0;
+    accc = Array.make_matrix n (max 1 (n - 2)) 0;
+    lvl = Array.make (n + 1) 0;
+    chan = Array.make_matrix n (n + 1) 0;
+    zeros = Array.make (n + 1) 0;
+    cand = Array.make n 0;
+    order = Array.init n Fun.id;
+    opc = Array.make n 0;
+    pi = Array.make n 0;
+    perm = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout wpr }
+
+let scratch t = make_scratch ~n:t.n ~wpr:t.wpr
+
 let create ?(with_sigs = true) ~n () =
   check_n n;
   let wpr = max 1 ((1 lsl n) / 64) in
@@ -247,6 +270,7 @@ let create ?(with_sigs = true) ~n () =
     wpr;
     cap;
     len = 0;
+    signed = 0;
     words = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout ((cap + 1) * wpr);
     card = Array.make cap 0;
     level = Array.make cap 0;
@@ -269,15 +293,7 @@ let create ?(with_sigs = true) ~n () =
             if (p lsr d) land 1 = 1 then l := (3 + d) :: !l
           done;
           Array.of_list !l);
-    sc_accl = Array.make (max 1 (n - 2)) 0;
-    sc_accc = Array.make_matrix n (max 1 (n - 2)) 0;
-    sc_lvl = Array.make (n + 1) 0;
-    sc_chan = Array.make_matrix n (n + 1) 0;
-    sc_zeros = Array.make (n + 1) 0;
-    sc_cand = Array.make n 0;
-    sc_order = Array.init n Fun.id;
-    sc_opc = Array.make n 0;
-    sc_pi = Array.make n 0;
+    own = make_scratch ~n ~wpr;
     st_probes = 0;
     st_collisions = 0;
     st_resizes = 0 }
@@ -287,11 +303,22 @@ let length t = t.len
 let card t idx = t.card.(idx)
 let level t idx = t.level.(idx)
 
+(* every per-state array, the dedup table and the per-n count tables,
+   at 8 bytes per int or int64; the O(n^2)-word constants and the
+   scratches are left out *)
+let bytes t =
+  let ints a = Array.length a in
+  8
+  * (Bigarray.Array1.dim t.words + ints t.card + ints t.level + ints t.hash
+    + ints t.sigs + ints t.table + Bigarray.Array1.dim t.count_pat
+    + ints t.byte_pc
+    + Array.fold_left (fun acc a -> acc + ints a) 0 t.byte_hc)
+
 let record_metrics t =
   Metrics.add c_probes t.st_probes;
   Metrics.add c_collisions t.st_collisions;
   Metrics.add c_resizes t.st_resizes;
-  Metrics.add c_bytes ((t.cap + 1) * t.wpr * 8);
+  Metrics.add c_bytes (bytes t);
   t.st_probes <- 0;
   t.st_collisions <- 0;
   t.st_resizes <- 0
@@ -534,13 +561,13 @@ let pat_count t rbase slot =
   !c
 
 (* reference path (n > 10): one masked popcount per (slot, row word) *)
-let compute_counts_pat t rbase =
+let compute_counts_pat t sc rbase =
   let nn = t.n in
   for k = 0 to nn do
-    t.sc_lvl.(k) <- pat_count t rbase k
+    sc.lvl.(k) <- pat_count t rbase k
   done;
   for c = 0 to nn - 1 do
-    let row = t.sc_chan.(c) in
+    let row = sc.chan.(c) in
     for k = 0 to nn do
       row.(k) <- pat_count t rbase (nn + 1 + (c * (nn + 1)) + k)
     done
@@ -550,9 +577,9 @@ let compute_counts_pat t rbase =
    per nonzero row byte accumulates four level counts at once, keyed
    by the byte position's popcount; in-byte channels use [byte_t2],
    higher channels gate [byte_t1] on the position's bits *)
-let compute_counts_packed t rbase =
+let compute_counts_packed t sc rbase =
   let nn = t.n in
-  let accl = t.sc_accl and accc = t.sc_accc in
+  let accl = sc.accl and accc = sc.accc in
   let asz = Array.length accl in
   Array.fill accl 0 asz 0;
   for c = 0 to nn - 1 do
@@ -583,7 +610,7 @@ let compute_counts_packed t rbase =
         end
       done
   done;
-  let lvl = t.sc_lvl and chan = t.sc_chan in
+  let lvl = sc.lvl and chan = sc.chan in
   Array.fill lvl 0 (nn + 1) 0;
   for pc = 0 to asz - 1 do
     let a = Array.unsafe_get accl pc in
@@ -608,18 +635,19 @@ let compute_counts_packed t rbase =
     done
   done
 
-let compute_sigs t idx =
+let compute_sigs t sc idx =
   let nn = t.n in
   let rbase = idx * t.wpr in
-  if nn <= 10 then compute_counts_packed t rbase else compute_counts_pat t rbase;
+  if nn <= 10 then compute_counts_packed t sc rbase
+  else compute_counts_pat t sc rbase;
   let sw = t.lay.sig_words in
   let base = sig_base t idx in
-  let lvl = t.sc_lvl in
+  let lvl = sc.lvl in
   pack_counts t lvl base;
   (* channel c: ones signature then zeros (complement) signature *)
-  let zeros = t.sc_zeros in
+  let zeros = sc.zeros in
   for c = 0 to nn - 1 do
-    let ones = t.sc_chan.(c) in
+    let ones = sc.chan.(c) in
     for k = 0 to nn do
       zeros.(k) <- lvl.(k) - ones.(k)
     done;
@@ -644,7 +672,7 @@ let sig_le t off_a off_b =
 
 (* --- dedup insert --- *)
 
-let commit t ~level =
+let commit_unsigned t ~level =
   let base = stage_off t in
   let h = row_hash t base in
   let slot = ref (h land t.mask) in
@@ -677,12 +705,41 @@ let commit t ~level =
     t.card.(idx) <- row_card t base;
     t.level.(idx) <- level;
     t.len <- idx + 1;
-    if t.with_sigs then compute_sigs t idx;
     (* keep the load factor <= 1/2 *)
     if 2 * t.len > t.mask then rehash t;
     Metrics.incr c_states;
     `Fresh idx
   end
+
+(* --- signing --- *)
+
+(* Signing one row costs a few microseconds at n = 8..10 and a domain
+   spawn tens of them, so the pass fans out only once every domain
+   gets at least [sign_min_per_domain] rows; [sign_chunk]-row chunks
+   keep the domains balanced. *)
+let sign_min_per_domain = 256
+let sign_chunk = 64
+
+let sign_pending t scratches =
+  if Array.length scratches = 0 then invalid_arg "Arena.sign_pending: no scratch";
+  if t.with_sigs && t.signed < t.len then begin
+    let lo = t.signed and hi = t.len in
+    let domains =
+      max 1 (min (Array.length scratches) ((hi - lo) / sign_min_per_domain))
+    in
+    ignore
+      (Par.iter_chunks ~domains ~chunk:sign_chunk ~lo ~hi (fun ~worker ~lo ~hi ->
+           let sc = scratches.(worker) in
+           for idx = lo to hi - 1 do
+             compute_sigs t sc idx
+           done));
+    t.signed <- hi
+  end
+
+let commit t ~level =
+  let r = commit_unsigned t ~level in
+  sign_pending t [| t.own |];
+  r
 
 (* truncate back to a previously observed length: the committed prefix
    is immutable, so dropping a suffix only needs the table rebuilt *)
@@ -690,6 +747,7 @@ let truncate t len =
   if len < 0 || len > t.len then invalid_arg "Arena.truncate";
   if len < t.len then begin
     t.len <- len;
+    t.signed <- min t.signed len;
     Array.fill t.table 0 (Array.length t.table) 0;
     for idx = 0 to len - 1 do
       let s = ref (t.hash.(idx) land t.mask) in
@@ -723,23 +781,23 @@ let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
 
 exception No
 
-(* Swap index bits [i < j] of the 2^n positions of the row at [base]:
-   the same butterfly structure as [apply_cmp], but a swap instead of
-   an OR-move. Positions with bits (i, j) = (1, 0) exchange with their
-   (0, 1) partner at distance [2^j - 2^i]; (0, 0) and (1, 1) are
-   fixed. *)
-let transpose_row t base i j =
+(* Swap index bits [i < j] of the 2^n positions of the row [r] (one
+   row of [t.wpr] words): the same butterfly structure as [apply_cmp],
+   but a swap instead of an OR-move. Positions with bits (i, j) = (1, 0)
+   exchange with their (0, 1) partner at distance [2^j - 2^i]; (0, 0)
+   and (1, 1) are fixed. *)
+let transpose_row t (r : row) i j =
   if j < 6 then begin
     (* delta-swap within each word; [intra.(i).(j)] selects the lower
        position of every swapped pair *)
     let pat = t.intra.(i).(j) in
     let delta = (1 lsl j) - (1 lsl i) in
     for w = 0 to t.wpr - 1 do
-      let x = Bigarray.Array1.unsafe_get t.words (base + w) in
+      let x = Bigarray.Array1.unsafe_get r w in
       let d =
         Int64.logand (Int64.logxor x (Int64.shift_right_logical x delta)) pat
       in
-      Bigarray.Array1.unsafe_set t.words (base + w)
+      Bigarray.Array1.unsafe_set r w
         (Int64.logxor (Int64.logxor x d) (Int64.shift_left d delta))
     done
   end
@@ -751,12 +809,12 @@ let transpose_row t base i j =
     let dj = 1 lsl (j - 6) in
     for w = 0 to t.wpr - 1 do
       if (w lsr (j - 6)) land 1 = 0 then begin
-        let a = Bigarray.Array1.unsafe_get t.words (base + w) in
-        let b = Bigarray.Array1.unsafe_get t.words (base + w + dj) in
-        Bigarray.Array1.unsafe_set t.words (base + w)
+        let a = Bigarray.Array1.unsafe_get r w in
+        let b = Bigarray.Array1.unsafe_get r (w + dj) in
+        Bigarray.Array1.unsafe_set r w
           (Int64.logor (Int64.logand a nbi)
              (Int64.shift_left (Int64.logand b nbi) sh));
-        Bigarray.Array1.unsafe_set t.words (base + w + dj)
+        Bigarray.Array1.unsafe_set r (w + dj)
           (Int64.logor (Int64.logand b bi)
              (Int64.shift_right_logical (Int64.logand a bi) sh))
       end
@@ -768,26 +826,25 @@ let transpose_row t base i j =
     for w = 0 to t.wpr - 1 do
       if (w lsr (i - 6)) land 1 = 1 && (w lsr (j - 6)) land 1 = 0 then begin
         let w' = w - di + dj in
-        let a = Bigarray.Array1.unsafe_get t.words (base + w) in
-        Bigarray.Array1.unsafe_set t.words (base + w)
-          (Bigarray.Array1.unsafe_get t.words (base + w'));
-        Bigarray.Array1.unsafe_set t.words (base + w') a
+        let a = Bigarray.Array1.unsafe_get r w in
+        Bigarray.Array1.unsafe_set r w (Bigarray.Array1.unsafe_get r w');
+        Bigarray.Array1.unsafe_set r w' a
       end
     done
   end
 
-(* Copy row [src] into the staging slot and permute its positions by
-   the channel permutation [pi] (bit [pi.(c)] of an image index = bit
-   [c] of the source index), as a product of index-bit transpositions:
-   each cycle (c1 c2 ... cl) of [pi] is T(c1,c2) then T(c1,c3) ...
-   T(c1,cl) applied to the row in that order. Word-parallel — about
-   (n - 1) * wpr word ops for a worst-case permutation, versus a
-   per-bit loop over every mask of the row. Clobbers the staging row. *)
-let permute_row_into_staging t src pi =
-  let dst = stage_off t in
+(* Copy committed row [src] (word offset) into the scratch row and
+   permute its positions by the channel permutation [pi] (bit [pi.(c)]
+   of an image index = bit [c] of the source index), as a product of
+   index-bit transpositions: each cycle (c1 c2 ... cl) of [pi] is
+   T(c1,c2) then T(c1,c3) ... T(c1,cl) applied to the row in that
+   order. Word-parallel — about (n - 1) * wpr word ops for a
+   worst-case permutation, versus a per-bit loop over every mask of
+   the row. *)
+let permute_row t sc src pi =
+  let r = sc.perm in
   for w = 0 to t.wpr - 1 do
-    Bigarray.Array1.unsafe_set t.words (dst + w)
-      (Bigarray.Array1.unsafe_get t.words (src + w))
+    Bigarray.Array1.unsafe_set r w (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
   let visited = ref 0 in
   for c = 0 to t.n - 1 do
@@ -796,13 +853,28 @@ let permute_row_into_staging t src pi =
       let d = ref pi.(c) in
       while !d <> c do
         visited := !visited lor (1 lsl !d);
-        transpose_row t dst (min c !d) (max c !d);
+        transpose_row t r (min c !d) (max c !d);
         d := pi.(!d)
       done
     end
   done
 
-let subsumes t a b =
+(* the scratch row is a subset of committed row [base_b] (word offset) *)
+let perm_subset t sc base_b =
+  let r = sc.perm in
+  let ok = ref true in
+  let w = ref 0 in
+  while !ok && !w < t.wpr do
+    let a = Bigarray.Array1.unsafe_get r !w in
+    let b = Bigarray.Array1.unsafe_get t.words (base_b + !w) in
+    if Int64.logand a (Int64.lognot b) <> 0L then ok := false;
+    incr w
+  done;
+  !ok
+
+let subsumes_with t sc a b =
+  if a >= t.signed || b >= t.signed then
+    invalid_arg "Arena.subsumes: row not signed";
   t.card.(a) <= t.card.(b)
   &&
   let sw = t.lay.sig_words in
@@ -818,7 +890,7 @@ let subsumes t a b =
   && (row_subset t (a * t.wpr) (b * t.wpr)
      ||
      let nn = t.n in
-     let cand = t.sc_cand in
+     let cand = sc.cand in
      let full = (1 lsl nn) - 1 in
      match
        let union = ref 0 in
@@ -864,7 +936,7 @@ let subsumes t a b =
             closure is measurable at this call rate; the order only
             steers the backtracking, the boolean result is
             order-independent) *)
-         let order = t.sc_order and opc = t.sc_opc in
+         let order = sc.order and opc = sc.opc in
          for c = 0 to nn - 1 do
            order.(c) <- c;
            opc.(c) <- Bitops.popcount (Array.unsafe_get cand c)
@@ -880,16 +952,15 @@ let subsumes t a b =
            done;
            Array.unsafe_set order (!j + 1) c
          done;
-         let pi = t.sc_pi in
+         let pi = sc.pi in
          let ba = a * t.wpr and bb = b * t.wpr in
          let rec assign i used =
            if i = nn then begin
              (* image inclusion: every mask of A lands in B — permute
-                the whole row A by pi and do one word-parallel subset
-                scan (uses the staging slot as scratch, which is free
-                between [commit]s) *)
-             permute_row_into_staging t ba pi;
-             row_subset t (stage_off t) bb
+                the whole row A by pi into the scratch row and do one
+                word-parallel subset scan *)
+             permute_row t sc ba pi;
+             perm_subset t sc bb
            end
            else begin
              let c = order.(i) in
@@ -906,3 +977,5 @@ let subsumes t a b =
            end
          in
          assign 0 0)
+
+let subsumes t a b = subsumes_with t t.own a b

@@ -17,10 +17,16 @@
     ({!staged_is_sorted}), then {!commit} it — which either dedups it
     against every row ever committed or freezes it as the next index.
     Committed rows are immutable and indices are stable for the arena's
-    lifetime.
+    lifetime (until {!truncate}).
 
-    An arena (and its staging row and subsumption scratch) is
-    single-domain: confine each instance to one domain. *)
+    Domains: every call that mutates the arena — staging, committing,
+    {!sign_pending}, {!truncate}, {!record_metrics} — and every call
+    that reads the staging row stays on one domain, the arena's owner.
+    While the owner makes none of those calls, other domains may run
+    {!subsumes_with}, {!card}, {!level}, {!length}, {!to_state} and
+    {!iter_masks} against the committed rows, each domain with its own
+    {!scratch}; {!sign_pending} itself fans out that way. {!subsumes}
+    uses the owner's scratch, so it stays on the owner. *)
 
 type t
 
@@ -52,7 +58,31 @@ val commit : t -> level:int -> [ `Fresh of int | `Dup of int ]
 (** Dedup-insert the staging row: [`Dup idx] if a row with identical
     words was already committed (the staging row is simply abandoned),
     else [`Fresh idx] freezing it at the next index with BFS level
-    [level] (and its signatures, when enabled). *)
+    [level]. When signatures are enabled, every row not yet signed
+    (this one and any left by {!commit_unsigned}) is signed before
+    [commit] returns. *)
+
+val commit_unsigned : t -> level:int -> [ `Fresh of int | `Dup of int ]
+(** {!commit} without the signature packing: a fresh row stays
+    unsigned — and {!subsumes} refuses it — until the next
+    {!sign_pending} or {!commit}. Lets a level's expansion defer its
+    signatures to one parallel pass. *)
+
+type scratch
+(** Per-domain working memory for {!subsumes_with} and the signature
+    packing of {!sign_pending}: candidate channel sets, the
+    permutation under test, count accumulators and one row buffer. *)
+
+val scratch : t -> scratch
+(** A fresh scratch sized for this arena, for one domain's use. *)
+
+val sign_pending : t -> scratch array -> unit
+(** Pack the signatures of every committed row not yet signed, as one
+    pass over those rows. The pass fans out over up to
+    [Array.length scratches] domains ({!Par.iter_chunks}; worker [w]
+    uses [scratches.(w)]) once there are enough rows to feed them, and
+    runs inline otherwise. No-op without signatures.
+    @raise Invalid_argument if [scratches] is empty. *)
 
 val staged_state : t -> State.t
 (** Unpack the staging row (allocating) without committing it — for
@@ -86,11 +116,20 @@ val subsumes : t -> int -> int -> bool
     [b]'s? The card / level / per-channel filters run as field-wise
     comparisons on the packed signatures (one subtract-and-mask per
     signature word), candidate channel images are bitmasks, and the
-    final backtracking search is allocation-free. Requires the arena to
-    have been created with signatures. *)
+    final backtracking search is allocation-free.
+    @raise Invalid_argument unless both rows are signed — which needs
+    an arena created with signatures, and rows committed by {!commit}
+    or covered by a {!sign_pending} since. *)
+
+val subsumes_with : t -> scratch -> int -> int -> bool
+(** {!subsumes} on the given scratch instead of the owner's, so any
+    domain holding its own scratch can run it (see the preamble). *)
 
 val record_metrics : t -> unit
 (** Flush the arena's local counters into the global {!Metrics}
     registry ([arena.probes], [arena.collisions], [arena.resizes],
     [arena.bytes]; [arena.states] / [arena.dups] are bumped live at
-    commit) — call once per run, not per operation. *)
+    commit) — call once per run, not per operation. [arena.bytes] is
+    the memory of every per-state array the arena owns (rows,
+    cardinality, level, hash, signatures), its dedup table and its
+    per-[n] count patterns. *)

@@ -62,6 +62,20 @@ let c_resumes = Metrics.counter "checkpoint.resumes"
 let expand_min_per_domain = 32
 let subsume_min_per_domain = 16
 
+(* The arena's subsumption filter. At one domain it tests candidates one
+   at a time against every representative kept so far — batches of one,
+   no fan-out. With more domains, a level of at least
+   [filter_min_candidates] candidates is cut into [filter_batch]-sized
+   batches, each tested on every domain against the representatives kept
+   before it began, in [filter_chunk]-candidate dynamic chunks: later
+   candidates of a card-sorted batch scan further, so contiguous halves
+   would leave one domain idle. A candidate whose subsumer is kept
+   inside its own batch pays a full miss scan first — the price of the
+   batch, worth paying only when another domain absorbs it. *)
+let filter_min_candidates = 1024
+let filter_batch = 4096
+let filter_chunk = 16
+
 (* Greedy subsumption filter. Candidates (already equality-deduped,
    sorted by ascending cardinality so the strongest states are kept
    first) are tested against the cumulative representative list; the
@@ -341,15 +355,21 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
      The packed-row fast path: the whole dedup memory lives in one
      {!Arena} (flat int64 rows + open addressing, no boxed keys), a
      child is built by the butterfly [Arena.stage_child] instead of a
-     per-mask [apply], and subsumption runs on packed signatures. The
-     loop is sequential (an arena is single-domain) but mirrors the
-     legacy control flow decision for decision — same candidate order,
-     same counter semantics, same level boundaries — and snapshots
-     convert to the {e legacy} structures at flush time, so checkpoints
-     keep [checkpoint_kind] and resume into either engine. *)
+     per-mask [apply], and subsumption runs on packed signatures. A
+     level runs in three phases: the expansion, sequential because
+     staging and dedup commits mutate the arena; one signature pass
+     over the level's fresh rows; and the greedy subsumption filter.
+     The last two fan out over [domains]. The loop mirrors the legacy
+     control flow decision for decision — same candidate order, same
+     counter semantics, same level boundaries — at every domain count,
+     and snapshots convert to the {e legacy} structures at flush time,
+     so checkpoints keep [checkpoint_kind] and resume into either
+     engine. *)
   let run_arena () =
     let pairs_of = Option.get sys.pairs_of in
+    let domains = min Par.clamp_max (max 1 domains) in
     let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
+    let scratches = Array.init domains (fun _ -> Arena.scratch arena) in
     (* kept representatives as arena indices, sorted by ascending
        cardinality: a rep can only subsume candidates of >= its card
        (subsumption maps the reachable set injectively), so the scan
@@ -380,14 +400,66 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       (!kept_card).(pos) <- c;
       incr kept_len
     in
-    let kept_subsumes cand =
+    (* does one of the first [upto] kept reps subsume [cand]? Read-only,
+       so any domain may run it with its own scratch while the kept
+       arrays hold still *)
+    let kept_subsumes sc ~upto cand =
+      let idx = !kept_idx and card = !kept_card in
       let c = Arena.card arena cand in
       let k = ref 0 and hit = ref false in
-      while (not !hit) && !k < !kept_len && (!kept_card).(!k) <= c do
-        if Arena.subsumes arena (!kept_idx).(!k) cand then hit := true;
+      while (not !hit) && !k < upto && card.(!k) <= c do
+        if Arena.subsumes_with arena sc idx.(!k) cand then hit := true;
         incr k
       done;
       !hit
+    in
+    (* Greedy subsumption filter over the card-sorted candidates, batch
+       by batch (see [filter_batch]), each batch settled by an in-order
+       tail against the reps kept earlier in it. A candidate is dropped
+       iff some rep kept before it subsumes it, as in a one-at-a-time
+       filter, so survivors, kept order and counts are the same at every
+       batch size. Returns the survivors and the number of domains
+       used. *)
+    let subsume_filter cands =
+      let cands = Array.of_list cands in
+      let m = Array.length cands in
+      let batch =
+        if domains = 1 || m < filter_min_candidates then 1 else filter_batch
+      in
+      let hit = Array.make (min batch m) false in
+      let fresh = Array.make (min batch m) 0 in
+      let used = ref 1 and survivors = ref [] and b0 = ref 0 in
+      while !b0 < m do
+        let lo = !b0 and upto = !kept_len in
+        let hi = min m (lo + batch) in
+        let workers =
+          Par.iter_chunks ~domains ~chunk:filter_chunk ~lo ~hi
+            (fun ~worker ~lo:a ~hi:b ->
+              for i = a to b - 1 do
+                hit.(i - lo) <-
+                  kept_subsumes scratches.(worker) ~upto (fst cands.(i))
+              done)
+        in
+        used := max !used workers;
+        let nfresh = ref 0 in
+        for i = lo to hi - 1 do
+          let ((idx, _) as cand) = cands.(i) in
+          let dropped = ref hit.(i - lo) and k = ref 0 in
+          while (not !dropped) && !k < !nfresh do
+            if Arena.subsumes arena fresh.(!k) idx then dropped := true;
+            incr k
+          done;
+          if !dropped then incr subsumed_total
+          else begin
+            kept_insert idx;
+            fresh.(!nfresh) <- idx;
+            incr nfresh;
+            survivors := cand :: !survivors
+          end
+        done;
+        b0 := hi
+      done;
+      (List.rev !survivors, !used)
     in
     let commit_existing st =
       Arena.stage_state arena st;
@@ -451,6 +523,9 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
             [],
           s_level )
     in
+    (* the per-phase clocks are read only when a trace is recorded *)
+    let timed = Sink.enabled sink in
+    let clock () = if timed then Clock.wall () else 0. in
     while !result = None && !level <= max_depth && !frontier <> [] do
       let lvl = !level in
       let nodes0 = Atomic.get nodes in
@@ -459,6 +534,7 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       and subsumed0 = !subsumed_total
       and redundant0 = !redundant_total in
       Span.run ~sink ~name:"level" @@ fun sp ->
+      let t_expand = clock () in
       let moves = sys.moves_at ~level:lvl in
       let remaining = max_depth - lvl in
       let last = lvl = max_depth in
@@ -516,12 +592,14 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
                    && sys.prune ~level:lvl ~remaining (Arena.staged_state arena)
                  then incr pruned_total
                  else
-                   match Arena.commit arena ~level:lvl with
+                   match Arena.commit_unsigned arena ~level:lvl with
                    | `Fresh idx -> candidates := (idx, m :: pre) :: !candidates
                    | `Dup _ -> incr level_deduped)
                live)
            !frontier
        with Exit -> ());
+      let expand_s = clock () -. t_expand in
+      let sign_s = ref 0. and filter_s = ref 0. and filter_domains = ref 0 in
       let surviving =
         match !found with
         | Some rev_moves ->
@@ -547,23 +625,20 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
                 match sys.dedup with
                 | Equal -> List.rev !candidates
                 | Subsume ->
-                    let ordered =
-                      List.stable_sort
-                        (fun (a, _) (b, _) ->
-                          compare (Arena.card arena a) (Arena.card arena b))
-                        (List.rev !candidates)
+                    let t_sign = clock () in
+                    Arena.sign_pending arena scratches;
+                    let t_filter = clock () in
+                    sign_s := t_filter -. t_sign;
+                    let survivors, used =
+                      subsume_filter
+                        (List.stable_sort
+                           (fun (a, _) (b, _) ->
+                             compare (Arena.card arena a) (Arena.card arena b))
+                           (List.rev !candidates))
                     in
-                    List.filter
-                      (fun (idx, _) ->
-                        if kept_subsumes idx then begin
-                          incr subsumed_total;
-                          false
-                        end
-                        else begin
-                          kept_insert idx;
-                          true
-                        end)
-                      ordered
+                    filter_s := clock () -. t_filter;
+                    filter_domains := used;
+                    survivors
               in
               let width = List.length survivors in
               (match frontier_log with
@@ -585,6 +660,12 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
       Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
       Span.add sp "frontier" (Sink.Int surviving);
+      (* phase times (0 when the phase did not run) and the domains the
+         filter used (0 when it did not run) *)
+      Span.add sp "expand_s" (Sink.Float expand_s);
+      Span.add sp "sign_s" (Sink.Float !sign_s);
+      Span.add sp "filter_s" (Sink.Float !filter_s);
+      Span.add sp "filter_domains" (Sink.Int !filter_domains);
       (match on_level with
       | Some f when !result = None -> f ~level:lvl ~frontier:surviving (mk_stats lvl)
       | Some _ | None -> ());

@@ -21,17 +21,25 @@
     move prefix sorts, and the first level at which a sorted child
     appears is the exact optimum.
 
-    Expansion fans out across OCaml 5 domains via {!Par.map_list}, as
-    does the candidates-versus-kept part of the subsumption filter; a
-    shared atomic flag short-circuits all domains once a witness is
-    found or the budget trips. With [domains = 1] everything runs
-    inline and deterministically.
+    On the legacy engine, expansion fans out across OCaml 5 domains
+    via {!Par.map_list}, as does the candidates-versus-kept part of the
+    subsumption filter; a shared atomic flag short-circuits all domains
+    once a witness is found or the budget trips. On the arena engine,
+    expansion is sequential and the signature pass and subsumption
+    filter that follow it fan out ({!Par.iter_chunks}). With
+    [domains = 1] everything runs inline and deterministically.
 
     Observability: a run wrapped around an {!Obs.Sink} emits one
     ["span"] event per level (path ["search/level"]) whose [nodes] /
     [pruned] / [deduped] / [subsumed] fields are per-level deltas —
     summing them over all level events reproduces the final {!stats}
-    exactly — plus a closing ["search"] event with the totals; the
+    exactly — plus a closing ["search"] event with the totals. On the
+    arena engine each level event also carries [expand_s], [sign_s]
+    and [filter_s], the wall seconds of its three phases (0 for a
+    phase that did not run; together at most the level's [wall_s]),
+    and [filter_domains], the number of domains its subsumption
+    filter used (1 below the fan-out threshold, 0 when no filter ran);
+    the phase clocks are read only when the sink is enabled. The
     [on_level] callback delivers live cumulative stats after each
     completed level. Both cost nothing when absent.
 
@@ -154,12 +162,12 @@ val subsume_filter :
 type engine = [ `Auto | `Legacy | `Arena ]
 (** Which frontier representation {!run} executes on. [`Legacy] is the
     boxed [State.t] list / [Hashtbl] path with {!Par} fan-out;
-    [`Arena] is the packed single-domain {!Arena} path (requires
-    [pairs_of]); [`Auto] (the default) picks the arena whenever the
-    system exposes [pairs_of]. Both engines explore candidates in the
-    same order with boolean-identical dedup and subsumption decisions,
-    so outcome, witness, stats and checkpoints are interchangeable —
-    a snapshot written by either engine resumes into either. *)
+    [`Arena] is the packed {!Arena} path (requires [pairs_of]);
+    [`Auto] (the default) picks the arena whenever the system exposes
+    [pairs_of]. Both engines explore candidates in the same order with
+    boolean-identical dedup and subsumption decisions, so outcome,
+    witness, stats and checkpoints are interchangeable — a snapshot
+    written by either engine resumes into either. *)
 
 type resume_state
 (** A validated checkpoint snapshot, ready to hand to {!run}. *)
@@ -189,9 +197,16 @@ val run :
   'm outcome
 (** [run ~max_depth sys] searches prefixes of up to [max_depth] moves.
     [domains] (default 1) parallelises expansion and subsumption
-    filtering on the legacy engine; the arena engine (see {!engine})
-    runs single-domain and ignores the fan-out. [sink] (default {!Sink.null}) receives the per-level
-    and closing span events; [on_level ~level ~frontier stats] fires
+    filtering on the legacy engine. The arena engine (see {!engine})
+    expands on the calling domain, then fans each level's signature
+    pass and subsumption filter out over [domains]: the filter tests
+    fixed-size batches of candidates on every domain against the
+    representatives kept before the batch, then settles each batch in
+    order, so its output — outcome, witness, stats, frontier log,
+    checkpoints — is identical at every domain count. Small levels
+    stay on one domain, and [domains] is clamped to
+    [\[1, {!Par.clamp_max}\]]. [sink] (default {!Sink.null}) receives the
+    per-level and closing span events; [on_level ~level ~frontier stats] fires
     after each {e completed} level with the surviving frontier size
     and a cumulative stats snapshot. [frontier_log ~level states]
     receives each completed level's surviving states in frontier
@@ -202,8 +217,9 @@ val run :
     [checkpoint:(path, interval)] snapshots progress at level
     boundaries at most every [interval] seconds (see the module
     preamble); [resume] continues from such a snapshot. With
-    [domains > 1] the witness (not its length) and the node counts may
-    vary between runs; every outcome is sound. *)
+    [domains > 1] on the legacy engine the witness (not its length)
+    and the node counts may vary between runs; every outcome is
+    sound. *)
 
 (** {1 Sorting-network instantiation} *)
 

@@ -47,6 +47,37 @@ let test_shuffle_n8_depth5_refuted () =
   | Min_depth.Sorter _ -> Alcotest.fail "a 5-stage shuffle sorter would be news"
   | Min_depth.Inconclusive | Min_depth.Interrupted -> Alcotest.fail "budget too small"
 
+let test_n9_depth5_domains () =
+  (* the arena's largest filter: level 4 of the n=9 depth-5 refutation
+     filters ~389k candidates, in parallel at 2 domains; every count and
+     logged frontier must match the 1-domain run *)
+  let sys = Driver.network_system ~n:9 () in
+  let run domains =
+    let log = ref [] and sink, events = Sink.memory () in
+    let frontier_log ~level states =
+      log := (level, List.map State.key states) :: !log
+    in
+    match Driver.run ~domains ~sink ~frontier_log ~max_depth:5 sys with
+    | Driver.Unsorted s ->
+        let filter_domains =
+          List.fold_left
+            (fun acc e ->
+              match List.assoc_opt "filter_domains" e.Sink.fields with
+              | Some (Sink.Int d) -> max acc d
+              | _ -> acc)
+            0 (events ())
+        in
+        ( ( (s.Driver.nodes, s.Driver.pruned, s.Driver.deduped),
+            (s.Driver.subsumed, s.Driver.redundant, s.Driver.frontier_sizes) ),
+          !log,
+          filter_domains )
+    | _ -> Alcotest.fail "n=9 has no depth-5 sorting network"
+  in
+  let stats1, log1, _ = run 1 and stats2, log2, fd2 = run 2 in
+  check_bool "n=9 depth 5: stats identical at 1 and 2 domains" true (stats1 = stats2);
+  check_bool "n=9 depth 5: frontier logs identical" true (log1 = log2);
+  check_bool "n=9 depth 5: the filter ran on 2 domains" true (fd2 = 2)
+
 let () =
   Alcotest.run "search-slow"
     [ ( "driver",
@@ -55,4 +86,6 @@ let () =
           Alcotest.test_case "n=7 reference agreement" `Slow
             test_n7_reference_agreement;
           Alcotest.test_case "no 5-stage shuffle sorter at n=8" `Slow
-            test_shuffle_n8_depth5_refuted ] ) ]
+            test_shuffle_n8_depth5_refuted;
+          Alcotest.test_case "n=9 depth 5 identical at 1 and 2 domains" `Slow
+            test_n9_depth5_domains ] ) ]

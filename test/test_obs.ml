@@ -155,17 +155,44 @@ let test_span_disabled_and_exceptions () =
   let v = Span.run ~name:"quiet" (fun _ -> hit := true; 3) in
   check_int "value through disabled span" 3 v;
   check_bool "body ran" true !hit;
+  check_bool "disabled span re-raises" true
+    (match Span.run ~name:"quiet" (fun _ -> failwith "q") with
+     | exception Failure m -> m = "q"
+     | _ -> false);
   let sink, events = Sink.memory () in
-  (* a raising body emits nothing and unwinds the path stack *)
-  (try
-     Span.run ~sink ~name:"outer" (fun _ ->
-         ignore (Span.run ~sink ~name:"boom" (fun _ -> failwith "x"));
-         ())
-   with Failure _ -> ());
+  (* a raising body closes every span it unwinds through with an error
+     field, re-raises the original exception, and unwinds the path
+     stack *)
+  let raised =
+    match
+      Span.run ~sink ~name:"outer" (fun _ ->
+          ignore
+            (Span.run ~sink ~name:"boom" (fun sp ->
+                 Span.add sp "k" (Sink.Int 1);
+                 failwith "x"));
+          ())
+    with
+    | exception Failure m -> m
+    | () -> "no exception"
+  in
+  check_string "original exception re-raised" "x" raised;
   Span.run ~sink ~name:"after" (fun _ -> ());
+  let error e = List.assoc_opt "error" e.Sink.fields in
   match events () with
-  | [ e ] -> check_string "stack unwound past the raise" "after" e.Sink.name
-  | es -> Alcotest.failf "expected 1 event, got %d" (List.length es)
+  | [ boom; outer; after ] ->
+      check_string "failing span path" "outer/boom" boom.Sink.name;
+      check_bool "failing span carries the error" true
+        (error boom = Some (Sink.Str (Printexc.to_string (Failure "x"))));
+      check_bool "fields attached before the raise kept" true
+        (List.assoc_opt "k" boom.Sink.fields = Some (Sink.Int 1));
+      check_bool "wall_s on the error event" true
+        (List.mem_assoc "wall_s" boom.Sink.fields);
+      check_string "enclosing span path" "outer" outer.Sink.name;
+      check_bool "enclosing span closes with the same error" true
+        (error outer = error boom);
+      check_string "stack unwound past the raise" "after" after.Sink.name;
+      check_bool "clean span has no error" true (error after = None)
+  | es -> Alcotest.failf "expected 3 events, got %d" (List.length es)
 
 let test_span_thread_isolation () =
   (* concurrent threads must not see each other's open spans as

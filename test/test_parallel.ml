@@ -87,6 +87,47 @@ let test_map_ranges_first_failure_wins () =
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom b -> check_int "lowest failing chunk wins" 100 b)
 
+let test_iter_chunks_covers () =
+  (* every index exactly once, each call inside one chunk of the grid,
+     at every domain count and chunk size; worker ids stay below the
+     returned worker count *)
+  List.iter
+    (fun (domains, chunk, lo, hi) ->
+      let seen = Array.init (hi - lo) (fun _ -> Atomic.make 0) in
+      let ran = Array.make domains false in
+      let workers =
+        Par.iter_chunks ~domains ~chunk ~lo ~hi (fun ~worker ~lo:a ~hi:b ->
+            ran.(worker) <- true;
+            for i = a to b - 1 do
+              Atomic.incr seen.(i - lo)
+            done)
+      in
+      let chunks = (hi - lo + chunk - 1) / chunk in
+      check_int "worker count" (max 1 (min domains chunks)) workers;
+      check_bool "worker ids below the count" true
+        (Array.for_all Fun.id (Array.mapi (fun w r -> w < workers || not r) ran));
+      check_bool "every index exactly once" true
+        (Array.for_all (fun c -> Atomic.get c = 1) seen))
+    [ (1, 4, 0, 100); (2, 16, 3, 1000); (3, 1, 0, 7); (4, 64, 10, 20);
+      (4, 5, 0, 0); (8, 3, 0, 9) ]
+
+let test_iter_chunks_failure () =
+  (* a raise stops the claiming, every domain is joined, and the
+     failing worker's exception comes back *)
+  let calls = Atomic.make 0 in
+  (match
+     Par.iter_chunks ~domains:3 ~chunk:1 ~lo:0 ~hi:10_000 (fun ~worker:_ ~lo ~hi:_ ->
+         Atomic.incr calls;
+         if lo = 5 then raise (Failure "chunk 5"))
+   with
+  | _ -> Alcotest.fail "expected the chunk's failure"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "chunk 5" m);
+  check_bool "claiming stopped after the failure" true (Atomic.get calls < 10_000);
+  check_bool "invalid chunk" true
+    (match Par.iter_chunks ~domains:2 ~chunk:0 ~lo:0 ~hi:4 (fun ~worker:_ ~lo:_ ~hi:_ -> ()) with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 let test_recommended_domains_env () =
   let with_env v f =
     Unix.putenv "SNLB_DOMAINS" v;
@@ -154,7 +195,11 @@ let () =
           Alcotest.test_case "first failure in range order wins" `Quick
             test_map_ranges_first_failure_wins;
           Alcotest.test_case "SNLB_DOMAINS override" `Quick
-            test_recommended_domains_env ] );
+            test_recommended_domains_env;
+          Alcotest.test_case "iter_chunks covers every index once" `Quick
+            test_iter_chunks_covers;
+          Alcotest.test_case "iter_chunks failure joins and re-raises" `Quick
+            test_iter_chunks_failure ] );
       ( "zero-one",
         [ Alcotest.test_case "domains agree" `Quick test_zero_one_domains_agree;
           Alcotest.test_case "witness under domains" `Quick test_zero_one_domains_witness ] );

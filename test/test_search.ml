@@ -531,6 +531,170 @@ let test_arena_engine_equivalence () =
       check_int "unrestricted deduped" sa.Driver.deduped sb.Driver.deduped
   | _ -> Alcotest.fail "n=4 unrestricted must certify the optimum"
 
+(* --- Arena across domain counts: the parallel signature pass and
+   subsumption filter must not change a single decision --- *)
+
+let prop_arena_subsumes_other_domain =
+  QCheck.Test.make
+    ~name:"Arena.subsumes_with on a second domain = own scratch = Subsume"
+    ~count:15
+    QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~n () in
+      let ok, states = random_frontier rng arena n 80 in
+      let arr = Array.of_list states in
+      let m = Array.length arr in
+      let pairs =
+        Array.init 250 (fun _ ->
+            (Xoshiro.int rng ~bound:m, Xoshiro.int rng ~bound:m))
+      in
+      let test sub = Array.map (fun (i, j) -> sub (snd arr.(i)) (snd arr.(j))) pairs in
+      (* the second domain runs while this one uses the arena's own
+         scratch on the same rows *)
+      let sc = Arena.scratch arena in
+      let remote = Domain.spawn (fun () -> test (Arena.subsumes_with arena sc)) in
+      let own = test (Arena.subsumes arena) in
+      let remote = Domain.join remote in
+      let reference =
+        Array.map (fun (i, j) -> Subsume.subsumes_states (fst arr.(i)) (fst arr.(j))) pairs
+      in
+      ok && remote = own && own = reference)
+
+let test_arena_unsigned_rows_refused () =
+  let n = 5 in
+  let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let arena = Arena.create ~n () in
+  Arena.stage_state arena (State.initial ~n);
+  ignore (Arena.commit arena ~level:0);
+  Arena.stage_child arena ~parent:0 [ (0, 1); (2, 3) ];
+  let child =
+    match Arena.commit_unsigned arena ~level:1 with
+    | `Fresh idx -> idx
+    | `Dup _ -> Alcotest.fail "the child differs from the initial state"
+  in
+  check_bool "unsigned row refused" true
+    (refused (fun () -> Arena.subsumes arena child 0));
+  check_bool "unsigned row refused on a private scratch" true
+    (refused (fun () -> Arena.subsumes_with arena (Arena.scratch arena) 0 child));
+  check_bool "sign_pending needs a scratch" true
+    (refused (fun () -> Arena.sign_pending arena [||]));
+  Arena.sign_pending arena [| Arena.scratch arena; Arena.scratch arena |];
+  check_bool "signed child subsumes the initial state" true
+    (Arena.subsumes arena child 0);
+  check_bool "truncated rows are refused" true
+    (Arena.truncate arena 1;
+     refused (fun () -> Arena.subsumes arena 0 child));
+  (* an arena without signatures never signs a row *)
+  let plain = Arena.create ~with_sigs:false ~n () in
+  Arena.stage_state plain (State.initial ~n);
+  ignore (Arena.commit plain ~level:0);
+  Arena.sign_pending plain [| Arena.scratch plain |];
+  check_bool "no signatures, no subsumption" true
+    (refused (fun () -> Arena.subsumes plain 0 0))
+
+(* outcome, witness and stats without the elapsed times *)
+let outcome_key o =
+  let key (s : Driver.stats) =
+    ( ( s.Driver.nodes,
+        s.Driver.pruned,
+        s.Driver.deduped,
+        s.Driver.subsumed,
+        s.Driver.redundant ),
+      (s.Driver.frontier_sizes, s.Driver.peak_frontier, s.Driver.completed_levels) )
+  in
+  match o with
+  | Driver.Sorted { depth; moves; stats } -> (`Sorted (depth, moves), key stats)
+  | Driver.Unsorted s -> (`Unsorted, key s)
+  | Driver.Inconclusive s -> (`Inconclusive, key s)
+  | Driver.Interrupted s -> (`Interrupted, key s)
+
+(* one arena run with a frontier log and a memory sink: the outcome
+   key, the log as (level, state keys) and the most domains any level's
+   filter used *)
+let logged_run ?budget ?checkpoint ?resume ?cancel ?on_level ~domains
+    ~max_depth sys =
+  let log = ref [] in
+  let frontier_log ~level states =
+    log := (level, List.map State.key states) :: !log
+  in
+  let sink, events = Sink.memory () in
+  let o =
+    Driver.run ~engine:`Arena ~domains ?budget ?checkpoint ?resume ?cancel
+      ?on_level ~sink ~frontier_log ~max_depth sys
+  in
+  let filter_domains =
+    List.fold_left
+      (fun acc e ->
+        match List.assoc_opt "filter_domains" e.Sink.fields with
+        | Some (Sink.Int d) when e.Sink.name = "search/level" -> max acc d
+        | _ -> acc)
+      0 (events ())
+  in
+  (outcome_key o, List.rev !log, filter_domains)
+
+let test_arena_domain_identity () =
+  let parallel = ref false in
+  List.iter
+    (fun n ->
+      let sys = Driver.network_system ~n () in
+      let key1, log1, fd1 = logged_run ~domains:1 ~max_depth:n sys in
+      check_bool (Printf.sprintf "n=%d: one domain filters alone" n) true (fd1 <= 1);
+      List.iter
+        (fun domains ->
+          let what = Printf.sprintf "n=%d domains=%d" n domains in
+          let key, log, fd = logged_run ~domains ~max_depth:n sys in
+          check_bool (what ^ ": outcome, witness and stats") true (key = key1);
+          check_bool (what ^ ": frontier log") true (log = log1);
+          check_bool (what ^ ": filter_domains <= domains") true (fd <= domains);
+          if fd > 1 then parallel := true)
+        [ 2; 3 ])
+    [ 6; 7; 8 ];
+  check_bool "some level filtered on more than one domain" true !parallel
+
+let test_arena_domain_identity_budget () =
+  (* n=8 spends 4832 nodes on levels 1-4 and 1240 on level 5: this
+     budget trips in level 5, after the parallel level 4 *)
+  let sys = Driver.network_system ~n:8 () in
+  let budget = { Driver.max_nodes = 5000; max_seconds = None } in
+  let key1, log1, _ = logged_run ~budget ~domains:1 ~max_depth:8 sys in
+  (match fst key1 with
+  | `Inconclusive -> ()
+  | _ -> Alcotest.fail "the budget must trip");
+  List.iter
+    (fun domains ->
+      let key, log, fd = logged_run ~budget ~domains ~max_depth:8 sys in
+      check_bool "budget trip: outcome and stats" true (key = key1);
+      check_bool "budget trip: frontier log" true (log = log1);
+      check_bool "budget trip: a level filtered in parallel" true (fd > 1))
+    [ 2; 3 ]
+
+let test_arena_checkpoint_across_domains () =
+  (* cut at the level-3 boundary on one domain, finish on two *)
+  let n = 8 in
+  let sys = Driver.network_system ~n () in
+  let key1, log1, _ = logged_run ~domains:1 ~max_depth:n sys in
+  let path = Filename.temp_file "snlb-arena" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Atomic_file.backup_path path ])
+  @@ fun () ->
+  let cancel = Cancel.create () in
+  let on_level ~level ~frontier:_ _ = if level = 3 then Cancel.cancel cancel in
+  (match logged_run ~checkpoint:(path, 0.) ~cancel ~on_level ~domains:1 ~max_depth:n sys with
+  | (`Interrupted, _), _, _ -> ()
+  | _ -> Alcotest.fail "the cancelled run must stop at the level-3 boundary");
+  match Driver.resume ~path with
+  | Error e -> Alcotest.fail ("resume failed: " ^ e)
+  | Ok rs ->
+      let key, log, fd = logged_run ~resume:rs ~domains:2 ~max_depth:n sys in
+      check_bool "resumed at 2 domains: outcome and stats" true (key = key1);
+      check_bool "resumed at 2 domains: levels 4+ of the log" true
+        (log = List.filter (fun (l, _) -> l > 3) log1);
+      check_bool "resumed run filtered in parallel" true (fd > 1)
+
 let test_domains2_no_regression () =
   (* The work-size threshold (Par.map_list ?min_per_domain, wired
      through the driver's expansion / fingerprint / subsumption calls)
@@ -585,7 +749,16 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
           Alcotest.test_case "legacy/arena engines agree" `Quick
-            test_arena_engine_equivalence ] );
+            test_arena_engine_equivalence;
+          QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
+          Alcotest.test_case "unsigned rows never reach subsumes" `Quick
+            test_arena_unsigned_rows_refused;
+          Alcotest.test_case "n=6,7,8 identical at 1, 2, 3 domains" `Quick
+            test_arena_domain_identity;
+          Alcotest.test_case "budget trip identical at 1, 2, 3 domains" `Quick
+            test_arena_domain_identity_budget;
+          Alcotest.test_case "checkpoint at 1 domain resumes at 2" `Quick
+            test_arena_checkpoint_across_domains ] );
       ( "driver",
         [ Alcotest.test_case "known optima n<=6" `Quick test_known_optimal_depths;
           Alcotest.test_case "reference agreement + 10x pruning" `Quick
