@@ -304,8 +304,9 @@ let eval_many_rows () =
    peak_frontier / depth. The pruned n=6 run is the headline
    (optimal-depth certification); the subsumption-free reference run
    exposes the node reduction the pruning buys; the multi-domain rows
-   exercise Par-parallel expansion (any speedup is hardware-dependent —
-   a single-core host shows pure domain overhead). *)
+   exercise the parallel signature pass and subsumption filter (any
+   speedup is hardware-dependent — a single-core host shows pure
+   domain overhead). *)
 let search_json_rows () =
   (* sharded vs single-process on one deliberately expansion-heavy
      workload: the unrestricted n=8 system cut at depth 3, whose last
@@ -327,8 +328,7 @@ let search_json_rows () =
     in
     let t0 = Clock.wall () in
     expect_unsorted
-      (Driver.run ~engine:`Legacy ~max_depth
-         (Driver.network_system ~restrict:false ~n ()));
+      (Driver.run ~max_depth (Driver.network_system ~restrict:false ~n ()));
     let single = Clock.wall () -. t0 in
     let dir = Filename.temp_file "snlb-bench-shard" "" in
     Sys.remove dir;
@@ -401,31 +401,6 @@ let search_json_rows () =
       (fun () ->
         time_run ~checkpoint:(path, interval) ~tag ~restrict:true ~domains:1 7)
   in
-  (* arena vs legacy engine on one prebuilt n=8 pruned system — the
-     run only, so system construction (layer tables, symmetry
-     reduction) is excluded from both sides. Best of 3 to shave timing
-     noise; `make bench-json` asserts the speedup row at >= 5x. *)
-  let engine_rows =
-    let n = 8 in
-    let sys = Driver.network_system ~n () in
-    let best engine =
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let t0 = Clock.wall () in
-        (match Driver.run ~engine ~max_depth:n sys with
-        | Driver.Sorted { depth = 6; _ } -> ()
-        | _ -> failwith "n=8 optimal depth should be 6");
-        best := min !best (Clock.wall () -. t0)
-      done;
-      !best
-    in
-    let legacy = best `Legacy in
-    let arena = best `Arena in
-    [ ("search/n=8/engine=legacy/wall_ms", legacy *. 1e3);
-      ("search/n=8/engine=arena/wall_ms", arena *. 1e3);
-      ("search/n=8/arena_speedup", if arena > 0. then legacy /. arena else 0.)
-    ]
-  in
   List.concat
     [ time_run ~tag:"pruned" ~restrict:true ~domains:1 6;
       time_run ~tag:"pruned" ~restrict:true ~domains:k 6;
@@ -435,7 +410,6 @@ let search_json_rows () =
       time_run ~tag:"pruned" ~restrict:true ~domains:k 7;
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
       checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
-      engine_rows;
       shard_rows ]
 
 (* Analyzer throughput: repeated full analyses (structural lints, both

@@ -716,22 +716,11 @@ let search_cmd =
     Arg.(value & flag & info [ "shuffle" ] ~doc)
   in
   let domains_arg =
-    let doc = "Worker domains for expansion and subsumption filtering." in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
-  in
-  let engine_arg =
     let doc =
-      "Search engine: $(b,auto) picks the packed arena whenever the moves \
-       are plain comparator layers (the free search; --shuffle always runs \
-       legacy), $(b,arena) forces it, $(b,legacy) forces the boxed \
-       list/Hashtbl path. Both engines make identical decisions."
+      "Worker domains for each level's signature pass and subsumption \
+       filter (0 = auto). Every domain count prints the same output."
     in
-    Arg.(
-      value
-      & opt
-          (enum [ ("auto", `Auto); ("legacy", `Legacy); ("arena", `Arena) ])
-          `Auto
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
+    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"K" ~doc)
   in
   let max_depth_arg =
     let doc = "Depth cap for optimal search (default: n, or 6 with --shuffle)." in
@@ -757,7 +746,7 @@ let search_cmd =
        expanded child, a subsumption witness (cited pool entry and wire \
        permutation) the independent checker replays. Forces the \
        unrestricted reference search (every layer, equality-only \
-       dedup), whose frontier log both engines reproduce byte-for-byte. \
+       dedup). \
        On an $(b,--optimal) run that finds a depth-$(i,d) sorter, emits \
        exhaustion at depth $(i,d-1) plus a sortedness certificate for \
        the witness network — together a proof of optimality. Not \
@@ -775,9 +764,10 @@ let search_cmd =
       s.Driver.nodes s.Driver.pruned s.Driver.deduped s.Driver.subsumed
       s.Driver.redundant s.Driver.peak_frontier
   in
-  let run n depth _optimal shuffle domains engine max_depth budget shards
-      shard_dir emit ckpt interval resume trace metrics =
+  let run n depth _optimal shuffle domains max_depth budget shards shard_dir
+      emit ckpt interval resume trace metrics =
     let budget = { Driver.max_nodes = budget; max_seconds = None } in
+    let domains = if domains <= 0 then Par.recommended_domains () else domains in
     record_domains domains;
     if resume && ckpt = None then
       usage_error "search: --resume needs --checkpoint FILE"
@@ -825,9 +815,9 @@ let search_cmd =
                     (Min_depth.verify_witness ~n prog);
                   List.iteri
                     (fun i ops ->
-                      Printf.printf "  stage %d: " (i + 1);
-                      Array.iter (fun op -> Format.printf "%a" Register_model.pp_op op) ops;
-                      print_newline ())
+                      let ops = Array.map (Format.asprintf "%a" Register_model.pp_op) ops in
+                      Printf.printf "  stage %d: %s\n" (i + 1)
+                        (String.concat "" (Array.to_list ops)))
                     prog;
                   0
               | Min_depth.Impossible ->
@@ -923,8 +913,8 @@ let search_cmd =
           match emit with
           | None ->
               report
-                (Driver.optimal_depth ~domains ~engine ~budget ~sink ~cancel
-                   ?checkpoint ?resume:resume_state ~max_depth ~n ())
+                (Driver.optimal_depth ~domains ~budget ~sink ~cancel ?checkpoint
+                   ?resume:resume_state ~max_depth ~n ())
           | Some path ->
               (* The exhaustion certificate replays every child of every
                  frontier state, so the log must come from the
@@ -936,8 +926,8 @@ let search_cmd =
                 frontiers := states :: !frontiers
               in
               let outcome =
-                Driver.optimal_depth ~domains ~engine ~budget ~sink ~cancel
-                  ~frontier_log ?checkpoint ~restrict:false ~max_depth ~n ()
+                Driver.optimal_depth ~domains ~budget ~sink ~cancel ~frontier_log
+                  ?checkpoint ~restrict:false ~max_depth ~n ()
               in
               let frontiers = List.rev !frontiers in
               let code = report outcome in
@@ -981,7 +971,7 @@ let search_cmd =
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
       const run $ search_n_arg $ depth_arg $ optimal_arg $ shuffle_arg
-      $ domains_arg $ engine_arg $ max_depth_arg $ budget_arg $ shards_arg
+      $ domains_arg $ max_depth_arg $ budget_arg $ shards_arg
       $ shard_dir_arg $ emit_cert_arg $ checkpoint_arg $ interval_arg
       $ resume_arg $ trace_arg $ metrics_arg)
 

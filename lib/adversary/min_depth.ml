@@ -12,44 +12,32 @@ type minimal =
 
 (* Masks encode one zero-one input/state: bit r = value of register r. *)
 
-let shuffle_mask ~n ~d m =
-  (* content of register j moves to rotl j: bit r of m' = bit rotr r of m *)
-  let m' = ref 0 in
-  for r = 0 to n - 1 do
-    let src = if r = 0 then 0 else ((r lsr 1) lor ((r land 1) lsl (d - 1))) in
-    if (m lsr src) land 1 = 1 then m' := !m' lor (1 lsl r)
-  done;
-  !m'
+(* Op vector number [code] has op k = base-4 digit k of [code]; Plus
+   is digit 0 so witnesses favour dense comparator levels. *)
+let ops_of_code ~pairs code =
+  Array.init pairs (fun k ->
+      match (code lsr (2 * k)) land 3 with
+      | 0 -> Register_model.Plus
+      | 1 -> Register_model.Minus
+      | 2 -> Register_model.One
+      | _ -> Register_model.Zero)
 
-let apply_ops ~pairs ops m =
-  let m = ref m in
-  for k = 0 to pairs - 1 do
-    let a = 2 * k and b = (2 * k) + 1 in
-    let va = (!m lsr a) land 1 and vb = (!m lsr b) land 1 in
-    let va', vb' =
+let code_of_ops ops =
+  let c = ref 0 in
+  for k = Array.length ops - 1 downto 0 do
+    let digit =
       match ops.(k) with
-      | Register_model.Plus -> (va land vb, va lor vb)
-      | Register_model.Minus -> (va lor vb, va land vb)
-      | Register_model.One -> (vb, va)
-      | Register_model.Zero -> (va, vb)
+      | Register_model.Plus -> 0
+      | Register_model.Minus -> 1
+      | Register_model.One -> 2
+      | Register_model.Zero -> 3
     in
-    m := !m land lnot ((1 lsl a) lor (1 lsl b));
-    m := !m lor (va' lsl a) lor (vb' lsl b)
+    c := (!c lsl 2) lor digit
   done;
-  !m
+  !c
 
-let all_op_vectors ~pairs =
-  (* enumerate {+,-,0,1}^pairs; Plus first so witnesses favour dense
-     comparator levels *)
-  let ops_of_code code =
-    Array.init pairs (fun k ->
-        match (code lsr (2 * k)) land 3 with
-        | 0 -> Register_model.Plus
-        | 1 -> Register_model.Minus
-        | 2 -> Register_model.One
-        | _ -> Register_model.Zero)
-  in
-  List.init (1 lsl (2 * pairs)) ops_of_code
+(* enumerate {+,-,0,1}^pairs in code order *)
+let all_op_vectors ~pairs = List.init (1 lsl (2 * pairs)) (ops_of_code ~pairs)
 
 (* Necessary condition for sorting within [r] more stages: every unit
    mask's one must sit at a register whose low [d - r] bits are all
@@ -78,6 +66,41 @@ let prunable ~n ~d ~remaining state =
       state
   end
 
+(* One stage as an arena move. The shuffle carries register c's content
+   to register rotl c (a rotation of the lg n index bits), an exchange
+   [One] then swaps the pair it lands in — both permute the registers,
+   so together they are one permutation of the mask-index bits, and the
+   exchanges commute with the comparators on the other, disjoint pairs.
+   What is left is a directed comparator per [Plus] (minimum on 2k) and
+   [Minus] (minimum on 2k + 1); [Zero] adds nothing. Every op vector's
+   permutation and comparators are built once, indexed by its code. *)
+let stager ~n ~d =
+  let pairs = n / 2 in
+  let rotl c = ((c lsl 1) lor (c lsr (d - 1))) land (n - 1) in
+  let table =
+    Array.init (1 lsl (2 * pairs)) (fun code ->
+        let ops = ops_of_code ~pairs code in
+        let perm =
+          Array.init n (fun c ->
+              let r = rotl c in
+              if ops.(r / 2) = Register_model.One then r lxor 1 else r)
+        in
+        let cmps =
+          List.concat
+            (List.mapi
+               (fun k op ->
+                 match op with
+                 | Register_model.Plus -> [ (2 * k, (2 * k) + 1) ]
+                 | Register_model.Minus -> [ ((2 * k) + 1, 2 * k) ]
+                 | Register_model.One | Register_model.Zero -> [])
+               (Array.to_list ops))
+        in
+        (perm, cmps))
+  in
+  fun arena ~parent ops ->
+    let perm, cmps = table.(code_of_ops ops) in
+    Arena.stage_child arena ~perm ~parent cmps
+
 (* Channel permutations do not commute with the fixed shuffle wiring,
    so subsumption (sound for the free-layer search) is NOT sound here;
    the frontier is deduplicated by state equality only. *)
@@ -89,12 +112,7 @@ let system ~n =
     tag = "shuffle-ops";
     initial = State.initial ~n;
     moves_at = (fun ~level:_ -> vectors);
-    apply =
-      (fun ops st ->
-        State.map_masks st (fun m -> apply_ops ~pairs ops (shuffle_mask ~n ~d m)));
-    (* a move here is shuffle-then-ops, not a comparator layer, so the
-       arena engine's butterfly apply cannot express it *)
-    pairs_of = None;
+    stage = stager ~n ~d;
     prune = (fun ~level:_ ~remaining st -> prunable ~n ~d ~remaining st);
     (* redundancy hook off: the op-vector move set is tiny (4^(n/2)
        vectors, n <= 8 in practice) and equality dedup already

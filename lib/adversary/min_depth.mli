@@ -14,8 +14,10 @@
 
     The instantiation plugs three things into {!Driver.run}: the move
     set (all [4^(n/2)] op vectors per stage), the transition (shuffle
-    the registers, then apply the op vector pairwise), and a pruning
-    test — unit masks (single 1) remain unit masks under comparators,
+    the registers, then apply the op vector pairwise — staged on the
+    {!Arena} as one permutation of mask-index bits, the shuffle's
+    rotation with the exchanges folded in, then a directed comparator
+    per [Plus] or [Minus]), and a pruning test — unit masks (single 1) remain unit masks under comparators,
     and a unit at register [p] can only reach the top register within
     [r] further stages if the low [lg n - r] bits of [p] are all ones
     (its high position bits are already committed); dually for
@@ -40,6 +42,12 @@ type minimal =
   | Stopped of int
       (** cancelled; depths up to the payload {e are} refuted, and a
           configured checkpoint can resume the rest *)
+
+val system : n:int -> Register_model.op array Driver.system
+(** The shuffle-restricted system on [n] registers ([n] a power of two
+    in [2, 16]), tagged ["shuffle-ops"]: staging op vector [ops] from a
+    state gives the image of its masks under one stage
+    [Register_model.shuffle_program ~n [ops]]. *)
 
 val search :
   n:int -> depth:int -> ?budget:Driver.budget -> ?domains:int ->

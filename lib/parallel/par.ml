@@ -117,8 +117,7 @@ let map_list ?(min_per_domain = 1) ~domains f xs =
      more than mapping one small element, so a list that cannot feed
      every domain at least [min_per_domain] elements shrinks its
      fan-out — down to fully sequential — instead of paying spawn and
-     GC-synchronisation overhead that dwarfs the work (the domains=2
-     10x regression on small search frontiers). *)
+     GC-synchronisation overhead that dwarfs the work. *)
   let domains = min domains (n / min_per_domain) in
   if domains <= 1 || n <= 1 then List.map f xs
   else begin
@@ -130,6 +129,3 @@ let map_list ?(min_per_domain = 1) ~domains f xs =
     List.iter (List.iter (fun (i, y) -> out.(i) <- Some y)) results;
     Array.to_list (Array.map Option.get out)
   end
-
-let map_list_until ?min_per_domain ~domains ~stop ~default f xs =
-  map_list ?min_per_domain ~domains (fun x -> if stop () then default else f x) xs

@@ -3,12 +3,13 @@
 
     Used by {!Zero_one} to split exact 0-1 verification across
     test-input ranges, by the experiment harness for independent
-    sampling legs, and by the search driver. {!map_ranges} and
-    {!map_list} split work into contiguous chunks, one domain per
-    chunk; {!iter_chunks} hands out small chunks from an atomic cursor
-    for work whose cost varies along the range. Domains never share
-    mutable state, so no synchronisation beyond [join] (and that
-    cursor) is needed. *)
+    sampling legs, by the evolutionary fitness kernel, and by the
+    search driver's signature pass and subsumption filter.
+    {!map_ranges} and {!map_list} split work into contiguous chunks,
+    one domain per chunk; {!iter_chunks} hands out small chunks from
+    an atomic cursor for work whose cost varies along the range.
+    Domains never share mutable state, so no synchronisation beyond
+    [join] (and that cursor) is needed. *)
 
 val default_cap : int
 (** 8 — the ceiling of the {e heuristic} default below. *)
@@ -93,22 +94,5 @@ val map_list :
     every domain that many elements runs on fewer domains — or fully
     sequentially — instead of paying a spawn per handful of elements.
     Callers whose per-element work is small relative to a domain spawn
-    (the search driver's frontier expansion) should pass a threshold;
-    [1] preserves the old always-parallel behaviour.
+    should pass a threshold; [1] always fans out.
     @raise Invalid_argument if [domains < 1] or [min_per_domain < 1]. *)
-
-val map_list_until :
-  ?min_per_domain:int ->
-  domains:int ->
-  stop:(unit -> bool) ->
-  default:'b ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** {!map_list} with cooperative cancellation: [stop] is consulted
-    before each element, and once it returns [true] every remaining
-    element yields [default] without calling [f], so an in-flight
-    fan-out drains in order instead of being abandoned mid-level.
-    [stop] runs on worker domains — it must be domain-safe (an atomic
-    read, e.g. [Resilience.Cancel.cancelled]) and cheap. Elements
-    mapped before the trip keep their real results. *)

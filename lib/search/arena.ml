@@ -72,7 +72,7 @@ type t = {
   mutable table : int array; (* open addressing: 0 = empty, else idx + 1 *)
   mutable mask : int; (* Array.length table - 1 *)
   (* precomputed per n *)
-  intra : int64 array array; (* i < j < 6: movers pattern *)
+  intra : int64 array array; (* i, j < 6: positions with bit i set, bit j clear *)
   bitset : int64 array; (* i < 6: intra positions with bit i set *)
   sorted_row : int64 array;
   (* row patterns for the signature counts: level k's masks at
@@ -220,7 +220,7 @@ let create ?(with_sigs = true) ~n () =
   let intra =
     Array.init 6 (fun i ->
         Array.init 6 (fun j ->
-            if i >= j then 0L
+            if i = j then 0L
             else begin
               let p = ref 0L in
               for b = 0 to 63 do
@@ -367,24 +367,42 @@ let stage_state t st =
            (Int64.shift_left 1L (m land 63))))
     st
 
-(* apply one ascending comparator (i, j), i < j, to the staging row:
-   every mask with bit i set and bit j clear moves to the mask with
-   those bits exchanged; everything else stays. Butterfly by case on
-   whether the affected index bits are intra-word. *)
+(* apply one comparator (i, j), i <> j, to the row at [base]: the
+   minimum goes to channel i and the maximum to channel j, so every mask
+   with bit i set and bit j clear moves by 2^j - 2^i to the mask with
+   those bits exchanged (up for an ascending pair, down for a reversed
+   one); everything else stays. Butterfly by case on whether the
+   affected index bits are intra-word; each direction has its own loop,
+   so neither pays a branch per word. *)
 let apply_cmp t base i j =
   let words = t.words and wpr = t.wpr in
-  if j < 6 then begin
+  if i < 6 && j < 6 then begin
     let pat = t.intra.(i).(j) in
-    let delta = (1 lsl j) - (1 lsl i) in
-    for w = 0 to wpr - 1 do
-      let x = Bigarray.Array1.unsafe_get words (base + w) in
-      let mov = Int64.logand x pat in
-      if mov <> 0L then
-        Bigarray.Array1.unsafe_set words (base + w)
-          (Int64.logor (Int64.logxor x mov) (Int64.shift_left mov delta))
-    done
+    if i < j then begin
+      let delta = (1 lsl j) - (1 lsl i) in
+      for w = 0 to wpr - 1 do
+        let x = Bigarray.Array1.unsafe_get words (base + w) in
+        let mov = Int64.logand x pat in
+        if mov <> 0L then
+          Bigarray.Array1.unsafe_set words (base + w)
+            (Int64.logor (Int64.logxor x mov) (Int64.shift_left mov delta))
+      done
+    end
+    else begin
+      let delta = (1 lsl i) - (1 lsl j) in
+      for w = 0 to wpr - 1 do
+        let x = Bigarray.Array1.unsafe_get words (base + w) in
+        let mov = Int64.logand x pat in
+        if mov <> 0L then
+          Bigarray.Array1.unsafe_set words (base + w)
+            (Int64.logor (Int64.logxor x mov)
+               (Int64.shift_right_logical mov delta))
+      done
+    end
   end
   else if i < 6 then begin
+    (* i < 6 <= j: the bit-i movers of a word with bit j clear land in
+       the word 2^(j-6) above, bit i cleared *)
     let pat = t.bitset.(i) in
     let dj = 1 lsl (j - 6) in
     let shift = 1 lsl i in
@@ -403,7 +421,29 @@ let apply_cmp t base i j =
       end
     done
   end
+  else if j < 6 then begin
+    (* j < 6 <= i, reversed: the bit-j-clear positions of a word with
+       bit i set land in the word 2^(i-6) below, bit j set *)
+    let pat = Int64.lognot t.bitset.(j) in
+    let di = 1 lsl (i - 6) in
+    let shift = 1 lsl j in
+    for w = 0 to wpr - 1 do
+      if w land di <> 0 then begin
+        let x = Bigarray.Array1.unsafe_get words (base + w) in
+        let mov = Int64.logand x pat in
+        if mov <> 0L then begin
+          Bigarray.Array1.unsafe_set words (base + w) (Int64.logxor x mov);
+          let w' = base + w - di in
+          Bigarray.Array1.unsafe_set words w'
+            (Int64.logor
+               (Bigarray.Array1.unsafe_get words w')
+               (Int64.shift_left mov shift))
+        end
+      end
+    done
+  end
   else begin
+    (* whole words move, up or down *)
     let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
     for w = 0 to wpr - 1 do
       if w land di <> 0 && w land dj = 0 then begin
@@ -418,13 +458,87 @@ let apply_cmp t base i j =
     done
   end
 
-let stage_child t ~parent pairs =
+(* Swap index bits [i < j] of the 2^n positions of the row at word
+   offset [base] of [r]: the same butterfly structure as [apply_cmp],
+   but a swap instead of an OR-move. Positions with bits (i, j) = (1, 0)
+   exchange with their (0, 1) partner at distance [2^j - 2^i]; (0, 0)
+   and (1, 1) are fixed. *)
+let transpose_row t (r : row) base i j =
+  if j < 6 then begin
+    (* delta-swap within each word; [intra.(i).(j)] selects the lower
+       position of every swapped pair *)
+    let pat = t.intra.(i).(j) in
+    let delta = (1 lsl j) - (1 lsl i) in
+    for w = 0 to t.wpr - 1 do
+      let x = Bigarray.Array1.unsafe_get r (base + w) in
+      let d =
+        Int64.logand (Int64.logxor x (Int64.shift_right_logical x delta)) pat
+      in
+      Bigarray.Array1.unsafe_set r (base + w)
+        (Int64.logxor (Int64.logxor x d) (Int64.shift_left d delta))
+    done
+  end
+  else if i < 6 then begin
+    (* word pair (w, w + 2^(j-6)): bit-i=1 positions of the low word
+       exchange with bit-i=0 positions of the high word, 2^i apart *)
+    let bi = t.bitset.(i) and sh = 1 lsl i in
+    let nbi = Int64.lognot t.bitset.(i) in
+    let dj = 1 lsl (j - 6) in
+    for w = 0 to t.wpr - 1 do
+      if (w lsr (j - 6)) land 1 = 0 then begin
+        let a = Bigarray.Array1.unsafe_get r (base + w) in
+        let b = Bigarray.Array1.unsafe_get r (base + w + dj) in
+        Bigarray.Array1.unsafe_set r (base + w)
+          (Int64.logor (Int64.logand a nbi)
+             (Int64.shift_left (Int64.logand b nbi) sh));
+        Bigarray.Array1.unsafe_set r (base + w + dj)
+          (Int64.logor (Int64.logand b bi)
+             (Int64.shift_right_logical (Int64.logand a bi) sh))
+      end
+    done
+  end
+  else begin
+    (* whole-word swap w <-> w - 2^(i-6) + 2^(j-6) *)
+    let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
+    for w = 0 to t.wpr - 1 do
+      if (w lsr (i - 6)) land 1 = 1 && (w lsr (j - 6)) land 1 = 0 then begin
+        let w' = base + w - di + dj in
+        let a = Bigarray.Array1.unsafe_get r (base + w) in
+        Bigarray.Array1.unsafe_set r (base + w) (Bigarray.Array1.unsafe_get r w');
+        Bigarray.Array1.unsafe_set r w' a
+      end
+    done
+  end
+
+(* Permute the positions of the row at word offset [base] of [r] by
+   the channel permutation [pi] (bit [pi.(c)] of an image index = bit
+   [c] of the source index), as a product of index-bit transpositions:
+   each cycle (c1 c2 ... cl) of [pi] is T(c1,c2) then T(c1,c3) ...
+   T(c1,cl) applied to the row in that order. Word-parallel — about
+   (n - 1) * wpr word ops for a worst-case permutation, versus a
+   per-bit loop over every mask of the row. *)
+let permute_bits t (r : row) base pi =
+  let visited = ref 0 in
+  for c = 0 to t.n - 1 do
+    if (!visited lsr c) land 1 = 0 then begin
+      visited := !visited lor (1 lsl c);
+      let d = ref pi.(c) in
+      while !d <> c do
+        visited := !visited lor (1 lsl !d);
+        transpose_row t r base (min c !d) (max c !d);
+        d := pi.(!d)
+      done
+    end
+  done
+
+let stage_child t ?perm ~parent pairs =
   if t.len >= t.cap then grow t;
   let src = parent * t.wpr and dst = stage_off t in
   for w = 0 to t.wpr - 1 do
     Bigarray.Array1.unsafe_set t.words (dst + w)
       (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
+  (match perm with Some pi -> permute_bits t t.words dst pi | None -> ());
   List.iter (fun (i, j) -> apply_cmp t dst i j) pairs
 
 let row_subset t base_a base_b =
@@ -781,83 +895,14 @@ let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
 
 exception No
 
-(* Swap index bits [i < j] of the 2^n positions of the row [r] (one
-   row of [t.wpr] words): the same butterfly structure as [apply_cmp],
-   but a swap instead of an OR-move. Positions with bits (i, j) = (1, 0)
-   exchange with their (0, 1) partner at distance [2^j - 2^i]; (0, 0)
-   and (1, 1) are fixed. *)
-let transpose_row t (r : row) i j =
-  if j < 6 then begin
-    (* delta-swap within each word; [intra.(i).(j)] selects the lower
-       position of every swapped pair *)
-    let pat = t.intra.(i).(j) in
-    let delta = (1 lsl j) - (1 lsl i) in
-    for w = 0 to t.wpr - 1 do
-      let x = Bigarray.Array1.unsafe_get r w in
-      let d =
-        Int64.logand (Int64.logxor x (Int64.shift_right_logical x delta)) pat
-      in
-      Bigarray.Array1.unsafe_set r w
-        (Int64.logxor (Int64.logxor x d) (Int64.shift_left d delta))
-    done
-  end
-  else if i < 6 then begin
-    (* word pair (w, w + 2^(j-6)): bit-i=1 positions of the low word
-       exchange with bit-i=0 positions of the high word, 2^i apart *)
-    let bi = t.bitset.(i) and sh = 1 lsl i in
-    let nbi = Int64.lognot t.bitset.(i) in
-    let dj = 1 lsl (j - 6) in
-    for w = 0 to t.wpr - 1 do
-      if (w lsr (j - 6)) land 1 = 0 then begin
-        let a = Bigarray.Array1.unsafe_get r w in
-        let b = Bigarray.Array1.unsafe_get r (w + dj) in
-        Bigarray.Array1.unsafe_set r w
-          (Int64.logor (Int64.logand a nbi)
-             (Int64.shift_left (Int64.logand b nbi) sh));
-        Bigarray.Array1.unsafe_set r (w + dj)
-          (Int64.logor (Int64.logand b bi)
-             (Int64.shift_right_logical (Int64.logand a bi) sh))
-      end
-    done
-  end
-  else begin
-    (* whole-word swap w <-> w - 2^(i-6) + 2^(j-6) *)
-    let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
-    for w = 0 to t.wpr - 1 do
-      if (w lsr (i - 6)) land 1 = 1 && (w lsr (j - 6)) land 1 = 0 then begin
-        let w' = w - di + dj in
-        let a = Bigarray.Array1.unsafe_get r w in
-        Bigarray.Array1.unsafe_set r w (Bigarray.Array1.unsafe_get r w');
-        Bigarray.Array1.unsafe_set r w' a
-      end
-    done
-  end
-
 (* Copy committed row [src] (word offset) into the scratch row and
-   permute its positions by the channel permutation [pi] (bit [pi.(c)]
-   of an image index = bit [c] of the source index), as a product of
-   index-bit transpositions: each cycle (c1 c2 ... cl) of [pi] is
-   T(c1,c2) then T(c1,c3) ... T(c1,cl) applied to the row in that
-   order. Word-parallel — about (n - 1) * wpr word ops for a
-   worst-case permutation, versus a per-bit loop over every mask of
-   the row. *)
+   permute its positions by the channel permutation [pi]. *)
 let permute_row t sc src pi =
   let r = sc.perm in
   for w = 0 to t.wpr - 1 do
     Bigarray.Array1.unsafe_set r w (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
-  let visited = ref 0 in
-  for c = 0 to t.n - 1 do
-    if (!visited lsr c) land 1 = 0 then begin
-      visited := !visited lor (1 lsl c);
-      let d = ref pi.(c) in
-      while !d <> c do
-        visited := !visited lor (1 lsl !d);
-        transpose_row t r (min c !d) (max c !d);
-        d := pi.(!d)
-      done
-    end
-  done
+  permute_bits t r 0 pi
 
 (* the scratch row is a subset of committed row [base_b] (word offset) *)
 let perm_subset t sc base_b =

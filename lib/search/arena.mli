@@ -9,8 +9,9 @@
     xxhash64-style row hash (linear probing, power-of-two table,
     resized at load factor 1/2), so the frontier never allocates boxed
     keys. Comparator layers apply to a whole row as a butterfly of
-    masked word shifts — O(row words) per comparator instead of a loop
-    over every reachable mask.
+    masked word shifts, and channel permutations as a product of
+    index-bit transpositions — O(row words) per comparator or
+    transposition instead of a loop over every reachable mask.
 
     Mutation protocol: build a child into the single {e staging row}
     with {!stage_state} or {!stage_child}, interrogate it
@@ -44,11 +45,18 @@ val length : t -> int
 val stage_state : t -> State.t -> unit
 (** Pack an explicit state into the staging row. *)
 
-val stage_child : t -> parent:int -> (int * int) list -> unit
-(** [stage_child t ~parent layer] writes into the staging row the image
-    of committed row [parent] under the comparator layer (ascending
-    [(i, j)] pairs, [i < j]) — the arena-native
-    [State.apply_comparators]. *)
+val stage_child : t -> ?perm:int array -> parent:int -> (int * int) list -> unit
+(** [stage_child t ?perm ~parent pairs] writes into the staging row the
+    image of committed row [parent] under one move: first the channel
+    permutation [perm], if given, which carries the value on channel [c]
+    to channel [perm.(c)] (so bit [perm.(c)] of an image mask is bit [c]
+    of its source mask); then the comparators [pairs] in order, each
+    [(i, j)] putting the minimum on channel [i] and the maximum on
+    channel [j] — ascending when [i < j], reversed when [i > j]. The
+    pairs of a layer are disjoint. Without [perm] this is the
+    arena-native [State.apply_comparators], with no allocation; a
+    shuffle stage is [perm] = the index-bit rotation, with any
+    exchanges folded into it. *)
 
 val staged_is_sorted : t -> bool
 (** Whether the staging row's reachable set contains only the [n + 1]

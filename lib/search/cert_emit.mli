@@ -11,8 +11,9 @@
     derivation is deterministic — children are enumerated in
     {!Cert.all_matchings} order, equality hits cite the first identical
     pool entry with the identity permutation, and the fallback scan
-    cites the lowest-indexed subsumer — so both search engines, logging
-    identical frontiers, yield byte-identical certificates. *)
+    cites the lowest-indexed subsumer — so identical frontier logs
+    (at any domain count, or after a resume) yield byte-identical
+    certificates. *)
 
 val exhaustion :
   n:int ->

@@ -28,14 +28,11 @@ type 'm system = {
   tag : string;
   initial : State.t;
   moves_at : level:int -> 'm list;
-  apply : 'm -> State.t -> State.t;
-  pairs_of : ('m -> (int * int) list) option;
+  stage : Arena.t -> parent:int -> 'm -> unit;
   prune : level:int -> remaining:int -> State.t -> bool;
   redundant_of : level:int -> State.t -> 'm -> bool;
   dedup : dedup;
 }
-
-type engine = [ `Auto | `Legacy | `Arena ]
 
 let no_prune ~level:_ ~remaining:_ _ = false
 let no_redundant ~level:_ _ _ = false
@@ -54,17 +51,9 @@ let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_ckpt_failures = Metrics.counter "checkpoint.failures"
 let c_resumes = Metrics.counter "checkpoint.resumes"
 
-(* Work-size thresholds for the parallel sections: a domain spawn
-   costs far more than expanding or fingerprinting one small state, so
-   fan-out only engages once every domain can be fed at least this
-   many elements (small frontiers — all of n <= 6 — stay sequential;
-   see Par.map_list). *)
-let expand_min_per_domain = 32
-let subsume_min_per_domain = 16
-
-(* The arena's subsumption filter. At one domain it tests candidates one
-   at a time against every representative kept so far — batches of one,
-   no fan-out. With more domains, a level of at least
+(* The subsumption filter. At one domain it tests candidates one at a
+   time against every representative kept so far — batches of one, no
+   fan-out. With more domains, a level of at least
    [filter_min_candidates] candidates is cut into [filter_batch]-sized
    batches, each tested on every domain against the representatives kept
    before it began, in [filter_chunk]-candidate dynamic chunks: later
@@ -76,56 +65,112 @@ let filter_min_candidates = 1024
 let filter_batch = 4096
 let filter_chunk = 16
 
-(* Greedy subsumption filter. Candidates (already equality-deduped,
-   sorted by ascending cardinality so the strongest states are kept
-   first) are tested against the cumulative representative list; the
-   test against representatives kept before this call parallelises in
-   batches, the test against representatives added within the batch is
-   a short sequential tail. Dropping a candidate is sound because some
-   kept representative subsumes it. *)
-let subsume_filter ~domains ~kept candidates =
-  let dropped = ref 0 in
-  let survivors = ref [] in
-  let batch_size = if domains <= 1 then max_int else domains * 32 in
-  let rec loop = function
-    | [] -> ()
-    | cands ->
-        let rec split i acc = function
-          | [] -> (List.rev acc, [])
-          | x :: rest when i < batch_size -> split (i + 1) (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let batch, rest = split 0 [] cands in
-        let frozen = !kept in
-        let checked =
-          Par.map_list ~min_per_domain:subsume_min_per_domain ~domains
-            (fun ((st, _, fp) as cand) ->
-              if
-                List.exists (fun (s2, f2) -> Subsume.subsumes (s2, f2) (st, fp)) frozen
-              then None
-              else Some cand)
-            batch
-        in
-        let batch_new = ref [] in
-        List.iter
-          (function
-            | None -> incr dropped
-            | Some ((st, pre, fp) as cand) ->
-                if
-                  List.exists
-                    (fun (s2, _, f2) -> Subsume.subsumes (s2, f2) (st, fp))
-                    !batch_new
-                then incr dropped
-                else begin
-                  batch_new := cand :: !batch_new;
-                  kept := (st, fp) :: !kept;
-                  survivors := (st, pre) :: !survivors
-                end)
-          checked;
-        loop rest
+(* Kept representatives as arena indices, sorted by ascending
+   cardinality: a rep can only subsume candidates of >= its card
+   (subsumption maps the reachable set injectively), so the scan for a
+   candidate cuts off at the first larger card. *)
+type kept = {
+  arena : Arena.t;
+  scratches : Arena.scratch array; (* one per domain *)
+  mutable idx : int array;
+  mutable card : int array;
+  mutable len : int;
+}
+
+let kept ~domains arena =
+  let domains = min Par.clamp_max (max 1 domains) in
+  { arena;
+    scratches = Array.init domains (fun _ -> Arena.scratch arena);
+    idx = Array.make 256 0;
+    card = Array.make 256 0;
+    len = 0 }
+
+let kept_insert k idx =
+  if k.len = Array.length k.idx then begin
+    let grow a =
+      let a' = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    k.idx <- grow k.idx;
+    k.card <- grow k.card
+  end;
+  let c = Arena.card k.arena idx in
+  let lo = ref 0 and hi = ref k.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if k.card.(mid) <= c then lo := mid + 1 else hi := mid
+  done;
+  let pos = !lo in
+  Array.blit k.idx pos k.idx (pos + 1) (k.len - pos);
+  Array.blit k.card pos k.card (pos + 1) (k.len - pos);
+  k.idx.(pos) <- idx;
+  k.card.(pos) <- c;
+  k.len <- k.len + 1
+
+(* does one of the first [upto] kept reps subsume [cand]? Read-only, so
+   any domain may run it with its own scratch while the kept arrays
+   hold still *)
+let kept_subsumes k sc ~upto cand =
+  let idx = k.idx and card = k.card in
+  let c = Arena.card k.arena cand in
+  let i = ref 0 and hit = ref false in
+  while (not !hit) && !i < upto && card.(!i) <= c do
+    if Arena.subsumes_with k.arena sc idx.(!i) cand then hit := true;
+    incr i
+  done;
+  !hit
+
+(* Greedy subsumption filter over the candidates in ascending card
+   order, batch by batch (see [filter_batch]), each batch settled by an
+   in-order tail against the reps kept earlier in it. A candidate is
+   dropped iff some rep kept before it subsumes it, as in a
+   one-at-a-time filter, so survivors, kept order and counts are the
+   same at every batch size. *)
+let subsume_filter k cands =
+  let arena = k.arena and domains = Array.length k.scratches in
+  let cands =
+    Array.of_list
+      (List.stable_sort
+         (fun (a, _) (b, _) -> compare (Arena.card arena a) (Arena.card arena b))
+         cands)
   in
-  loop candidates;
-  (List.rev !survivors, !dropped)
+  let m = Array.length cands in
+  let batch =
+    if domains = 1 || m < filter_min_candidates then 1 else filter_batch
+  in
+  let hit = Array.make (min batch m) false in
+  let fresh = Array.make (min batch m) 0 in
+  let used = ref 1 and survivors = ref [] and b0 = ref 0 in
+  while !b0 < m do
+    let lo = !b0 and upto = k.len in
+    let hi = min m (lo + batch) in
+    let workers =
+      Par.iter_chunks ~domains ~chunk:filter_chunk ~lo ~hi
+        (fun ~worker ~lo:a ~hi:b ->
+          for i = a to b - 1 do
+            hit.(i - lo) <- kept_subsumes k k.scratches.(worker) ~upto (fst cands.(i))
+          done)
+    in
+    used := max !used workers;
+    let nfresh = ref 0 in
+    for i = lo to hi - 1 do
+      let ((idx, _) as cand) = cands.(i) in
+      let dropped = ref hit.(i - lo) and j = ref 0 in
+      while (not !dropped) && !j < !nfresh do
+        if Arena.subsumes arena fresh.(!j) idx then dropped := true;
+        incr j
+      done;
+      if not !dropped then begin
+        kept_insert k idx;
+        fresh.(!nfresh) <- idx;
+        incr nfresh;
+        survivors := cand :: !survivors
+      end
+    done;
+    b0 := hi
+  done;
+  (List.rev !survivors, !used)
 
 (* --- checkpoint / resume --- *)
 
@@ -239,20 +284,19 @@ let validate_resume ~max_depth sys rs =
          (dedup_name sys.dedup))
   else Ok ()
 
-let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
-    ?(sink = Sink.null) ?on_level ?frontier_log ?cancel ?checkpoint
-    ?resume:resume_from ~max_depth sys =
+(* The level loop. The whole dedup memory lives in one {!Arena} (flat
+   int64 rows + open addressing, no boxed keys), a child is built on the
+   arena's staging row by the system's [stage], and subsumption runs on
+   packed signatures. A level runs in three phases: the expansion,
+   sequential because staging and dedup commits mutate the arena; one
+   signature pass over the level's fresh rows; and the greedy
+   subsumption filter. The last two fan out over [domains] and decide
+   the same at every domain count. Snapshots convert to boxed
+   [State.t] structures at flush time, so the checkpoint format does
+   not depend on the arena's layout. *)
+let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
+    ?frontier_log ?cancel ?checkpoint ?resume:resume_from ~max_depth sys =
   if max_depth < 0 then invalid_arg "Driver.run: max_depth must be >= 0";
-  let use_arena =
-    match engine with
-    | `Legacy -> false
-    | `Arena ->
-        if Option.is_none sys.pairs_of then
-          invalid_arg
-            "Driver.run: the arena engine needs a system exposing pairs_of";
-        true
-    | `Auto -> Option.is_some sys.pairs_of
-  in
   (* a validated snapshot, or None for a fresh start *)
   let snap : 'm snapshot option =
     match resume_from with
@@ -275,11 +319,8 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
   in
   let w0 = Clock.wall () -. prior_elapsed in
   let cpu0 = Clock.cpu () -. prior_cpu in
-  let nodes =
-    Atomic.make (match snap with Some s -> s.s_nodes | None -> 0)
-  in
-  let stop = Atomic.make false in
-  let over_budget = Atomic.make false in
+  let nodes = ref (match snap with Some s -> s.s_nodes | None -> 0) in
+  let over_budget = ref false in
   let interrupted = ref false in
   let cancelled () =
     (match cancel with Some t -> Cancel.cancelled t | None -> false)
@@ -293,7 +334,7 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
   in
   let sizes = ref (match snap with Some s -> s.s_sizes | None -> []) in
   let mk_stats completed =
-    { nodes = Atomic.get nodes;
+    { nodes = !nodes;
       pruned = !pruned_total;
       deduped = !deduped_total;
       subsumed = !subsumed_total;
@@ -350,117 +391,9 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
             Printf.eprintf
               "snlb: checkpoint write failed (%s); search continues\n%!" e)
   in
-  (* --- arena engine ---
-
-     The packed-row fast path: the whole dedup memory lives in one
-     {!Arena} (flat int64 rows + open addressing, no boxed keys), a
-     child is built by the butterfly [Arena.stage_child] instead of a
-     per-mask [apply], and subsumption runs on packed signatures. A
-     level runs in three phases: the expansion, sequential because
-     staging and dedup commits mutate the arena; one signature pass
-     over the level's fresh rows; and the greedy subsumption filter.
-     The last two fan out over [domains]. The loop mirrors the legacy
-     control flow decision for decision — same candidate order, same
-     counter semantics, same level boundaries — at every domain count,
-     and snapshots convert to the {e legacy} structures at flush time,
-     so checkpoints keep [checkpoint_kind] and resume into either
-     engine. *)
-  let run_arena () =
-    let pairs_of = Option.get sys.pairs_of in
-    let domains = min Par.clamp_max (max 1 domains) in
+  let levels () =
     let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
-    let scratches = Array.init domains (fun _ -> Arena.scratch arena) in
-    (* kept representatives as arena indices, sorted by ascending
-       cardinality: a rep can only subsume candidates of >= its card
-       (subsumption maps the reachable set injectively), so the scan
-       for a candidate cuts off at the first larger card *)
-    let kept_idx = ref (Array.make 256 0) in
-    let kept_card = ref (Array.make 256 0) in
-    let kept_len = ref 0 in
-    let kept_insert idx =
-      if !kept_len = Array.length !kept_idx then begin
-        let grow a =
-          let a' = Array.make (2 * Array.length a) 0 in
-          Array.blit a 0 a' 0 (Array.length a);
-          a'
-        in
-        kept_idx := grow !kept_idx;
-        kept_card := grow !kept_card
-      end;
-      let c = Arena.card arena idx in
-      let lo = ref 0 and hi = ref !kept_len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if (!kept_card).(mid) <= c then lo := mid + 1 else hi := mid
-      done;
-      let pos = !lo in
-      Array.blit !kept_idx pos !kept_idx (pos + 1) (!kept_len - pos);
-      Array.blit !kept_card pos !kept_card (pos + 1) (!kept_len - pos);
-      (!kept_idx).(pos) <- idx;
-      (!kept_card).(pos) <- c;
-      incr kept_len
-    in
-    (* does one of the first [upto] kept reps subsume [cand]? Read-only,
-       so any domain may run it with its own scratch while the kept
-       arrays hold still *)
-    let kept_subsumes sc ~upto cand =
-      let idx = !kept_idx and card = !kept_card in
-      let c = Arena.card arena cand in
-      let k = ref 0 and hit = ref false in
-      while (not !hit) && !k < upto && card.(!k) <= c do
-        if Arena.subsumes_with arena sc idx.(!k) cand then hit := true;
-        incr k
-      done;
-      !hit
-    in
-    (* Greedy subsumption filter over the card-sorted candidates, batch
-       by batch (see [filter_batch]), each batch settled by an in-order
-       tail against the reps kept earlier in it. A candidate is dropped
-       iff some rep kept before it subsumes it, as in a one-at-a-time
-       filter, so survivors, kept order and counts are the same at every
-       batch size. Returns the survivors and the number of domains
-       used. *)
-    let subsume_filter cands =
-      let cands = Array.of_list cands in
-      let m = Array.length cands in
-      let batch =
-        if domains = 1 || m < filter_min_candidates then 1 else filter_batch
-      in
-      let hit = Array.make (min batch m) false in
-      let fresh = Array.make (min batch m) 0 in
-      let used = ref 1 and survivors = ref [] and b0 = ref 0 in
-      while !b0 < m do
-        let lo = !b0 and upto = !kept_len in
-        let hi = min m (lo + batch) in
-        let workers =
-          Par.iter_chunks ~domains ~chunk:filter_chunk ~lo ~hi
-            (fun ~worker ~lo:a ~hi:b ->
-              for i = a to b - 1 do
-                hit.(i - lo) <-
-                  kept_subsumes scratches.(worker) ~upto (fst cands.(i))
-              done)
-        in
-        used := max !used workers;
-        let nfresh = ref 0 in
-        for i = lo to hi - 1 do
-          let ((idx, _) as cand) = cands.(i) in
-          let dropped = ref hit.(i - lo) and k = ref 0 in
-          while (not !dropped) && !k < !nfresh do
-            if Arena.subsumes arena fresh.(!k) idx then dropped := true;
-            incr k
-          done;
-          if !dropped then incr subsumed_total
-          else begin
-            kept_insert idx;
-            fresh.(!nfresh) <- idx;
-            incr nfresh;
-            survivors := cand :: !survivors
-          end
-        done;
-        b0 := hi
-      done;
-      (List.rev !survivors, !used)
-    in
+    let kept = kept ~domains arena in
     let commit_existing st =
       Arena.stage_state arena st;
       match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
@@ -469,14 +402,14 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
     (match snap with
     | None -> frontier := [ (commit_existing sys.initial, []) ]
     | Some s ->
-        (* rehydrate the legacy-format snapshot: every seen state
-           becomes a committed row, then kept and frontier resolve to
-           their indices by dedup *)
+        (* rehydrate the snapshot: every seen state becomes a committed
+           row, then kept and frontier resolve to their indices by
+           dedup *)
         Hashtbl.iter
           (fun key () -> ignore (commit_existing (State.of_key ~n:sys.n key)))
           s.s_seen;
         List.iter
-          (fun (st, _fp) -> kept_insert (commit_existing st))
+          (fun (st, _fp) -> kept_insert kept (commit_existing st))
           (List.rev s.s_kept);
         frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
     let result = ref None in
@@ -484,9 +417,16 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
     (* last completed boundary's row count: an interrupted level's
        commits are truncated back to it before the final flush *)
     let boundary_len = ref (Arena.length arena) in
+    (* Capture the boundary NOW but serialize lazily, at flush time: the
+       scalars below are overwritten by the very next level, so they are
+       pinned eagerly, while the frontier and the committed rows up to
+       the boundary hold still until the next boundary installs a fresh
+       thunk (an interrupted level's rows are truncated away before its
+       flush). Skipped boundaries therefore cost a closure, not a
+       Marshal of the whole search state. *)
     let snapshot_payload () =
       let s_level = !level
-      and s_nodes = Atomic.get nodes
+      and s_nodes = !nodes
       and s_pruned = !pruned_total
       and s_deduped = !deduped_total
       and s_subsumed = !subsumed_total
@@ -500,8 +440,8 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
           Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
         done;
         let s_kept =
-          List.init !kept_len (fun k ->
-              let st = Arena.to_state arena (!kept_idx).(k) in
+          List.init kept.len (fun k ->
+              let st = Arena.to_state arena kept.idx.(k) in
               (st, Subsume.fingerprint st))
         in
         let s_frontier =
@@ -528,11 +468,13 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
     let clock () = if timed then Clock.wall () else 0. in
     while !result = None && !level <= max_depth && !frontier <> [] do
       let lvl = !level in
-      let nodes0 = Atomic.get nodes in
+      let nodes0 = !nodes in
       let pruned0 = !pruned_total
       and deduped0 = !deduped_total
       and subsumed0 = !subsumed_total
       and redundant0 = !redundant_total in
+      (* nested under the "search" span: the event path is
+         "search/level" *)
       Span.run ~sink ~name:"level" @@ fun sp ->
       let t_expand = clock () in
       let moves = sys.moves_at ~level:lvl in
@@ -540,18 +482,21 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       let last = lvl = max_depth in
       let candidates = ref [] in
       (* equality-dup hits are tallied locally and folded in only when
-         the level completes, matching the legacy path (whose dedup
-         phase never runs for an interrupted or over-budget level) *)
+         the level completes: an interrupted or over-budget level never
+         reaches its dedup count *)
       let level_deduped = ref 0 in
       let found = ref None in
       (try
          List.iter
            (fun (pidx, pre) ->
              if cancelled () then raise Exit;
-             let pst = lazy (Arena.to_state arena pidx) in
+             (* analysis hook: moves the system proves redundant for
+                this state (another available move reaches the same
+                child) are skipped before they are staged or counted as
+                nodes *)
              let is_red =
                if sys.redundant_of == no_redundant then fun _ -> false
-               else sys.redundant_of ~level:lvl (Lazy.force pst)
+               else sys.redundant_of ~level:lvl (Arena.to_state arena pidx)
              in
              let redundant = ref 0 in
              let live =
@@ -565,23 +510,23 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
                  moves
              in
              let nlive = List.length live in
-             let before = Atomic.fetch_and_add nodes nlive in
+             let before = !nodes in
+             nodes := before + nlive;
              let timed_out =
                match budget.max_seconds with
                | Some s -> Clock.wall () -. w0 > s
                | None -> false
              in
              if before + nlive > budget.max_nodes || timed_out then begin
-               Atomic.set over_budget true;
+               over_budget := true;
                (* the tripping state's own redundancy tally is
-                  discarded, exactly as the legacy chunk returns
-                  an empty result once the budget trips *)
+                  discarded *)
                raise Exit
              end;
              redundant_total := !redundant_total + !redundant;
              List.iter
                (fun m ->
-                 Arena.stage_child arena ~parent:pidx (pairs_of m);
+                 sys.stage arena ~parent:pidx m;
                  if Arena.staged_is_sorted arena then begin
                    found := Some (m :: pre);
                    raise Exit
@@ -611,31 +556,33 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
                      stats = mk_stats (lvl - 1) });
             0
         | None ->
-            if Atomic.get over_budget then begin
+            if !over_budget then begin
               result := Some (Inconclusive (mk_stats (lvl - 1)));
               0
             end
             else if cancelled () then begin
+              (* killed mid-level: the current level's partial work is
+                 discarded; the checkpoint (if any) holds the last
+                 completed boundary, so a resumed run repeats exactly
+                 this level and the cumulative counts match a
+                 never-interrupted run *)
               result := Some (Interrupted (mk_stats (lvl - 1)));
               0
             end
             else begin
               deduped_total := !deduped_total + !level_deduped;
+              let fresh = List.rev !candidates in
               let survivors =
                 match sys.dedup with
-                | Equal -> List.rev !candidates
+                | Equal -> fresh
                 | Subsume ->
                     let t_sign = clock () in
-                    Arena.sign_pending arena scratches;
+                    Arena.sign_pending arena kept.scratches;
                     let t_filter = clock () in
                     sign_s := t_filter -. t_sign;
-                    let survivors, used =
-                      subsume_filter
-                        (List.stable_sort
-                           (fun (a, _) (b, _) ->
-                             compare (Arena.card arena a) (Arena.card arena b))
-                           (List.rev !candidates))
-                    in
+                    let survivors, used = subsume_filter kept fresh in
+                    subsumed_total :=
+                      !subsumed_total + List.length fresh - List.length survivors;
                     filter_s := clock () -. t_filter;
                     filter_domains := used;
                     survivors
@@ -653,8 +600,10 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
               width
             end
       in
+      (* per-level deltas: summing these fields over all level events
+         reproduces the run's final stats exactly *)
       Span.add sp "level" (Sink.Int lvl);
-      Span.add sp "nodes" (Sink.Int (Atomic.get nodes - nodes0));
+      Span.add sp "nodes" (Sink.Int (!nodes - nodes0));
       Span.add sp "pruned" (Sink.Int (!pruned_total - pruned0));
       Span.add sp "deduped" (Sink.Int (!deduped_total - deduped0));
       Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
@@ -667,8 +616,11 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
       Span.add sp "filter_s" (Sink.Float !filter_s);
       Span.add sp "filter_domains" (Sink.Int !filter_domains);
       (match on_level with
-      | Some f when !result = None -> f ~level:lvl ~frontier:surviving (mk_stats lvl)
+      | Some f when !result = None ->
+          (* level lvl fully expanded and deduplicated *)
+          f ~level:lvl ~frontier:surviving (mk_stats lvl)
       | Some _ | None -> ());
+      (* level boundary: cut a snapshot, flush on the cadence *)
       if !result = None then begin
         boundary_len := Arena.length arena;
         if ckpt_path <> None then begin
@@ -677,10 +629,14 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
           if Clock.wall () -. !last_write >= ckpt_interval then
             flush_payload payload
         end;
+        (* simulated mid-run kill: fires after the boundary flush so
+           every incarnation makes progress (exactly one level) *)
         if Fault.fire "kill-level" then interrupted := true;
         if cancelled () then result := Some (Interrupted (mk_stats lvl))
       end
     done;
+    (* a final flush covers boundaries the cadence skipped, so an
+       interrupted run never loses more than the in-flight level *)
     (match (!result, !pending) with
     | Some (Interrupted _), Some payload ->
         (* drop the in-flight level's commits so the lazily-built
@@ -689,254 +645,19 @@ let run ?(domains = 1) ?(engine = (`Auto : engine)) ?(budget = default_budget)
         flush_payload payload
     | _ -> ());
     Arena.record_metrics arena;
-    match !result with Some r -> r | None -> Unsorted (mk_stats (!level - 1))
+    match !result with
+    | Some r -> r
+    | None ->
+        (* loop left because level > max_depth or the frontier emptied:
+           every reachable state was explored with its maximal remaining
+           budget, so no prefix of <= max_depth moves sorts *)
+        Unsorted (mk_stats (!level - 1))
   in
   Span.run ~sink ~name:"search" @@ fun search_sp ->
   let outcome =
     if State.is_sorted sys.initial then
       Sorted { depth = 0; moves = []; stats = mk_stats 0 }
-    else if use_arena then run_arena ()
-    else begin
-      (* cross-level memory: states already represented (sound — the
-         earlier occurrence reaches any sorted descendant no later) *)
-      let seen : (int array, unit) Hashtbl.t =
-        match snap with Some s -> s.s_seen | None -> Hashtbl.create 4096
-      in
-      if Option.is_none snap then Hashtbl.replace seen (State.key sys.initial) ();
-      let kept : (State.t * Subsume.fingerprint) list ref =
-        ref (match snap with Some s -> s.s_kept | None -> [])
-      in
-      let frontier =
-        ref
-          (match snap with
-          | Some s -> s.s_frontier
-          | None -> [ (sys.initial, []) ])
-      in
-      let result = ref None in
-      let level = ref (match snap with Some s -> s.s_level | None -> 1) in
-      (* Capture the boundary NOW but serialize lazily, at flush time:
-         the scalars below are overwritten by the very next level's
-         expansion, so they are pinned eagerly, while the structures
-         ([frontier] / [seen] / [kept]) are only mutated at the next
-         boundary — which installs a fresh thunk before anything can
-         flush this one. Skipped boundaries therefore cost a closure,
-         not a Marshal of the whole search state. *)
-      let snapshot_payload () =
-        let s_level = !level
-        and s_nodes = Atomic.get nodes
-        and s_pruned = !pruned_total
-        and s_deduped = !deduped_total
-        and s_subsumed = !subsumed_total
-        and s_redundant = !redundant_total
-        and s_sizes = !sizes
-        and s_elapsed = Clock.wall () -. w0
-        and s_elapsed_cpu = Clock.cpu () -. cpu0 in
-        fun () ->
-          ( Marshal.to_string
-              { s_level;
-                s_frontier = !frontier;
-                s_seen = seen;
-                s_kept = !kept;
-                s_nodes;
-                s_pruned;
-                s_deduped;
-                s_subsumed;
-                s_redundant;
-                s_sizes;
-                s_elapsed;
-                s_elapsed_cpu }
-              [],
-            s_level )
-      in
-      while !result = None && !level <= max_depth && !frontier <> [] do
-        let lvl = !level in
-        let nodes0 = Atomic.get nodes in
-        let pruned0 = !pruned_total
-        and deduped0 = !deduped_total
-        and subsumed0 = !subsumed_total
-        and redundant0 = !redundant_total in
-        (* nested under the "search" span: the event path is
-           "search/level" *)
-        Span.run ~sink ~name:"level" @@ fun sp ->
-        let moves = sys.moves_at ~level:lvl in
-        let remaining = max_depth - lvl in
-        let last = lvl = max_depth in
-        let expand (st, pre) =
-          (* analysis hook: moves the system proves redundant for this
-             state (another available move reaches the same child) are
-             skipped before they are applied or counted as nodes *)
-          let is_red = sys.redundant_of ~level:lvl st in
-          let redundant = ref 0 in
-          let live =
-            List.filter
-              (fun m ->
-                if is_red m then begin
-                  incr redundant;
-                  false
-                end
-                else true)
-              moves
-          in
-          let nlive = List.length live in
-          let before = Atomic.fetch_and_add nodes nlive in
-          let timed_out =
-            match budget.max_seconds with
-            | Some s -> Clock.wall () -. w0 > s
-            | None -> false
-          in
-          if before + nlive > budget.max_nodes || timed_out then begin
-            Atomic.set over_budget true;
-            Atomic.set stop true;
-            (None, [], 0, 0)
-          end
-          else begin
-            let found = ref None in
-            let cands = ref [] in
-            let pruned = ref 0 in
-            (try
-               List.iter
-                 (fun m ->
-                   let st' = sys.apply m st in
-                   if State.is_sorted st' then begin
-                     found := Some (m :: pre);
-                     Atomic.set stop true;
-                     raise Exit
-                   end
-                   else if last then ()
-                   else if sys.prune ~level:lvl ~remaining st' then incr pruned
-                   else cands := (st', m :: pre) :: !cands)
-                 live
-             with Exit -> ());
-            (!found, List.rev !cands, !pruned, !redundant)
-          end
-        in
-        let chunks =
-          Par.map_list_until ~min_per_domain:expand_min_per_domain ~domains
-            ~stop:(fun () -> Atomic.get stop || cancelled ())
-            ~default:(None, [], 0, 0) expand !frontier
-        in
-        List.iter
-          (fun (_, _, p, r) ->
-            pruned_total := !pruned_total + p;
-            redundant_total := !redundant_total + r)
-          chunks;
-        let surviving =
-          match List.find_map (fun (f, _, _, _) -> f) chunks with
-          | Some rev_moves ->
-              result :=
-                Some
-                  (Sorted
-                     { depth = lvl;
-                       moves = List.rev rev_moves;
-                       stats = mk_stats (lvl - 1) });
-              0
-          | None ->
-              if Atomic.get over_budget then begin
-                result := Some (Inconclusive (mk_stats (lvl - 1)));
-                0
-              end
-              else if cancelled () then begin
-                (* killed mid-level: the current level's partial work is
-                   discarded; the checkpoint (if any) holds the last
-                   completed boundary, so a resumed run repeats exactly
-                   this level and the cumulative counts match a
-                   never-interrupted run *)
-                result := Some (Interrupted (mk_stats (lvl - 1)));
-                0
-              end
-              else begin
-                let candidates =
-                  List.concat_map (fun (_, c, _, _) -> c) chunks
-                in
-                (* equality dedup against everything ever seen *)
-                let fresh =
-                  List.filter
-                    (fun (st, _) ->
-                      let k = State.key st in
-                      if Hashtbl.mem seen k then begin
-                        incr deduped_total;
-                        false
-                      end
-                      else begin
-                        Hashtbl.replace seen k ();
-                        true
-                      end)
-                    candidates
-                in
-                let survivors =
-                  match sys.dedup with
-                  | Equal -> fresh
-                  | Subsume ->
-                      let with_fp =
-                        Par.map_list ~min_per_domain:expand_min_per_domain
-                          ~domains
-                          (fun (st, pre) -> (st, pre, Subsume.fingerprint st))
-                          fresh
-                      in
-                      let ordered =
-                        List.stable_sort
-                          (fun (_, _, fa) (_, _, fb) ->
-                            compare fa.Subsume.card fb.Subsume.card)
-                          with_fp
-                      in
-                      let kept_states, dropped =
-                        subsume_filter ~domains ~kept ordered
-                      in
-                      subsumed_total := !subsumed_total + dropped;
-                      kept_states
-                in
-                let width = List.length survivors in
-                (match frontier_log with
-                | Some f -> f ~level:lvl (List.map fst survivors)
-                | None -> ());
-                sizes := width :: !sizes;
-                frontier := survivors;
-                incr level;
-                width
-              end
-        in
-        (* per-level deltas: summing these fields over all level events
-           reproduces the run's final stats exactly *)
-        Span.add sp "level" (Sink.Int lvl);
-        Span.add sp "nodes" (Sink.Int (Atomic.get nodes - nodes0));
-        Span.add sp "pruned" (Sink.Int (!pruned_total - pruned0));
-        Span.add sp "deduped" (Sink.Int (!deduped_total - deduped0));
-        Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
-        Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
-        Span.add sp "frontier" (Sink.Int surviving);
-        (match on_level with
-        | Some f when !result = None ->
-            (* level lvl fully expanded and deduplicated *)
-            f ~level:lvl ~frontier:surviving (mk_stats lvl)
-        | Some _ | None -> ());
-        (* level boundary: cut a snapshot, flush on the cadence *)
-        if !result = None then begin
-          if ckpt_path <> None then begin
-            let payload = snapshot_payload () in
-            pending := Some payload;
-            if Clock.wall () -. !last_write >= ckpt_interval then
-              flush_payload payload
-          end;
-          (* simulated mid-run kill: fires after the boundary flush so
-             every incarnation makes progress (exactly one level) *)
-          if Fault.fire "kill-level" then interrupted := true;
-          if cancelled () then
-            result := Some (Interrupted (mk_stats lvl))
-        end
-      done;
-      (* a final flush covers boundaries the cadence skipped, so an
-         interrupted run never loses more than the in-flight level *)
-      (match (!result, !pending) with
-      | Some (Interrupted _), Some payload -> flush_payload payload
-      | _ -> ());
-      match !result with
-      | Some r -> r
-      | None ->
-          (* loop left because level > max_depth or the frontier emptied:
-             every reachable state was explored with its maximal
-             remaining budget, so no prefix of <= max_depth moves sorts *)
-          Unsorted (mk_stats (!level - 1))
-    end
+    else levels ()
   in
   let s, verdict =
     match outcome with
@@ -999,16 +720,15 @@ let network_system ?(restrict = true) ~n () =
     tag = (if restrict then "layers" else "layers-reference");
     initial = State.initial ~n;
     moves_at;
-    apply = (fun layer st -> State.apply_comparators st layer);
-    pairs_of = Some (fun layer -> layer);
+    stage = (fun arena ~parent layer -> Arena.stage_child arena ~parent layer);
     prune = no_prune;
     redundant_of;
     dedup = (if restrict then Subsume else Equal) }
 
-let optimal_depth ?domains ?engine ?budget ?sink ?on_level ?frontier_log
-    ?cancel ?checkpoint ?resume ?restrict ?max_depth ~n () =
+let optimal_depth ?domains ?budget ?sink ?on_level ?frontier_log ?cancel
+    ?checkpoint ?resume ?restrict ?max_depth ~n () =
   let max_depth = match max_depth with Some d -> d | None -> n in
-  run ?domains ?engine ?budget ?sink ?on_level ?frontier_log ?cancel
+  run ?domains ?budget ?sink ?on_level ?frontier_log ?cancel
     ?checkpoint ?resume ~max_depth
     (network_system ?restrict ~n ())
 

@@ -1,47 +1,48 @@
 (** Layered breadth-first search for exact small-network bounds, with
     frontier deduplication, pluggable move generation, a node/time
-    budget, multicore expansion, and built-in observability.
+    budget, multicore subsumption filtering, and built-in
+    observability.
 
     The driver is generic over the move type ['m] so that both the
     general sorting-network search (moves = comparator layers, frontier
-    deduplicated by {!Subsume}) and the shuffle-restricted register
+    deduplicated by subsumption) and the shuffle-restricted register
     search of {!Min_depth} (moves = op vectors, frontier deduplicated
     by state equality — channel permutations do not commute with the
     fixed shuffle, so subsumption would be unsound there) are thin
-    instantiations.
+    instantiations. Either kind of move is staged on the packed
+    {!Arena}: a comparator layer as directed comparators, a shuffle
+    stage as a permutation of mask-index bits followed by them.
 
     Level [k] of the BFS holds representatives of every state reachable
     by a [k]-move prefix. Each level expands every frontier entry by
-    every move; a child that {!State.is_sorted} resolves the search
-    immediately (its move list is the witness), a child failing the
-    system's [prune] test or subsumed by a representative already kept
-    (at this or any earlier level — both reductions preserve at least
-    one depth-optimal witness) is dropped. The search is exhaustive up
-    to those reductions, so [Unsorted] is a proof that no [max_depth]-
-    move prefix sorts, and the first level at which a sorted child
-    appears is the exact optimum.
+    every move; a child that is sorted resolves the search immediately
+    (its move list is the witness), a child failing the system's
+    [prune] test, equal to a state already seen, or subsumed by a
+    representative already kept (at this or any earlier level — these
+    reductions preserve at least one depth-optimal witness) is
+    dropped. The search is exhaustive up to those reductions, so
+    [Unsorted] is a proof that no [max_depth]-move prefix sorts, and
+    the first level at which a sorted child appears is the exact
+    optimum.
 
-    On the legacy engine, expansion fans out across OCaml 5 domains
-    via {!Par.map_list}, as does the candidates-versus-kept part of the
-    subsumption filter; a shared atomic flag short-circuits all domains
-    once a witness is found or the budget trips. On the arena engine,
-    expansion is sequential and the signature pass and subsumption
-    filter that follow it fan out ({!Par.iter_chunks}). With
-    [domains = 1] everything runs inline and deterministically.
+    Each level expands sequentially on the calling domain; the
+    signature pass and the subsumption filter that follow it fan out
+    over [domains] ({!Par.iter_chunks}) and decide exactly as on one
+    domain, so every output is identical at every domain count.
 
     Observability: a run wrapped around an {!Obs.Sink} emits one
     ["span"] event per level (path ["search/level"]) whose [nodes] /
     [pruned] / [deduped] / [subsumed] fields are per-level deltas —
     summing them over all level events reproduces the final {!stats}
-    exactly — plus a closing ["search"] event with the totals. On the
-    arena engine each level event also carries [expand_s], [sign_s]
-    and [filter_s], the wall seconds of its three phases (0 for a
-    phase that did not run; together at most the level's [wall_s]),
-    and [filter_domains], the number of domains its subsumption
-    filter used (1 below the fan-out threshold, 0 when no filter ran);
-    the phase clocks are read only when the sink is enabled. The
-    [on_level] callback delivers live cumulative stats after each
-    completed level. Both cost nothing when absent.
+    exactly — plus a closing ["search"] event with the totals. Each
+    level event also carries [expand_s], [sign_s] and [filter_s], the
+    wall seconds of its three phases (0 for a phase that did not run;
+    together at most the level's [wall_s]), and [filter_domains], the
+    number of domains its subsumption filter used (1 below the fan-out
+    threshold, 0 when no filter ran); the phase clocks are read only
+    when the sink is enabled. The [on_level] callback delivers live
+    cumulative stats after each completed level. Both cost nothing
+    when absent.
 
     Crash safety: with [~checkpoint:(path, interval)] the driver cuts
     a snapshot of its whole loop state at every level boundary (the
@@ -117,21 +118,16 @@ type 'm system = {
   initial : State.t;
   moves_at : level:int -> 'm list;
       (** moves available for the layer at 1-based [level] *)
-  apply : 'm -> State.t -> State.t;
-  pairs_of : ('m -> (int * int) list) option;
-      (** when every move is a plain comparator layer, the ascending
-          [(i, j)] pairs it applies — [Some] unlocks the {!Arena}
-          engine, whose word-parallel butterfly replaces [apply];
-          [None] (moves that are not comparator layers, e.g. the
-          shuffled op vectors of [Min_depth]) pins the run to the
-          legacy engine. When [Some f], [f m] and [apply m] must agree:
-          [apply m st = State.apply_comparators st (f m)]. *)
+  stage : Arena.t -> parent:int -> 'm -> unit;
+      (** [stage arena ~parent m] writes the image of committed row
+          [parent] under move [m] into the arena's staging row, through
+          {!Arena.stage_child} *)
   prune : level:int -> remaining:int -> State.t -> bool;
       (** sound necessary-condition filter: [true] only if the state
           cannot reach a sorted state within [remaining] more moves *)
   redundant_of : level:int -> State.t -> 'm -> bool;
       (** static-analysis move filter, consulted {e before} a move is
-          applied: [true] only if some other available move (or the
+          staged: [true] only if some other available move (or the
           already-represented parent) provably reaches the same child,
           so skipping the move preserves a depth-optimal witness. The
           driver partially applies [redundant_of ~level st] once per
@@ -145,29 +141,26 @@ type 'm system = {
 val no_prune : level:int -> remaining:int -> State.t -> bool
 val no_redundant : level:int -> State.t -> 'a -> bool
 
-val subsume_filter :
-  domains:int ->
-  kept:(State.t * Subsume.fingerprint) list ref ->
-  (State.t * 'a * Subsume.fingerprint) list ->
-  (State.t * 'a) list * int
-(** The driver's greedy subsumption filter, exposed so the sharded
-    coordinator ({!Shard_search}) merges with {e the same} decision
-    procedure the in-process engines use. [candidates] must already be
-    equality-deduped and sorted by ascending fingerprint cardinality;
-    survivors are appended to [kept] and returned with the number
-    dropped. For every [domains] the kept set equals the plain
-    sequential greedy filter's (fan-out only parallelises the test
-    against representatives frozen before each batch). *)
+type kept
+(** The greedy subsumption filter's memory: the representatives kept
+    so far, as indices into one {!Arena}, plus a scratch per domain. *)
 
-type engine = [ `Auto | `Legacy | `Arena ]
-(** Which frontier representation {!run} executes on. [`Legacy] is the
-    boxed [State.t] list / [Hashtbl] path with {!Par} fan-out;
-    [`Arena] is the packed {!Arena} path (requires [pairs_of]);
-    [`Auto] (the default) picks the arena whenever the system exposes
-    [pairs_of]. Both engines explore candidates in the same order with
-    boolean-identical dedup and subsumption decisions, so outcome,
-    witness, stats and checkpoints are interchangeable — a snapshot
-    written by either engine resumes into either. *)
+val kept : domains:int -> Arena.t -> kept
+(** An empty kept set over [arena], filtering on up to [domains]
+    domains (clamped to [\[1, {!Par.clamp_max}\]]). *)
+
+val subsume_filter : kept -> (int * 'a) list -> (int * 'a) list * int
+(** [subsume_filter kept candidates] is the search's one greedy
+    subsumption filter, exposed so the sharded coordinator
+    ({!Shard_search}) merges with {e the same} decision procedure as
+    {!run}. [candidates] are arena rows in expansion order, each
+    committed, signed and not equal to any row committed before it.
+    They are stably sorted by ascending cardinality, so the strongest
+    states are kept first; a candidate is dropped iff a representative
+    kept before it subsumes it, and every survivor joins [kept].
+    Returns the survivors in that order and the number of domains the
+    filter used. For every domain count the survivors are those of
+    the plain sequential filter. *)
 
 type resume_state
 (** A validated checkpoint snapshot, ready to hand to {!run}. *)
@@ -184,7 +177,6 @@ val describe : resume_state -> string
 
 val run :
   ?domains:int ->
-  ?engine:engine ->
   ?budget:budget ->
   ?sink:Sink.t ->
   ?on_level:(level:int -> frontier:int -> stats -> unit) ->
@@ -196,30 +188,24 @@ val run :
   'm system ->
   'm outcome
 (** [run ~max_depth sys] searches prefixes of up to [max_depth] moves.
-    [domains] (default 1) parallelises expansion and subsumption
-    filtering on the legacy engine. The arena engine (see {!engine})
-    expands on the calling domain, then fans each level's signature
-    pass and subsumption filter out over [domains]: the filter tests
-    fixed-size batches of candidates on every domain against the
-    representatives kept before the batch, then settles each batch in
-    order, so its output — outcome, witness, stats, frontier log,
-    checkpoints — is identical at every domain count. Small levels
-    stay on one domain, and [domains] is clamped to
-    [\[1, {!Par.clamp_max}\]]. [sink] (default {!Sink.null}) receives the
-    per-level and closing span events; [on_level ~level ~frontier stats] fires
-    after each {e completed} level with the surviving frontier size
-    and a cumulative stats snapshot. [frontier_log ~level states]
-    receives each completed level's surviving states in frontier
-    order — identical on both engines — the feed certificate emitters
-    consume. [cancel] is polled by every
-    worker domain between expansions and at level boundaries; once
-    tripped the fan-out drains and the run returns [Interrupted].
-    [checkpoint:(path, interval)] snapshots progress at level
-    boundaries at most every [interval] seconds (see the module
-    preamble); [resume] continues from such a snapshot. With
-    [domains > 1] on the legacy engine the witness (not its length)
-    and the node counts may vary between runs; every outcome is
-    sound. *)
+    Each level expands on the calling domain, then fans its signature
+    pass and subsumption filter out over [domains] (default 1, clamped
+    to [\[1, {!Par.clamp_max}\]]): the filter tests fixed-size
+    batches of candidates on every domain against the representatives
+    kept before the batch, then settles each batch in order, so the
+    output — outcome, witness, stats, frontier log, checkpoints — is
+    identical at every domain count. Small levels stay on one domain.
+    [sink] (default {!Sink.null}) receives the per-level and closing
+    span events; [on_level ~level ~frontier stats] fires after each
+    {e completed} level with the surviving frontier size and a
+    cumulative stats snapshot. [frontier_log ~level states] receives
+    each completed level's surviving states in frontier order — the
+    feed certificate emitters consume. [cancel] is polled before each
+    frontier entry is expanded and at level boundaries; once tripped
+    the run returns [Interrupted]. [checkpoint:(path, interval)]
+    snapshots progress at level boundaries at most every [interval]
+    seconds (see the module preamble); [resume] continues from such a
+    snapshot. *)
 
 (** {1 Sorting-network instantiation} *)
 
@@ -241,7 +227,7 @@ val network_system : ?restrict:bool -> n:int -> unit -> layer system
     @raise Invalid_argument unless [2 <= n <= 10]. *)
 
 val optimal_depth :
-  ?domains:int -> ?engine:engine -> ?budget:budget -> ?sink:Sink.t ->
+  ?domains:int -> ?budget:budget -> ?sink:Sink.t ->
   ?on_level:(level:int -> frontier:int -> stats -> unit) ->
   ?frontier_log:(level:int -> State.t list -> unit) ->
   ?cancel:Cancel.t -> ?checkpoint:string * float -> ?resume:resume_state ->

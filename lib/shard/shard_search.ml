@@ -1,13 +1,10 @@
 (* Per-entry worker record: everything the coordinator needs to replay
    the sequential per-level semantics without re-expanding. [e_cands]
-   is in the same order the in-process engine would collect children;
-   fingerprints ride along when the system dedups by subsumption (a
-   pure function of the state, so computing them worker-side — even
-   for children the merge later equality-dedups — cannot change any
-   decision, it only moves work into the parallel phase). *)
+   holds the unpruned children in the order the in-process search
+   stages them. *)
 type 'm entry_result = {
   e_found : 'm list option;  (* reversed move prefix of a sorted child *)
-  e_cands : (State.t * 'm list * Subsume.fingerprint option) list;
+  e_cands : (State.t * 'm list) list;
   e_pruned : int;
   e_redundant : int;
   e_nlive : int;
@@ -28,11 +25,14 @@ let c_levels = Metrics.counter "search.levels"
 let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_shard_levels = Metrics.counter "shard.search.levels"
 
-(* Mirrors the in-process expand for one frontier entry, minus the
-   global node/stop bookkeeping (replayed by the coordinator's merge).
-   On a sorted child the iteration stops exactly like the engines do
-   (later moves of this entry are never applied). *)
-let expand_entry sys ~lvl ~last ~remaining ~moves ~want_fp (st, pre) =
+(* Mirrors the in-process expansion of one frontier entry, minus the
+   global node/stop bookkeeping (replayed by the coordinator's merge):
+   the parent is committed to the worker's [arena], each live move is
+   staged there, and the unpruned children come back unpacked — the
+   worker never commits them. On a sorted child the iteration stops
+   like the in-process loop does (later moves of this entry are never
+   staged). *)
+let expand_entry sys arena ~lvl ~last ~remaining ~moves (st, pre) =
   let is_red = sys.Driver.redundant_of ~level:lvl st in
   let redundant = ref 0 in
   let live =
@@ -46,24 +46,24 @@ let expand_entry sys ~lvl ~last ~remaining ~moves ~want_fp (st, pre) =
       moves
   in
   let nlive = List.length live in
+  Arena.stage_state arena st;
+  let parent = match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i in
   let found = ref None in
   let cands = ref [] in
   let pruned = ref 0 in
   (try
      List.iter
        (fun m ->
-         let st' = sys.Driver.apply m st in
-         if State.is_sorted st' then begin
+         sys.Driver.stage arena ~parent m;
+         if Arena.staged_is_sorted arena then begin
            found := Some (m :: pre);
            raise Exit
          end
-         else if last then ()
-         else if sys.Driver.prune ~level:lvl ~remaining st' then incr pruned
-         else
-           let fp =
-             if want_fp then Some (Subsume.fingerprint st') else None
-           in
-           cands := (st', m :: pre, fp) :: !cands)
+         else if not last then begin
+           let st' = Arena.staged_state arena in
+           if sys.Driver.prune ~level:lvl ~remaining st' then incr pruned
+           else cands := (st', m :: pre) :: !cands
+         end)
        live
    with Exit -> ());
   {
@@ -128,30 +128,43 @@ let run ?(sink = Sink.null) ?cancel ?(budget = Driver.default_budget) ?config
   let cancelled () =
     match cancel with Some c -> Cancel.cancelled c | None -> false
   in
-  let want_fp = sys.Driver.dedup = Driver.Subsume in
   let worker ~id:_ ~payload =
     let u : 'm unit_payload = Marshal.from_string payload 0 in
     let lvl = u.u_level in
     let moves = sys.Driver.moves_at ~level:lvl in
     let remaining = max_depth - lvl in
     let last = lvl = max_depth in
+    let arena = Arena.create ~with_sigs:false ~n:sys.Driver.n () in
     (* Stop the slice at the first sorted child, like the in-process
        scan: the merge discards everything after a witness anyway. *)
     let out = ref [] in
     (try
        List.iter
          (fun entry ->
-           let r = expand_entry sys ~lvl ~last ~remaining ~moves ~want_fp entry in
+           let r = expand_entry sys arena ~lvl ~last ~remaining ~moves entry in
            out := r :: !out;
            if r.e_found <> None then raise Exit)
          u.u_entries
      with Exit -> ());
     Marshal.to_string (List.rev !out : 'm entry_result list) []
   in
-  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.replace seen (State.key sys.Driver.initial) ();
-  let kept : (State.t * Subsume.fingerprint) list ref = ref [] in
-  let frontier = ref [ (sys.Driver.initial, []) ] in
+  (* The coordinator's dedup memory: every state committed so far, in
+     the order the in-process search commits them, and the kept
+     representatives over it. Filtering stays on this domain: the
+     coordinator forks workers at every level, and OCaml 5 forbids
+     [Unix.fork] once a domain has been spawned. *)
+  let arena =
+    Arena.create ~with_sigs:(sys.Driver.dedup = Driver.Subsume) ~n:sys.Driver.n ()
+  in
+  let kept = Driver.kept ~domains:1 arena in
+  let commit st ~level =
+    Arena.stage_state arena st;
+    Arena.commit arena ~level
+  in
+  let frontier =
+    match commit sys.Driver.initial ~level:0 with
+    | `Fresh i | `Dup i -> ref [ (i, []) ]
+  in
   let result = ref None in
   let error = ref None in
   let level = ref 1 in
@@ -171,7 +184,10 @@ let run ?(sink = Sink.null) ?cancel ?(budget = Driver.default_budget) ?config
     else begin
       Metrics.incr c_shard_levels;
       Span.run ~sink ~name:"level" @@ fun sp ->
-      let slices = slice shards !frontier in
+      let slices =
+        slice shards
+          (List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier)
+      in
       let units =
         List.mapi
           (fun i entries ->
@@ -192,7 +208,7 @@ let run ?(sink = Sink.null) ?cancel ?(budget = Driver.default_budget) ?config
           (* Replay the sequential per-level semantics over the
              per-entry records in global entry order: this is where
              budget, witness-stops, dedup and subsumption make exactly
-             the decisions the in-process engines make. *)
+             the decisions the in-process search makes. *)
           let entry_results =
             List.concat_map
               (fun (_, payload) ->
@@ -237,40 +253,26 @@ let run ?(sink = Sink.null) ?cancel ?(budget = Driver.default_budget) ?config
           | None, true ->
               result := Some (Driver.Inconclusive (mk_stats (lvl - 1)))
           | None, false ->
-              let candidates = List.rev !cands_rev in
+              (* commit in global entry order: a [`Dup] is a child equal
+                 to a state already seen *)
               let fresh =
-                List.filter
-                  (fun (st, _, _) ->
-                    let k = State.key st in
-                    if Hashtbl.mem seen k then begin
-                      incr deduped_total;
-                      false
-                    end
-                    else begin
-                      Hashtbl.replace seen k ();
-                      true
-                    end)
-                  candidates
+                List.filter_map
+                  (fun (st, pre) ->
+                    match commit st ~level:lvl with
+                    | `Fresh idx -> Some (idx, pre)
+                    | `Dup _ ->
+                        incr deduped_total;
+                        None)
+                  (List.rev !cands_rev)
               in
               let survivors =
                 match sys.Driver.dedup with
-                | Driver.Equal -> List.map (fun (st, pre, _) -> (st, pre)) fresh
+                | Driver.Equal -> fresh
                 | Driver.Subsume ->
-                    let with_fp =
-                      List.map
-                        (fun (st, pre, fp) -> (st, pre, Option.get fp))
-                        fresh
-                    in
-                    let ordered =
-                      List.stable_sort
-                        (fun (_, _, fa) (_, _, fb) ->
-                          compare fa.Subsume.card fb.Subsume.card)
-                        with_fp
-                    in
-                    let kept_states, dropped =
-                      Driver.subsume_filter ~domains:1 ~kept ordered
-                    in
-                    subsumed_total := !subsumed_total + dropped;
+                    let kept_states, _ = Driver.subsume_filter kept fresh in
+                    subsumed_total :=
+                      !subsumed_total + List.length fresh
+                      - List.length kept_states;
                     kept_states
               in
               let width = List.length survivors in
@@ -283,6 +285,7 @@ let run ?(sink = Sink.null) ?cancel ?(budget = Driver.default_budget) ?config
             result := Some (Driver.Interrupted (mk_stats lvl))
     end
   done;
+  Arena.record_metrics arena;
   match !error with
   | Some e -> Error e
   | None ->

@@ -4,25 +4,28 @@
     partitioned into [shards] contiguous slices, every slice expanded
     in a forked worker under the {!Shard} supervisor, and the per-level
     results merged by the coordinator with {e the same} decision
-    procedure the in-process engines use — so the outcome, witness,
+    procedure the in-process search uses — so the outcome, witness,
     and every decision statistic ([nodes] / [pruned] / [deduped] /
     [subsumed] / [redundant] / [frontier_sizes] / [completed_levels])
-    are identical to [Driver.run ~domains:1] on the same system, even
+    are identical to [Driver.run] on the same system, even
     when every worker attempt is killed, stalled, or corrupted once
     ({!Fault} ["kill-worker"] / ["stall-worker"] / ["corrupt-result"]:
     the supervisor retries and the merge is idempotent).
 
     How identity is preserved: workers expand their slice {e without}
     global budget checks and return per-entry records (sorted-witness,
-    candidate children with fingerprints, prune/redundant/live-move
-    tallies); the coordinator replays the sequential semantics over
-    the records in global entry order — nodes are charged per entry
-    and the budget consulted before the entry's other tallies count, a
-    found witness stops the scan so later entries contribute nothing,
-    equality dedup and the greedy subsumption filter
-    ({!Driver.subsume_filter}) run exactly as in-process. Fingerprints
-    are computed worker-side (a pure function — decision-neutral) so
-    that phase parallelises too.
+    unpruned children in staging order, prune/redundant/live-move
+    tallies). A worker stages children on its own {!Arena}, where it
+    commits only the parents. The coordinator replays the sequential
+    semantics over the records in global entry order: nodes are
+    charged per entry and the budget consulted before the entry's
+    other tallies count, and a found witness stops the scan so later
+    entries contribute nothing. It then commits the children into its
+    one arena in that order (a duplicate is an equality-deduped child)
+    and runs the greedy subsumption filter ({!Driver.subsume_filter})
+    exactly as in-process, on one domain: the coordinator forks
+    workers at every level, and OCaml 5 forbids [Unix.fork] once a
+    domain has been spawned.
 
     Known divergences from [Driver.run], by design: [budget.max_seconds]
     is only consulted at level boundaries (a wall-clock budget is

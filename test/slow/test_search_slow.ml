@@ -38,14 +38,21 @@ let test_n7_reference_agreement () =
   | _ -> Alcotest.fail "reference n=7 failed"
 
 let test_shuffle_n8_depth5_refuted () =
-  (* the E11 headline: no 5-stage shuffle-based sorter for n=8 *)
+  (* the E11 headline: no 5-stage shuffle-based sorter for n=8, with the
+     counts recorded when shuffle moves still ran a per-mask transition *)
   match
-    Min_depth.search ~n:8 ~depth:5
-      ~budget:{ Driver.max_nodes = 2_000_000_000; max_seconds = None } ()
+    Driver.run
+      ~budget:{ Driver.max_nodes = 2_000_000_000; max_seconds = None }
+      ~max_depth:5 (Min_depth.system ~n:8)
   with
-  | Min_depth.Impossible -> ()
-  | Min_depth.Sorter _ -> Alcotest.fail "a 5-stage shuffle sorter would be news"
-  | Min_depth.Inconclusive | Min_depth.Interrupted -> Alcotest.fail "budget too small"
+  | Driver.Unsorted s ->
+      check_int "nodes" 10_447_616 s.Driver.nodes;
+      check_int "pruned" 5_083_716 s.Driver.pruned;
+      check_int "deduped" 89_426 s.Driver.deduped;
+      check_bool "frontier sizes" true
+        (s.Driver.frontier_sizes = [ 80; 5848; 14438; 20444; 0 ])
+  | Driver.Sorted _ -> Alcotest.fail "a 5-stage shuffle sorter would be news"
+  | Driver.Inconclusive _ | Driver.Interrupted _ -> Alcotest.fail "budget too small"
 
 let test_n9_depth5_domains () =
   (* the arena's largest filter: level 4 of the n=9 depth-5 refutation

@@ -1,5 +1,6 @@
-(* Tests for the minimal-depth search (Section 6 / Knuth 5.3.4.47),
-   now a shuffle-restricted instantiation of the generic driver. *)
+(* Tests for the minimal-depth search (Section 6 / Knuth 5.3.4.47), a
+   shuffle-restricted instantiation of the generic driver whose moves
+   are staged on the search arena. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -39,6 +40,90 @@ let test_n8_depth4_impossible () =
   | Min_depth.Sorter _ -> Alcotest.fail "depth-4 sorter for n=8 would be a discovery; recheck"
   | Min_depth.Inconclusive | Min_depth.Interrupted -> Alcotest.fail "budget too small"
 
+(* --- the arena-staged shuffle move against the independent register
+   model: staging op vector [ops] from a state must give the image of
+   the state's masks under one stage of [Register_model.eval] --- *)
+
+let image ~n ops masks =
+  let prog = Register_model.shuffle_program ~n [ ops ] in
+  let image m =
+    let out = Register_model.eval prog (Array.init n (fun r -> (m lsr r) land 1)) in
+    let m' = ref 0 in
+    Array.iteri (fun r v -> if v = 1 then m' := !m' lor (1 lsl r)) out;
+    !m'
+  in
+  State.of_masks ~n (List.map image masks)
+
+(* the image of [masks] under [ops], staged on [arena] by the system *)
+let staged sys arena ~n ops masks =
+  Arena.stage_state arena (State.of_masks ~n masks);
+  let parent = match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i in
+  sys.Driver.stage arena ~parent ops;
+  Arena.staged_state arena
+
+let prop_stage_matches_eval =
+  QCheck.Test.make ~name:"arena shuffle stage = Register_model.eval image (n=2,4,8)"
+    ~count:300
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
+    (fun (seed, which) ->
+      let n = [| 2; 4; 8 |].(which) in
+      let sys = Min_depth.system ~n in
+      let rng = Xoshiro.of_seed seed in
+      let masks =
+        List.init
+          (1 + Xoshiro.int rng ~bound:(1 lsl n))
+          (fun _ -> Xoshiro.int rng ~bound:(1 lsl n))
+      in
+      let ops = Register_model.random_ops rng ~n in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      State.equal (staged sys arena ~n ops masks) (image ~n ops masks))
+
+let test_stage_single_masks () =
+  (* every op vector on every single-mask state *)
+  List.iter
+    (fun n ->
+      let sys = Min_depth.system ~n in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      List.iter
+        (fun ops ->
+          for m = 0 to (1 lsl n) - 1 do
+            if not (State.equal (staged sys arena ~n ops [ m ]) (image ~n ops [ m ]))
+            then Alcotest.failf "n=%d mask %d: staged image differs" n m
+          done)
+        (sys.Driver.moves_at ~level:1))
+    [ 2; 4; 8 ]
+
+(* --- counts recorded from the search before shuffle moves were staged
+   on the arena (then a per-mask transition): outcome, witness and
+   every decision counter must not move --- *)
+
+let run_stats ~n ~depth =
+  match Driver.run ~max_depth:depth (Min_depth.system ~n) with
+  | Driver.Sorted { stats; moves; _ } -> (Some moves, stats)
+  | Driver.Unsorted stats -> (None, stats)
+  | Driver.Inconclusive _ | Driver.Interrupted _ -> Alcotest.fail "must decide"
+
+let check_counts what (s : Driver.stats) (nodes, pruned, deduped, sizes) =
+  check_int (what ^ ": nodes") nodes s.Driver.nodes;
+  check_int (what ^ ": pruned") pruned s.Driver.pruned;
+  check_int (what ^ ": deduped") deduped s.Driver.deduped;
+  check_bool (what ^ ": frontier sizes") true (s.Driver.frontier_sizes = sizes)
+
+let test_pinned_n4_depth3 () =
+  match run_stats ~n:4 ~depth:3 with
+  | Some prog, s ->
+      let show ops =
+        String.concat "" (Array.to_list (Array.map (Format.asprintf "%a" Register_model.pp_op) ops))
+      in
+      Alcotest.(check (list string)) "witness" [ "-+"; "++"; "++" ] (List.map show prog);
+      check_counts "n=4 depth 3" s (176, 114, 14, [ 8; 8 ])
+  | None, _ -> Alcotest.fail "n=4 has a 3-stage sorter"
+
+let test_pinned_n8_depth4 () =
+  match run_stats ~n:8 ~depth:4 with
+  | None, s -> check_counts "n=8 depth 4" s (71168, 40512, 427, [ 80; 80; 117; 0 ])
+  | Some _, _ -> Alcotest.fail "no 4-stage sorter for n=8"
+
 let test_bitonic_witness_shape () =
   (* the searcher's own witness format: feeding bitonic's op vectors
      through verify_witness *)
@@ -75,8 +160,16 @@ let () =
         [ Alcotest.test_case "n=2" `Quick test_n2;
           Alcotest.test_case "n=4 exact minimum is 3" `Quick test_n4_exact;
           Alcotest.test_case "n=8 depth 3 impossible" `Quick test_n8_depth3_impossible;
-          Alcotest.test_case "n=8 depth 4 impossible" `Slow test_n8_depth4_impossible;
+          Alcotest.test_case "n=8 depth 4 impossible" `Quick test_n8_depth4_impossible;
           Alcotest.test_case "bitonic as witness" `Quick test_bitonic_witness_shape;
           Alcotest.test_case "budget honoured" `Quick test_budget_reported;
           Alcotest.test_case "minimal_depth reports Unknown" `Quick test_minimal_unknown;
-          Alcotest.test_case "invalid n" `Quick test_invalid_n ] ) ]
+          Alcotest.test_case "invalid n" `Quick test_invalid_n ] );
+      ( "stage",
+        [ QCheck_alcotest.to_alcotest prop_stage_matches_eval;
+          Alcotest.test_case "every op vector on every single mask" `Quick
+            test_stage_single_masks ] );
+      ( "pinned",
+        [ Alcotest.test_case "n=4 depth 3 witness and counts" `Quick
+            test_pinned_n4_depth3;
+          Alcotest.test_case "n=8 depth 4 counts" `Quick test_pinned_n8_depth4 ] ) ]

@@ -473,6 +473,43 @@ let prop_arena_dedup_agrees =
              = Subsume.canonical_masks (Hashtbl.find seen (State.key st)))
            (List.filteri (fun i _ -> i < 3) arena_survivors))
 
+let prop_arena_stage_directed =
+  QCheck.Test.make
+    ~name:"Arena.stage_child perm + directed comparators = per-mask reference (n=2..10)"
+    ~count:300
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let masks =
+        List.init
+          (1 + Xoshiro.int rng ~bound:64)
+          (fun _ -> Xoshiro.int rng ~bound:(1 lsl n))
+      in
+      let st = State.of_masks ~n masks in
+      let perm = Perm.to_array (Perm.random rng n) in
+      (* a random layer with each pair's direction drawn at random *)
+      let pairs =
+        List.map
+          (fun (i, j) -> if Xoshiro.int rng ~bound:2 = 0 then (i, j) else (j, i))
+          (random_layer rng n)
+      in
+      let moved m =
+        let acc = ref 0 in
+        for c = 0 to n - 1 do
+          if (m lsr c) land 1 = 1 then acc := !acc lor (1 lsl perm.(c))
+        done;
+        !acc
+      in
+      let reference = State.apply_comparators (State.map_masks st moved) pairs in
+      let arena = Arena.create ~with_sigs:false ~n () in
+      Arena.stage_state arena st;
+      let parent = match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i in
+      Arena.stage_child arena ~perm ~parent pairs;
+      let with_perm = State.equal (Arena.staged_state arena) reference in
+      Arena.stage_child arena ~parent pairs;
+      with_perm
+      && State.equal (Arena.staged_state arena) (State.apply_comparators st pairs))
+
 let prop_arena_subsumes_parity =
   QCheck.Test.make
     ~name:"Arena.subsumes = Subsume.subsumes on random frontiers (n=4..8)"
@@ -492,43 +529,44 @@ let prop_arena_subsumes_parity =
              Arena.subsumes arena ia ib = Subsume.subsumes_states sa sb)
            (List.init 250 Fun.id))
 
-let test_arena_engine_equivalence () =
-  (* both engines must agree verbatim: outcome, depth, and every
-     decision counter, because their dedup and subsumption logic is
-     specified to be boolean-identical *)
+(* Outcomes recorded when a second, boxed search engine still
+   cross-checked this one decision for decision: the depth, every
+   decision counter and the frontier sizes of [optimal_depth ~n] must
+   not move *)
+let test_pinned_optimal_depths () =
   List.iter
-    (fun n ->
-      let sys = Driver.network_system ~n () in
-      match
-        ( Driver.run ~engine:`Legacy ~max_depth:n sys,
-          Driver.run ~engine:`Arena ~max_depth:n sys )
-      with
-      | ( Driver.Sorted { depth = da; stats = sa; _ },
-          Driver.Sorted { depth = db; stats = sb; moves } ) ->
-          check_int "depth" da db;
-          check_bool "arena witness verifies" true
+    (fun (n, want, (nodes, deduped, subsumed, redundant, peak), sizes) ->
+      let what = Printf.sprintf "n=%d" n in
+      match Driver.optimal_depth ~n () with
+      | Driver.Sorted { depth; moves; stats = s } ->
+          check_int (what ^ ": depth") want depth;
+          check_bool (what ^ ": witness verifies") true
             (Driver.verify_witness ~n moves);
-          check_int "nodes" sa.Driver.nodes sb.Driver.nodes;
-          check_int "pruned" sa.Driver.pruned sb.Driver.pruned;
-          check_int "deduped" sa.Driver.deduped sb.Driver.deduped;
-          check_int "subsumed" sa.Driver.subsumed sb.Driver.subsumed;
-          check_int "redundant" sa.Driver.redundant sb.Driver.redundant;
-          check_int "peak frontier" sa.Driver.peak_frontier
-            sb.Driver.peak_frontier;
-          check_bool "frontier sizes" true
-            (sa.Driver.frontier_sizes = sb.Driver.frontier_sizes)
-      | _ -> Alcotest.fail "both engines must certify the optimum")
-    [ 4; 5; 6 ];
-  (* the equality-dedup (unrestricted) system runs the arena too *)
-  match
-    ( Driver.optimal_depth ~engine:`Legacy ~restrict:false ~n:4 (),
-      Driver.optimal_depth ~engine:`Auto ~restrict:false ~n:4 () )
-  with
-  | ( Driver.Sorted { depth = da; stats = sa; _ },
-      Driver.Sorted { depth = db; stats = sb; _ } ) ->
-      check_int "unrestricted depth" da db;
-      check_int "unrestricted nodes" sa.Driver.nodes sb.Driver.nodes;
-      check_int "unrestricted deduped" sa.Driver.deduped sb.Driver.deduped
+          check_int (what ^ ": nodes") nodes s.Driver.nodes;
+          check_int (what ^ ": pruned") 0 s.Driver.pruned;
+          check_int (what ^ ": deduped") deduped s.Driver.deduped;
+          check_int (what ^ ": subsumed") subsumed s.Driver.subsumed;
+          check_int (what ^ ": redundant") redundant s.Driver.redundant;
+          check_int (what ^ ": peak frontier") peak s.Driver.peak_frontier;
+          check_bool (what ^ ": frontier sizes") true
+            (s.Driver.frontier_sizes = sizes)
+      | _ -> Alcotest.failf "%s must certify the optimum" what)
+    [ (4, 3, (6, 2, 1, 8, 1), [ 1; 1 ]);
+      (5, 5, (46, 7, 28, 162, 5), [ 1; 2; 5; 2 ]);
+      (6, 5, (165, 17, 136, 520, 5), [ 1; 3; 5; 2 ]);
+      (7, 6, (2707, 362, 2273, 12557, 39), [ 1; 3; 39; 23; 3 ]);
+      (8, 6, (6075, 680, 5328, 39725, 29), [ 1; 4; 29; 26; 4 ]) ];
+  (* the equality-dedup (unrestricted) system, witness included *)
+  match Driver.optimal_depth ~restrict:false ~n:4 () with
+  | Driver.Sorted { depth; moves; stats = s } ->
+      check_int "unrestricted depth" 3 depth;
+      check_bool "unrestricted witness" true
+        (moves = [ [ (0, 1); (2, 3) ]; [ (0, 2); (1, 3) ]; [ (1, 2) ] ]);
+      check_int "unrestricted nodes" 46 s.Driver.nodes;
+      check_int "unrestricted deduped" 3 s.Driver.deduped;
+      check_int "unrestricted subsumed" 0 s.Driver.subsumed;
+      check_bool "unrestricted frontier sizes" true
+        (s.Driver.frontier_sizes = [ 1; 6 ])
   | _ -> Alcotest.fail "n=4 unrestricted must certify the optimum"
 
 (* --- Arena across domain counts: the parallel signature pass and
@@ -620,7 +658,7 @@ let logged_run ?budget ?checkpoint ?resume ?cancel ?on_level ~domains
   in
   let sink, events = Sink.memory () in
   let o =
-    Driver.run ~engine:`Arena ~domains ?budget ?checkpoint ?resume ?cancel
+    Driver.run ~domains ?budget ?checkpoint ?resume ?cancel
       ?on_level ~sink ~frontier_log ~max_depth sys
   in
   let filter_domains =
@@ -696,9 +734,8 @@ let test_arena_checkpoint_across_domains () =
       check_bool "resumed run filtered in parallel" true (fd > 1)
 
 let test_domains2_no_regression () =
-  (* The work-size threshold (Par.map_list ?min_per_domain, wired
-     through the driver's expansion / fingerprint / subsumption calls)
-     keeps small frontiers sequential: domains=2 at n=6 used to be
+  (* The fan-out thresholds of the signature pass and the subsumption
+     filter keep small levels on one domain: domains=2 at n=6 once ran
      ~10x slower than domains=1 (BENCH_search.json, 11.5k vs 123k
      nodes/s) because every tiny level paid domain spawns. Min-of-3
      runs each to absorb scheduler noise; the bound is deliberately
@@ -747,9 +784,10 @@ let () =
       ("layers", [ Alcotest.test_case "counts" `Quick test_layer_counts ]);
       ( "arena",
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
+          QCheck_alcotest.to_alcotest prop_arena_stage_directed;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
-          Alcotest.test_case "legacy/arena engines agree" `Quick
-            test_arena_engine_equivalence;
+          Alcotest.test_case "pinned optima and counts n=4..8" `Quick
+            test_pinned_optimal_depths;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
           Alcotest.test_case "unsigned rows never reach subsumes" `Quick
             test_arena_unsigned_rows_refused;

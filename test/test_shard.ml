@@ -151,7 +151,7 @@ let sharded_outcome ?budget ~shards ~dir ?(max_depth = 6) ~n () =
   | Error e -> Alcotest.failf "sharded search failed: %s" e
 
 let test_search_identity () =
-  let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n:6 () in
+  let single = Driver.optimal_depth ~max_depth:6 ~n:6 () in
   List.iter
     (fun shards ->
       with_dir @@ fun dir ->
@@ -166,7 +166,7 @@ let test_search_identity_wider () =
      too (n=8 is the registry-optimal 6-level case, ~6k nodes) *)
   List.iter
     (fun n ->
-      let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n () in
+      let single = Driver.optimal_depth ~max_depth:6 ~n () in
       with_dir @@ fun dir ->
       outcomes_agree
         (Printf.sprintf "n=%d shards=4" n)
@@ -177,9 +177,7 @@ let test_search_identity_wider () =
 let test_search_identity_budget () =
   (* a node budget that trips mid-search must trip identically *)
   let budget = { Driver.max_nodes = 120; max_seconds = None } in
-  let single =
-    Driver.optimal_depth ~engine:`Legacy ~budget ~max_depth:6 ~n:6 ()
-  in
+  let single = Driver.optimal_depth ~budget ~max_depth:6 ~n:6 () in
   (match single with
   | Driver.Inconclusive _ -> ()
   | _ -> Alcotest.fail "expected the reference run to trip its budget");
@@ -191,7 +189,7 @@ let test_search_identity_under_faults () =
   (* kill-worker at every shard: prob 1.0 sabotages each unit's first
      attempt, so every worker index is killed in turn; ditto the stall
      and corruption points. The merged outcome must not move. *)
-  let single = Driver.optimal_depth ~engine:`Legacy ~max_depth:6 ~n:6 () in
+  let single = Driver.optimal_depth ~max_depth:6 ~n:6 () in
   List.iter
     (fun spec ->
       with_dir @@ fun dir ->
