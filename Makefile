@@ -20,7 +20,7 @@ bench:
 
 # Engine microbenchmarks only; writes name -> ns/op to BENCH_engine.json
 # so successive PRs have a perf trajectory to compare against (plus the
-# wide-vs-chunked eval-many rows, asserted >= 3x). The same
+# eval-many row: 8192 masks through one compiled network). The same
 # run times the exact-bounds search (pruned vs reference, 1 vs K
 # domains, checkpointing, and sharded vs single-process) into
 # BENCH_search.json, the static analyzer's throughput
@@ -35,9 +35,7 @@ bench-json:
 	SNLB_BENCH_JSON=BENCH_engine.json SNLB_BENCH_SEARCH_JSON=BENCH_search.json SNLB_BENCH_ANALYSIS_JSON=BENCH_analysis.json SNLB_BENCH_SERVE_JSON=BENCH_serve.json SNLB_BENCH_EVOLVE_JSON=BENCH_evolve.json dune exec bench/main.exe
 	grep -q '"obs/engine.cache.hits"' BENCH_engine.json
 	grep -q '"obs/engine.cache.evictions"' BENCH_engine.json
-	grep -q '"engine/eval-many/chunked-63/wall_ms"' BENCH_engine.json
-	grep -q '"engine/eval-many/wide-64/wall_ms"' BENCH_engine.json
-	awk -F': ' '/"engine\/eval-many\/speedup"/ { exit !($$2 + 0 >= 3.0) }' BENCH_engine.json
+	grep -q '"engine/eval-many/wall_ms"' BENCH_engine.json
 	grep -q '"search/n=6/pruned/domains=1/subsumed"' BENCH_search.json
 	grep -q '"obs/search.nodes"' BENCH_search.json
 	grep -q '"obs/analysis.redundant_moves"' BENCH_search.json

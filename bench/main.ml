@@ -268,35 +268,29 @@ let obs_rows () =
   in
   counters @ hists
 
-(* Wide (int64-transpose) vs chunked-63 batch evaluation of the same
-   mask sample — the eval-many speedup row `make bench-json` asserts
-   at >= 3x. Both sides count sorted outputs over an 8192-mask random
-   sample through the same compiled bitonic n=16, so the row isolates
-   the lane-packing strategy: per-mask bit gather/scatter against the
-   64x64 bit-matrix transpose. *)
+(* Batch evaluation of arbitrary masks: the sorted-output count of an
+   8192-mask random sample through the compiled bitonic n=16 (best of
+   5), checked against the interpretive Network.eval count. *)
 let eval_many_rows () =
   let wires = 16 in
-  let c = Cache.compile (Bitonic.network ~n:wires) in
+  let nw = Bitonic.network ~n:wires in
+  let c = Cache.compile nw in
   let rng = pre_rng () in
   let masks = Array.init 8192 (fun _ -> Xoshiro.int rng ~bound:(1 lsl wires)) in
-  let expect = Bitslice.count_sorted_masks c masks in
-  let scratch = Bitslice.scratch () in
-  let best f =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let t0 = Clock.wall () in
-      assert (f () = expect);
-      best := min !best (Clock.wall () -. t0)
-    done;
-    !best
+  let expect =
+    Array.fold_left
+      (fun acc mask ->
+        let input = Array.init wires (fun w -> (mask lsr w) land 1) in
+        if Sortedness.is_sorted (Network.eval nw input) then acc + 1 else acc)
+      0 masks
   in
-  let chunked = best (fun () -> Bitslice.count_sorted_masks c masks) in
-  let wide =
-    best (fun () -> Bitslice.count_sorted_masks_wide ~scratch c masks)
-  in
-  [ ("engine/eval-many/chunked-63/wall_ms", chunked *. 1e3);
-    ("engine/eval-many/wide-64/wall_ms", wide *. 1e3);
-    ("engine/eval-many/speedup", if wide > 0. then chunked /. wide else 0.) ]
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Clock.wall () in
+    assert (Bitslice.count_sorted_masks c masks = expect);
+    best := min !best (Clock.wall () -. t0)
+  done;
+  [ ("engine/eval-many/wall_ms", !best *. 1e3) ]
 
 (* Search-engine throughput: wall-clock rows for the exact-bounds BFS,
    written as the same flat name -> float JSON as the engine file. Each
@@ -442,8 +436,8 @@ let analysis_json_rows () =
    concurrent workload, batched (gather window + shared engine passes)
    vs sequential one-request-per-pass (window 0, max_batch 1) — the
    same baseline mode the daemon degrades to with batching disabled.
-   Two workloads: 0-1 eval requests, which lane-pack up to 63 clients
-   per bit-sliced pass (lane_fill_ratio = lanes used / 63 * passes),
+   Two workloads: 0-1 eval requests, which lane-pack up to 64 clients
+   per bit-sliced pass (lane_fill_ratio = lanes used / 64 * passes),
    and verify requests on one network, which coalesce into a single
    2^n sweep per round. The cache is off so every row measures
    scheduler + engine work, not response-cache hits. *)
@@ -506,7 +500,7 @@ let serve_json_rows () =
       run_clients ~config:sequential ~per_client:32 ~job:eval_job
     in
     (* lanes/passes of the batched run: 1.0 would mean every bit-sliced
-       pass carried a full 63 client inputs *)
+       pass carried a full 64 client inputs *)
     let fill =
       if p1 > p0 then
         float_of_int (l1 - l0) /. float_of_int ((p1 - p0) * Bitslice.lanes)

@@ -242,7 +242,7 @@ let verify_cmd =
   in
   let doc =
     "Exactly verify a network via the 0-1 principle (n <= 26), \
-     bit-sliced 63 inputs per word on the compiled engine."
+     bit-sliced 64 inputs per pass on the compiled engine."
   in
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(const run $ algo_arg $ n_arg $ domains_arg $ trace_arg $ metrics_arg)
@@ -1283,7 +1283,10 @@ let serve_cmd =
   in
   let max_wires_arg =
     let doc =
-      "Widest accepted network (verification sweeps 2^wires inputs)."
+      Printf.sprintf
+        "Widest accepted network, at most %d (verification sweeps \
+         2^wires inputs)."
+        Zero_one.default_max_wires
     in
     Arg.(value & opt int 16 & info [ "max-wires" ] ~docv:"N" ~doc)
   in
@@ -1310,7 +1313,8 @@ let serve_cmd =
     | Error e -> usage_error ("serve: " ^ e)
     | Ok addr ->
         if window_ms < 0. || cache_capacity < 0 || max_request < 1
-           || max_wires < 2 || idle_timeout < 0. || request_deadline < 0.
+           || max_wires < 2 || max_wires > Zero_one.default_max_wires
+           || idle_timeout < 0. || request_deadline < 0.
         then
           usage_error "serve: nonsensical limits"
         else begin
@@ -1350,7 +1354,7 @@ let serve_cmd =
     "Run the network-verification daemon: length-prefixed JSON requests \
      (verify / certify / lint / eval) over a Unix or loopback TCP \
      socket, with concurrent clients' requests coalesced into shared \
-     63-lane bit-sliced engine passes and verdicts cached under \
+     64-lane bit-sliced engine passes and verdicts cached under \
      wire-permutation canonical keys. SIGINT/SIGTERM drain in-flight \
      requests and exit 130. The wire protocol is documented in \
      README.md."

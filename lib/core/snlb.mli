@@ -32,7 +32,7 @@
     - {!Mset}, {!Lemma41}, {!Theorem41}, {!Certificate}, {!Naive},
       {!Adaptive}, {!Truncated}: the adversary.
     - {!Compiled}, {!Bitslice}, {!Cache}: the compiled evaluation
-      engine (flat instruction streams, 63-lane bit-sliced 0-1
+      engine (flat instruction streams, 64-lane bit-sliced 0-1
       execution, structural compile cache).
     - {!Search} ({!State}, {!Subsume}, {!Layers}, {!Driver}): the
       exact-bounds search engine — layered BFS with subsumption

@@ -1,377 +1,244 @@
-let lanes = 63
+(* One lane model: a block of 64 int64 rows, row [w] holding wire [w]'s
+   value in each of 64 lanes (bit [j] = the test input in lane [j]). A
+   comparator is (AND -> min row, OR -> max row), an exchange swaps two
+   rows. OCaml's native compiler keeps [Int64] values unboxed across
+   [Bigarray.Array1.unsafe_get]/[unsafe_set] chains, so the kernel runs
+   at native word speed with no allocation per gate. Every call
+   allocates its own block: calls on one domain can be interleaved by
+   systhreads (serve's sessions reach [eval_masks] through the cache
+   key), so a block is never shared. *)
 
-(* All-lanes-set mask for [m] valid lanes; [(1 lsl 63) - 1] wraps to
-   [-1], which is exactly "all 63 bits" on a 63-bit int. *)
-let valid_mask m = if m >= lanes then -1 else (1 lsl m) - 1
+module A = Bigarray.Array1
 
-let pop8 =
-  Array.init 256 (fun i ->
-      let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
-      go 0 i)
+type block = (int64, Bigarray.int64_elt, Bigarray.c_layout) A.t
 
-(* Popcount over the full 63-bit word, sign bit included ([lsr] is a
-   logical shift, so a "negative" word is just 63 data bits). *)
-let popcount w =
-  pop8.(w land 0xff)
-  + pop8.((w lsr 8) land 0xff)
-  + pop8.((w lsr 16) land 0xff)
-  + pop8.((w lsr 24) land 0xff)
-  + pop8.((w lsr 32) land 0xff)
-  + pop8.((w lsr 40) land 0xff)
-  + pop8.((w lsr 48) land 0xff)
-  + pop8.(w lsr 56)
+let lanes = 64
 
-let lowest_bit w =
-  let i = ref 0 in
-  while (w lsr !i) land 1 = 0 do
-    incr i
-  done;
-  !i
+let block () : block = A.create Bigarray.int64 Bigarray.c_layout lanes
 
-(* Bit [w] of consecutive integers is periodic with period [2^(w+1)].
-   For [w <= 5] the period fits in a word: precompute the 63-lane
-   pattern for every phase, once per sweep. For [w >= 6] the period
-   exceeds 63, so a block sees at most one 0->1 / 1->0 transition and
-   the word is two runs, built directly from the transition index. *)
-let low_patterns n =
-  let wmax = min (n - 1) 5 in
-  Array.init (wmax + 1) (fun w ->
-      let period = 1 lsl (w + 1) in
-      Array.init period (fun phase ->
-          let word = ref 0 in
-          for j = 0 to lanes - 1 do
-            if ((phase + j) lsr w) land 1 = 1 then word := !word lor (1 lsl j)
-          done;
-          !word))
-
-(* state.(w) <- bits j in [0, 63) of ((t0 + j) lsr w) land 1.  Lanes
-   beyond a caller's valid range carry the bits of the inputs just past
-   it; the violation mask discards them. *)
-let fill_columns pats n t0 state =
-  let npats = Array.length pats in
-  for w = 0 to n - 1 do
-    state.(w) <-
-      (if w < npats then pats.(w).(t0 land ((1 lsl (w + 1)) - 1))
-       else begin
-         let pw = 1 lsl w in
-         let rem = t0 land (pw - 1) in
-         let bit0 = (t0 lsr w) land 1 in
-         let flip = if rem = 0 then pw else pw - rem in
-         if flip >= lanes then if bit0 = 1 then -1 else 0
-         else begin
-           let low = (1 lsl flip) - 1 in
-           if bit0 = 1 then low else lnot low
-         end
-       end)
-  done
-
-(* One pass over the instruction stream on packed words: a comparator
-   is (AND -> min slot, OR -> max slot), an exchange swaps words. *)
-let exec_words (c : Compiled.t) state =
-  let kinds = c.Compiled.kinds
-  and ga = c.Compiled.ga
-  and gb = c.Compiled.gb in
-  for i = 0 to Bytes.length kinds - 1 do
-    let a = Array.unsafe_get ga i and b = Array.unsafe_get gb i in
-    let x = Array.unsafe_get state a and y = Array.unsafe_get state b in
-    if Bytes.unsafe_get kinds i = '\000' then begin
-      Array.unsafe_set state a (x land y);
-      Array.unsafe_set state b (x lor y)
-    end
-    else begin
-      Array.unsafe_set state a y;
-      Array.unsafe_set state b x
-    end
-  done
-
-(* Lanes whose output is out of order: ascending needs col_r <=
-   col_{r+1} pointwise in output-register order, which reads through
-   the final routing map when present. *)
-let violation_word (c : Compiled.t) state =
-  let n = c.Compiled.wires in
-  let v = ref 0 in
-  (match c.Compiled.take with
-  | None ->
-      for r = 0 to n - 2 do
-        v := !v lor (state.(r) land lnot state.(r + 1))
-      done
-  | Some take ->
-      for r = 0 to n - 2 do
-        v := !v lor (state.(take.(r)) land lnot state.(take.(r + 1)))
-      done);
-  !v
-
-let check_range fn c ~lo ~hi =
-  if lo < 0 || lo > hi then
-    invalid_arg (Printf.sprintf "Bitslice.%s: bad range [%d, %d)" fn lo hi);
-  ignore (c : Compiled.t)
-
-let find_unsorted_range ?stop c ~lo ~hi =
-  check_range "find_unsorted_range" c ~lo ~hi;
-  let n = c.Compiled.wires in
-  let pats = low_patterns n in
-  let state = Array.make n 0 in
-  let stopped () = match stop with None -> false | Some s -> Atomic.get s in
-  let result = ref None in
-  let t = ref lo in
-  while !result = None && !t < hi && not (stopped ()) do
-    fill_columns pats n !t state;
-    exec_words c state;
-    let v = violation_word c state land valid_mask (hi - !t) in
-    if v <> 0 then begin
-      result := Some (!t + lowest_bit v);
-      match stop with None -> () | Some s -> Atomic.set s true
-    end;
-    t := !t + lanes
-  done;
-  !result
-
-let count_unsorted_range c ~lo ~hi =
-  check_range "count_unsorted_range" c ~lo ~hi;
-  let n = c.Compiled.wires in
-  let pats = low_patterns n in
-  let state = Array.make n 0 in
-  let count = ref 0 in
-  let t = ref lo in
-  while !t < hi do
-    fill_columns pats n !t state;
-    exec_words c state;
-    count :=
-      !count + popcount (violation_word c state land valid_mask (hi - !t));
-    t := !t + lanes
-  done;
-  !count
-
-(* Arbitrary (non-consecutive) test inputs packed one per lane: the
-   gather/batch/scatter entry point the verification service uses to
-   fill one word-parallel pass with unrelated clients' inputs. *)
-let eval_masks c masks =
-  let n = c.Compiled.wires in
-  let m = Array.length masks in
-  if m > lanes then
-    invalid_arg
-      (Printf.sprintf "Bitslice.eval_masks: %d masks (max %d lanes)" m lanes);
-  Array.iteri
-    (fun j mask ->
-      if mask < 0 || (n < 62 && mask lsr n <> 0) then
-        invalid_arg
-          (Printf.sprintf "Bitslice.eval_masks: mask %d at lane %d out of [0, 2^%d)"
-             mask j n))
-    masks;
-  let state = Array.make n 0 in
-  for w = 0 to n - 1 do
-    let word = ref 0 in
-    for j = 0 to m - 1 do
-      if (Array.unsafe_get masks j lsr w) land 1 = 1 then
-        word := !word lor (1 lsl j)
-    done;
-    state.(w) <- !word
-  done;
-  exec_words c state;
-  let out = Array.make m 0 in
-  let scatter r word =
-    if word <> 0 then
-      for j = 0 to m - 1 do
-        if (word lsr j) land 1 = 1 then out.(j) <- out.(j) lor (1 lsl r)
-      done
-  in
-  (match c.Compiled.take with
-  | None -> for r = 0 to n - 1 do scatter r state.(r) done
-  | Some take -> for r = 0 to n - 1 do scatter r state.(take.(r)) done);
-  out
-
-(* A 0-1 output is ascending by wire index iff its mask is a block of
-   ones packed at the high wires. *)
-let mask_sorted ~wires mask =
-  let k = popcount mask in
-  mask = ((1 lsl k) - 1) lsl (wires - k)
-
-(* Arbitrary-length mask arrays, chunked into full eval_masks passes:
-   the one lane-packing loop shared by the serve scheduler's 0-1 eval
-   batching and the evolutionary fitness kernel. *)
-let fold_masks c masks ~init ~f =
-  let total = Array.length masks in
-  let acc = ref init in
-  let off = ref 0 in
-  while !off < total do
-    let k = min lanes (total - !off) in
-    let out = eval_masks c (Array.sub masks !off k) in
-    acc := f !acc ~off:!off out;
-    off := !off + k
-  done;
-  !acc
-
-let count_sorted_masks c masks =
-  let wires = c.Compiled.wires in
-  fold_masks c masks ~init:0 ~f:(fun acc ~off:_ out ->
-      Array.fold_left
-        (fun acc mask -> if mask_sorted ~wires mask then acc + 1 else acc)
-        acc out)
-
-let count_sorted_range c ~lo ~hi = hi - lo - count_unsorted_range c ~lo ~hi
-
-(* --- wide lanes: 64 inputs per int64 Bigarray block ------------------
-
-   The 63-lane paths above pack lanes into OCaml ints, losing one bit
-   to the tag. Packing into an int64 Bigarray recovers the 64th lane
-   and — more importantly — replaces the bit-by-bit gather/scatter of
-   [eval_masks] with a 64x64 bit-matrix transpose (Hacker's Delight
-   delta-swaps): ~3-5x on arbitrary-mask batches. OCaml's classic-mode
-   compiler unboxes [Int64] arithmetic on [Array1.unsafe_get]/[set]
-   chains in a tight loop, so the kernel runs at native word speed with
-   no per-block allocation.
-
-   The transpose below computes the *mirrored* transpose
-   [T(A)[i].j = A[63-j].(63-i)]. Loading the 64 input masks in natural
-   order therefore leaves wire [w]'s lane word — with the lane order
-   bit-reversed — at row [63-w]. Comparators are lane-wise AND/OR, so
-   the reversal is harmless; executing the instruction stream against
-   reflected row indices and transposing again lands output mask [l]
-   back at row [l] in natural order. The only per-gate cost of the
-   convention is the [63 - wire] reflection. *)
-
-let wide_lanes = 64
-
-type scratch = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let scratch () : scratch = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 64
-
-(* In-place mirrored 64x64 bit transpose by recursive delta-swaps
-   (j = 32, 16, ..., 1): after the call, bit j of row i is the old
-   bit (63-i) of row (63-j). Involutive. *)
-let transpose64 (a : scratch) =
-  let j = ref 32 and m = ref 0x00000000FFFFFFFFL in
-  while !j <> 0 do
-    let jv = !j and mv = !m in
-    let k = ref 0 in
-    while !k < 64 do
-      let kv = !k in
-      let x = Bigarray.Array1.unsafe_get a kv
-      and y = Bigarray.Array1.unsafe_get a (kv + jv) in
-      let t = Int64.logand (Int64.logxor x (Int64.shift_right_logical y jv)) mv in
-      Bigarray.Array1.unsafe_set a kv (Int64.logxor x t);
-      Bigarray.Array1.unsafe_set a (kv + jv) (Int64.logxor y (Int64.shift_left t jv));
-      k := (kv + jv + 1) land lnot jv
-    done;
-    m := Int64.logxor !m (Int64.shift_left !m (!j lsr 1));
-    j := !j lsr 1
-  done
-
-let popcount64 x =
-  popcount (Int64.to_int (Int64.logand x 0x3FFF_FFFF_FFFF_FFFFL))
-  + popcount (Int64.to_int (Int64.shift_right_logical x 62))
-
-let check_masks fn c masks =
-  let n = c.Compiled.wires in
-  Array.iteri
-    (fun j mask ->
-      if mask < 0 || (n < 62 && mask lsr n <> 0) then
-        invalid_arg
-          (Printf.sprintf "Bitslice.%s: mask %d at lane %d out of [0, 2^%d)" fn
-             mask j n))
-    masks
-
-(* Load one block of masks, transpose, run the instruction stream
-   against reflected rows. On return, row [63-w] holds wire [w]'s
-   lane-reversed output word. *)
-let exec_block (c : Compiled.t) (buf : scratch) masks ~off ~cnt =
-  for r = 0 to cnt - 1 do
-    Bigarray.Array1.unsafe_set buf r
-      (Int64.of_int (Array.unsafe_get masks (off + r)))
-  done;
-  for r = cnt to 63 do
-    Bigarray.Array1.unsafe_set buf r 0L
-  done;
-  transpose64 buf;
-  let kinds = c.Compiled.kinds and ga = c.Compiled.ga and gb = c.Compiled.gb in
-  for i = 0 to Bytes.length kinds - 1 do
-    let a = 63 - Array.unsafe_get ga i and b = 63 - Array.unsafe_get gb i in
-    let x = Bigarray.Array1.unsafe_get buf a
-    and y = Bigarray.Array1.unsafe_get buf b in
-    if Bytes.unsafe_get kinds i = '\000' then begin
-      Bigarray.Array1.unsafe_set buf a (Int64.logand x y);
-      Bigarray.Array1.unsafe_set buf b (Int64.logor x y)
-    end
-    else begin
-      Bigarray.Array1.unsafe_set buf a y;
-      Bigarray.Array1.unsafe_set buf b x
-    end
-  done
-
-let eval_masks_wide ?scratch:buf c masks =
-  check_masks "eval_masks_wide" c masks;
-  let n = c.Compiled.wires in
-  let buf = match buf with Some b -> b | None -> scratch () in
-  let total = Array.length masks in
-  let out = Array.make total 0 in
-  let off = ref 0 in
-  while !off < total do
-    let cnt = min wide_lanes (total - !off) in
-    exec_block c buf masks ~off:!off ~cnt;
-    (match c.Compiled.take with
-    | None -> ()
-    | Some take ->
-        (* route through the final output map before untransposing *)
-        let routed = Array.init n (fun r -> Bigarray.Array1.get buf (63 - take.(r))) in
-        for r = 0 to n - 1 do
-          Bigarray.Array1.set buf (63 - r) routed.(r)
-        done;
-        for r = n to 63 do
-          Bigarray.Array1.set buf (63 - r) 0L
-        done);
-    transpose64 buf;
-    for r = 0 to cnt - 1 do
-      out.(!off + r) <- Int64.to_int (Bigarray.Array1.unsafe_get buf r)
-    done;
-    off := !off + wide_lanes
-  done;
-  out
-
-let count_sorted_masks_wide ?scratch:buf c masks =
-  check_masks "count_sorted_masks_wide" c masks;
-  let n = c.Compiled.wires in
-  let buf = match buf with Some b -> b | None -> scratch () in
-  let total = Array.length masks in
-  let sorted = ref 0 in
-  let off = ref 0 in
-  while !off < total do
-    let cnt = min wide_lanes (total - !off) in
-    exec_block c buf masks ~off:!off ~cnt;
-    (* violation lanes straight off the (reversed) wire rows — no
-       second transpose: junk lanes beyond [cnt] evaluate the all-zero
-       input and never violate, so popcount only sees real lanes *)
-    let v = ref 0L in
-    (match c.Compiled.take with
-    | None ->
-        for r = 0 to n - 2 do
-          v :=
-            Int64.logor !v
-              (Int64.logand
-                 (Bigarray.Array1.unsafe_get buf (63 - r))
-                 (Int64.lognot (Bigarray.Array1.unsafe_get buf (63 - (r + 1)))))
-        done
-    | Some take ->
-        for r = 0 to n - 2 do
-          v :=
-            Int64.logor !v
-              (Int64.logand
-                 (Bigarray.Array1.unsafe_get buf (63 - take.(r)))
-                 (Int64.lognot
-                    (Bigarray.Array1.unsafe_get buf (63 - take.(r + 1)))))
-        done);
-    sorted := !sorted + cnt - popcount64 !v;
-    off := !off + wide_lanes
-  done;
-  !sorted
-
-let check_width fn c =
+(* The kernel's unsafe row accesses need every wire below 64; test
+   inputs and range bounds are OCaml ints, which caps wires at 61. *)
+let check_wires fn (c : Compiled.t) =
   let n = c.Compiled.wires in
   if n >= 62 then
     invalid_arg (Printf.sprintf "Bitslice.%s: %d wires (2^n inputs)" fn n);
   n
 
+(* One pass over the instruction stream. Gate endpoints were checked
+   against [wires] at compile time, so every row index is below 64. *)
+let run (c : Compiled.t) (rows : block) =
+  let kinds = c.Compiled.kinds and ga = c.Compiled.ga and gb = c.Compiled.gb in
+  for i = 0 to Bytes.length kinds - 1 do
+    let a = Array.unsafe_get ga i and b = Array.unsafe_get gb i in
+    let x = A.unsafe_get rows a and y = A.unsafe_get rows b in
+    if Bytes.unsafe_get kinds i = '\000' then begin
+      A.unsafe_set rows a (Int64.logand x y);
+      A.unsafe_set rows b (Int64.logor x y)
+    end
+    else begin
+      A.unsafe_set rows a y;
+      A.unsafe_set rows b x
+    end
+  done
+
+(* Output register [r] reads row [outs.(r)]: the final routing map when
+   the source network permutes its outputs, else the identity. *)
+let outputs (c : Compiled.t) =
+  match c.Compiled.take with
+  | Some take -> take
+  | None -> Array.init c.Compiled.wires Fun.id
+
+(* Lanes whose output is out of order: ascending needs register [r] <=
+   register [r + 1] in every lane. *)
+let violations outs (rows : block) =
+  let v = ref 0L in
+  for r = 0 to Array.length outs - 2 do
+    let x = A.unsafe_get rows (Array.unsafe_get outs r)
+    and y = A.unsafe_get rows (Array.unsafe_get outs (r + 1)) in
+    v := Int64.logor !v (Int64.logand x (Int64.lognot y))
+  done;
+  !v
+
+let popcount x =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    add (logand x 0x3333333333333333L)
+      (logand (shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
+(* index of the lowest set bit of a nonzero word *)
+let lowest_bit x = popcount (Int64.pred (Int64.logand x (Int64.neg x)))
+
+(* --- range sweeps: consecutive test inputs ---------------------------
+
+   Blocks start at multiples of 64, so lane [j] of the block at [base]
+   is test input [base + j]. Its wire-[w] bit is bit [w] of [j] for
+   [w < 6] — one fixed column per wire — and bit [w] of [base] above,
+   the same in every lane. *)
+
+let columns =
+  [| 0xAAAAAAAAAAAAAAAAL; 0xCCCCCCCCCCCCCCCCL; 0xF0F0F0F0F0F0F0F0L;
+     0xFF00FF00FF00FF00L; 0xFFFF0000FFFF0000L; 0xFFFFFFFF00000000L |]
+
+let load_range (rows : block) n base =
+  for w = 0 to n - 1 do
+    A.unsafe_set rows w
+      (if w < 6 then Array.unsafe_get columns w
+       else if (base lsr w) land 1 = 1 then -1L
+       else 0L)
+  done
+
+(* Lanes [j] of the block at [base] with [lo <= base + j < hi]. Lanes
+   outside carry inputs just beyond the range (or, when [2^wires < 64],
+   repeats of the inputs below [2^wires]); this mask discards them. *)
+let lane_mask ~lo ~hi base =
+  let below k =
+    if k >= lanes then -1L else Int64.pred (Int64.shift_left 1L k)
+  in
+  Int64.logand
+    (below (min lanes (hi - base)))
+    (Int64.lognot (below (max 0 (lo - base))))
+
+(* Unsorted lanes of the block at [base], restricted to [lo, hi). *)
+let unsorted_lanes c outs rows ~lo ~hi base =
+  load_range rows (Array.length outs) base;
+  run c rows;
+  Int64.logand (violations outs rows) (lane_mask ~lo ~hi base)
+
+let check_range fn c ~lo ~hi =
+  ignore (check_wires fn c : int);
+  if lo < 0 || lo > hi then
+    invalid_arg (Printf.sprintf "Bitslice.%s: bad range [%d, %d)" fn lo hi)
+
+let find_unsorted_range ?stop c ~lo ~hi =
+  check_range "find_unsorted_range" c ~lo ~hi;
+  let outs = outputs c and rows = block () in
+  let stopped () = match stop with None -> false | Some s -> Atomic.get s in
+  let result = ref None in
+  let base = ref (lo land lnot 63) in
+  while Option.is_none !result && !base < hi && not (stopped ()) do
+    let v = unsorted_lanes c outs rows ~lo ~hi !base in
+    if v <> 0L then begin
+      result := Some (!base + lowest_bit v);
+      Option.iter (fun s -> Atomic.set s true) stop
+    end;
+    base := !base + lanes
+  done;
+  !result
+
+let count_unsorted_range c ~lo ~hi =
+  check_range "count_unsorted_range" c ~lo ~hi;
+  let outs = outputs c and rows = block () in
+  let count = ref 0 in
+  let base = ref (lo land lnot 63) in
+  while !base < hi do
+    count := !count + popcount (unsorted_lanes c outs rows ~lo ~hi !base);
+    base := !base + lanes
+  done;
+  !count
+
+let count_sorted_range c ~lo ~hi = hi - lo - count_unsorted_range c ~lo ~hi
+
+(* --- mask batches: arbitrary test inputs ---------------------------- *)
+
+(* In-place 64x64 bit transpose by delta swaps (j = 32, 16, ..., 1):
+   afterwards bit [j] of row [i] is the old bit [i] of row [j]. With
+   mask [k] loaded into row [k], row [w] becomes wire [w]'s lane word
+   (lane [k] = bit [w] of mask [k]); transposing output rows turns them
+   back into masks. *)
+let transpose (a : block) =
+  let j = ref 32 and m = ref 0x00000000FFFFFFFFL in
+  while !j <> 0 do
+    let jv = !j and mv = !m in
+    let k = ref 0 in
+    while !k < lanes do
+      let kv = !k in
+      let x = A.unsafe_get a kv and y = A.unsafe_get a (kv + jv) in
+      let t =
+        Int64.logand (Int64.logxor (Int64.shift_right_logical x jv) y) mv
+      in
+      A.unsafe_set a (kv + jv) (Int64.logxor y t);
+      A.unsafe_set a kv (Int64.logxor x (Int64.shift_left t jv));
+      k := (kv + jv + 1) land lnot jv
+    done;
+    m := Int64.logxor mv (Int64.shift_left mv (jv lsr 1));
+    j := jv lsr 1
+  done
+
+(* [lsr] is logical: a negative mask keeps high bits and fails too *)
+let check_masks fn n masks =
+  Array.iteri
+    (fun j mask ->
+      if mask lsr n <> 0 then
+        invalid_arg
+          (Printf.sprintf "Bitslice.%s: mask %d at lane %d out of [0, 2^%d)" fn
+             mask j n))
+    masks
+
+(* Rows <- masks [off, off + cnt), zero-padded, in wire-row form. The
+   padding lanes evaluate the all-zero input, which stays all-zero and
+   sorted; rows at and above [wires] stay zero. *)
+let load_masks (rows : block) masks ~off ~cnt =
+  for k = 0 to cnt - 1 do
+    A.unsafe_set rows k (Int64.of_int (Array.unsafe_get masks (off + k)))
+  done;
+  for k = cnt to lanes - 1 do
+    A.unsafe_set rows k 0L
+  done;
+  transpose rows
+
+let eval_masks c masks =
+  let n = check_wires "eval_masks" c in
+  check_masks "eval_masks" n masks;
+  let outs = outputs c and rows = block () and routed = block () in
+  let total = Array.length masks in
+  let out = Array.make total 0 in
+  let off = ref 0 in
+  while !off < total do
+    let cnt = min lanes (total - !off) in
+    load_masks rows masks ~off:!off ~cnt;
+    run c rows;
+    for r = 0 to n - 1 do
+      A.unsafe_set routed r (A.unsafe_get rows (Array.unsafe_get outs r))
+    done;
+    for r = n to lanes - 1 do
+      A.unsafe_set routed r 0L
+    done;
+    transpose routed;
+    for k = 0 to cnt - 1 do
+      out.(!off + k) <- Int64.to_int (A.unsafe_get routed k)
+    done;
+    off := !off + cnt
+  done;
+  out
+
+let count_sorted_masks c masks =
+  let n = check_wires "count_sorted_masks" c in
+  check_masks "count_sorted_masks" n masks;
+  let outs = outputs c and rows = block () in
+  let total = Array.length masks in
+  let sorted = ref 0 and off = ref 0 in
+  while !off < total do
+    let cnt = min lanes (total - !off) in
+    load_masks rows masks ~off:!off ~cnt;
+    run c rows;
+    sorted := !sorted + cnt - popcount (violations outs rows);
+    off := !off + cnt
+  done;
+  !sorted
+
+(* A 0-1 output is ascending by wire index iff its ones form one block
+   ending at the top wire: adding its lowest set bit then carries the
+   whole block out to bit [wires]. *)
+let mask_sorted ~wires mask = mask = 0 || mask + (mask land -mask) = 1 lsl wires
+
+(* --- full sweeps ----------------------------------------------------- *)
+
 let find_unsorted ?(domains = 1) c =
-  let n = check_width "find_unsorted" c in
+  let n = check_wires "find_unsorted" c in
   let hi = 1 lsl n in
   if domains <= 1 then find_unsorted_range c ~lo:0 ~hi
   else begin
@@ -384,7 +251,7 @@ let find_unsorted ?(domains = 1) c =
   end
 
 let count_unsorted ?(domains = 1) c =
-  let n = check_width "count_unsorted" c in
+  let n = check_wires "count_unsorted" c in
   let hi = 1 lsl n in
   if domains <= 1 then count_unsorted_range c ~lo:0 ~hi
   else

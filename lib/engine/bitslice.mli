@@ -2,25 +2,33 @@
 
     The 0-1 principle reduces exact sorting-network verification to the
     [2^n] inputs over {0,1}; on such inputs a comparator computes
-    [(AND, OR)]. This module packs 63 {e independent} test inputs into
-    one OCaml [int] per wire (one bit lane per input, bits 0–62), so a
-    single pass over the compiled instruction stream evaluates 63
-    inputs at once: a comparator is two word operations, an exchange a
-    swap of two words, and the final output routing an index
-    indirection in the sortedness check.
+    [(AND, OR)]. This module evaluates 64 {e independent} test inputs
+    at once on a block of 64-bit rows, one row per wire (bit [j] of a
+    row is that wire's value in lane [j]): a single pass over the
+    compiled instruction stream makes a comparator two word operations,
+    an exchange a swap of two rows, and the final output routing an
+    index indirection.
 
     Test input [t] (an [n]-bit integer) assigns bit [(t lsr w) land 1]
-    to wire [w]. The initial wire words for a block of 63 consecutive
-    [t] are built in O(wires) word operations from the periodicity of
-    index bits — not bit by bit — so setup does not dominate shallow
-    networks.
+    to wire [w]. A block is loaded in one of two ways:
+    - a range sweep takes 64 consecutive inputs starting at a multiple
+      of 64, where the low six wires are fixed columns and every higher
+      wire is constant across the block — O(wires) setup, no tables;
+    - a mask batch takes up to 64 arbitrary inputs and turns them into
+      rows with a 64x64 bit-matrix transpose, and transposes the output
+      rows back into output masks.
+
+    Every entry point taking a compiled network raises
+    [Invalid_argument] when it has 62 or more wires (test inputs are
+    OCaml ints). Each call allocates its own block, so calls are safe
+    from any domain or thread.
 
     Range sweeps compose with {!Par.map_ranges} for multicore fan-out;
     a shared {!Stdlib.Atomic} stop flag lets one domain's discovery
     short-circuit the others mid-range. *)
 
 val lanes : int
-(** Inputs per word: 63 (OCaml ints are 63-bit on 64-bit platforms). *)
+(** Test inputs per block pass: 64. *)
 
 val find_unsorted_range :
   ?stop:bool Atomic.t -> Compiled.t -> lo:int -> hi:int -> int option
@@ -28,82 +36,38 @@ val find_unsorted_range :
     input [t] in [\[lo, hi)] that [c] leaves unsorted, or [None]. When
     [stop] is given, the sweep aborts early (returning [None]) once the
     flag becomes true, and sets the flag itself on discovery — the
-    cross-domain short-circuit. *)
+    cross-domain short-circuit.
+    @raise Invalid_argument if [lo < 0] or [lo > hi]. *)
 
 val count_unsorted_range : Compiled.t -> lo:int -> hi:int -> int
-(** Number of test inputs in [\[lo, hi)] left unsorted. *)
+(** Number of test inputs in [\[lo, hi)] left unsorted. Raises like
+    {!find_unsorted_range}. *)
+
+val count_sorted_range : Compiled.t -> lo:int -> hi:int -> int
+(** [hi - lo - count_unsorted_range c ~lo ~hi]. The full-sweep fitness
+    of a network is [count_sorted_range c ~lo:0 ~hi:(1 lsl wires)]. *)
 
 val eval_masks : Compiled.t -> int array -> int array
-(** [eval_masks c masks] evaluates up to {!lanes} {e arbitrary} 0-1
-    test inputs — mask bit [w] is the value on wire [w] — in one
-    word-parallel pass over the instruction stream, returning the
-    output masks in input order (read through the final routing map
-    when the source network permutes its outputs). Unlike the range
-    sweeps above, the lanes need not be consecutive integers: this is
-    the gather/batch/scatter entry point that lets a request scheduler
-    pack unrelated clients' inputs into one shared pass.
-    @raise Invalid_argument if more than {!lanes} masks are given or a
-    mask is outside [0, 2^wires). *)
+(** [eval_masks c masks] evaluates an array of any length of
+    {e arbitrary} 0-1 test inputs — mask bit [w] is the value on wire
+    [w] — 64 per block pass, returning the output masks in input order
+    (read through the final routing map when the source network
+    permutes its outputs). Unlike the range sweeps, the inputs need not
+    be consecutive: this is how the request scheduler packs unrelated
+    clients' inputs into shared passes.
+    @raise Invalid_argument if a mask is outside [\[0, 2^wires)]. *)
+
+val count_sorted_masks : Compiled.t -> int array -> int
+(** Number of masks whose outputs are sorted: {!eval_masks} followed by
+    {!mask_sorted}, except that the verdict is read off the output rows
+    as one violation word per block, with no transpose back. The
+    population-fitness primitive on an explicit input sample. Raises
+    like {!eval_masks}. *)
 
 val mask_sorted : wires:int -> int -> bool
 (** [mask_sorted ~wires m] is true iff the 0-1 vector encoded by [m]
     is ascending by wire index (all ones packed at the high wires) —
-    the per-lane sortedness test for {!eval_masks} outputs. *)
-
-val fold_masks :
-  Compiled.t ->
-  int array ->
-  init:'a ->
-  f:('a -> off:int -> int array -> 'a) ->
-  'a
-(** [fold_masks c masks ~init ~f] evaluates an {e arbitrary-length}
-    mask array by chunking it into maximally-filled {!eval_masks}
-    passes; after each pass, [f acc ~off out] receives the output masks
-    of the lanes starting at input index [off] ([out] is in input
-    order, [Array.length out <= lanes]). This is the one lane-packing
-    loop in the tree: the serve scheduler's batched 0-1 evals and the
-    evolutionary fitness kernel both sit on it rather than re-deriving
-    the chunking. Raises like {!eval_masks} on an invalid mask. *)
-
-val count_sorted_masks : Compiled.t -> int array -> int
-(** Number of masks whose outputs are sorted ({!mask_sorted} over
-    {!fold_masks}) — the population-fitness primitive on an explicit
-    input sample. *)
-
-val count_sorted_range : Compiled.t -> lo:int -> hi:int -> int
-(** [hi - lo - count_unsorted_range c ~lo ~hi]: sorted-input count over
-    a consecutive test-input range, using the fast periodic column
-    setup rather than per-mask packing. The full-sweep fitness of a
-    network is [count_sorted_range c ~lo:0 ~hi:(1 lsl wires)]. *)
-
-val wide_lanes : int
-(** 64 — inputs per block of the wide (int64 Bigarray) paths below. *)
-
-type scratch
-(** A reusable 64-word int64 Bigarray block for the wide paths: one
-    allocation per caller (or per domain) instead of per call. Never
-    share one scratch between concurrent domains. *)
-
-val scratch : unit -> scratch
-
-val eval_masks_wide : ?scratch:scratch -> Compiled.t -> int array -> int array
-(** [eval_masks_wide c masks] evaluates an {e arbitrary-length} array
-    of arbitrary 0-1 test inputs, 64 per pass, returning the output
-    masks in input order — the >63-lane generalisation of
-    {!eval_masks} / {!fold_masks}. Instead of gathering and scattering
-    bit by bit, each 64-mask block is loaded into an int64 Bigarray and
-    turned into wire-lane form by a 64x64 bit-matrix transpose
-    (delta-swaps), the instruction stream runs once per block on
-    unboxed int64 words, and a second transpose lands the outputs —
-    3-5x the chunked {!eval_masks} path on large batches. Results are
-    bit-identical to [fold_masks]. Raises like {!eval_masks} on an
-    invalid mask. *)
-
-val count_sorted_masks_wide : ?scratch:scratch -> Compiled.t -> int array -> int
-(** {!count_sorted_masks} on the wide path: like {!eval_masks_wide} but
-    the per-lane sortedness verdict is read as a violation word
-    directly off the wire rows, skipping the output transpose entirely
-    — the population-fitness primitive for explicit input samples. *)
+    the sortedness test for one {!eval_masks} output. *)
 
 val find_unsorted : ?domains:int -> Compiled.t -> int option
 (** [find_unsorted c] sweeps all [2^wires] test inputs with up to

@@ -53,15 +53,9 @@ let population ?(domains = 1) gs =
     out
   end
 
-(* one reusable wide-path scratch block per domain *)
-let scratch_key = Domain.DLS.new_key (fun () -> Bitslice.scratch ())
-
 let sample g ~masks =
   Metrics.incr c_evals;
-  Bitslice.count_sorted_masks_wide
-    ~scratch:(Domain.DLS.get scratch_key)
-    (Compiled.of_network (Genome.to_network g))
-    masks
+  Bitslice.count_sorted_masks (Compiled.of_network (Genome.to_network g)) masks
 
 let population_sample ?(domains = 1) gs ~masks =
   Array.of_list

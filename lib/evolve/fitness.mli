@@ -12,9 +12,8 @@
     into subranges whose exact counts are summed back per genome — so
     evaluating millions of genomes is the engine's sustained-throughput
     story (the [BENCH_evolve.json] rows assert nets/s). Sampled
-    fitness runs on the wide int64 bit-slice path
-    ({!Bitslice.count_sorted_masks_wide}, 64 lanes per pass) with one
-    reusable scratch block per domain.
+    fitness counts sorted outputs over an explicit mask array
+    ({!Bitslice.count_sorted_masks}, 64 lanes per pass).
 
     Observability: every genome evaluated bumps ["evolve.evals"]. *)
 
@@ -37,12 +36,10 @@ val population : ?domains:int -> Genome.t array -> int array
 
 val sample : Genome.t -> masks:int array -> int
 (** Sorted count over an explicit input sample instead of the full
-    sweep ({!Bitslice.count_sorted_masks_wide}, using a per-domain
-    reusable scratch) — restricted-input fitness for wide genomes
-    where [2^wires] is out of reach. *)
+    sweep ({!Bitslice.count_sorted_masks}) — restricted-input fitness
+    for wide genomes where [2^wires] is out of reach. *)
 
 val population_sample : ?domains:int -> Genome.t array -> masks:int array -> int array
 (** [population_sample gs ~masks] is {!sample} for every genome, in
-    order, fanned out like {!population}; each domain reuses its own
-    wide-path scratch block. The result is independent of
-    [domains]. *)
+    order, fanned out across domains like {!population}. The result is
+    independent of [domains]. *)

@@ -19,15 +19,10 @@ let fail kind fmt = Printf.ksprintf (fun detail -> Error (kind, detail)) fmt
 
 let ( let* ) = Result.bind
 
-(* All 2^n outputs of the compiled network, via the shared lane-packed
-   fold — used to compare whole truth tables bit for bit. *)
+(* All 2^n outputs of the compiled network — used to compare whole
+   truth tables bit for bit. *)
 let truth_table c =
-  let n = Compiled.wires c in
-  let masks = Array.init (1 lsl n) (fun t -> t) in
-  let out = Array.make (1 lsl n) 0 in
-  Bitslice.fold_masks c masks ~init:() ~f:(fun () ~off chunk ->
-      Array.blit chunk 0 out off (Array.length chunk));
-  out
+  Bitslice.eval_masks c (Array.init (1 lsl Compiled.wires c) Fun.id)
 
 let scalar_unsorted_count nw =
   let n = Network.wires nw in

@@ -52,11 +52,6 @@ let iter_masks f st =
       done)
     st.words
 
-let fold_masks f st init =
-  let acc = ref init in
-  iter_masks (fun m -> acc := f m !acc) st;
-  !acc
-
 exception Early
 
 let exists_mask p st =
@@ -67,7 +62,10 @@ let exists_mask p st =
 
 let for_all_masks p st = not (exists_mask (fun m -> not (p m)) st)
 
-let masks st = List.rev (fold_masks (fun m acc -> m :: acc) st [])
+let masks st =
+  let acc = ref [] in
+  iter_masks (fun m -> acc := m :: !acc) st;
+  List.rev !acc
 
 let equal a b = a.n = b.n && a.words = b.words
 

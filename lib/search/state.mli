@@ -36,8 +36,6 @@ val masks : t -> int list
 
 val iter_masks : (int -> unit) -> t -> unit
 
-val fold_masks : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
 val exists_mask : (int -> bool) -> t -> bool
 
 val for_all_masks : (int -> bool) -> t -> bool

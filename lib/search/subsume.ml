@@ -250,17 +250,11 @@ let reachable_state nw =
   let n = Network.wires nw in
   if n < 2 || n > 16 then
     invalid_arg "Subsume.canonical_hash: wires must be in [2, 16]";
-  let c = Cache.compile nw in
   let total = 1 lsl n in
   let reach = Array.make total false in
-  let t = ref 0 in
-  while !t < total do
-    let m = min Bitslice.lanes (total - !t) in
-    let lo = !t in
-    let out = Bitslice.eval_masks c (Array.init m (fun j -> lo + j)) in
-    Array.iter (fun o -> reach.(o) <- true) out;
-    t := !t + m
-  done;
+  Array.iter
+    (fun o -> reach.(o) <- true)
+    (Bitslice.eval_masks (Cache.compile nw) (Array.init total Fun.id));
   let masks = ref [] in
   for m = total - 1 downto 0 do
     if reach.(m) then masks := m :: !masks

@@ -6,10 +6,11 @@
     together. Verify requests group by cache key — one bit-sliced
     [2^n] sweep serves every request in the group, and the verdict is
     published to the response cache — and 0-1 eval requests on the
-    same network lane-pack up to 63 per {!Bitslice.eval_masks} pass,
-    unrelated clients filling unused lanes of one word-parallel
-    batch. [window = 0., max_batch = 1, cache = None] is sequential
-    one-request-per-pass mode, the bench baseline.
+    same network go to one {!Bitslice.eval_masks} call, up to
+    {!Bitslice.lanes} per pass, unrelated clients filling unused lanes
+    of one word-parallel batch. [window = 0., max_batch = 1,
+    cache = None] is sequential one-request-per-pass mode, the bench
+    baseline.
 
     Counters ([serve.batch.*], [serve.verify.*], [serve.eval.*],
     [serve.queue.depth]) land in the global {!Obs.Metrics} registry. *)
@@ -61,4 +62,5 @@ val eval_passes : unit -> int
 
 val eval_lanes : unit -> int
 (** Current value of the [serve.eval.lanes] counter; divided by
-    [63 * eval_passes] this is the lane-fill ratio (tests, bench). *)
+    [Bitslice.lanes * eval_passes] this is the lane-fill ratio (tests,
+    bench). *)

@@ -1,10 +1,12 @@
 (* Exact 0-1 verification, routed through the compiled engine: the
    network is compiled once (structurally cached), then the bit-sliced
-   executor checks 63 test inputs per pass over the instruction
+   executor checks 64 test inputs per pass over the instruction
    stream.  This module owns the exponential-blowup guard and the
    witness cross-check against the interpretive Network.eval. *)
 
-let check_guard ?(max_wires = 26) nw =
+let default_max_wires = 26
+
+let check_guard ?(max_wires = default_max_wires) nw =
   let n = Network.wires nw in
   if n > max_wires then
     invalid_arg

@@ -4,7 +4,7 @@
     inputs over {0,1} (Knuth 5.3.4, cited by Section 5 of the paper).
     Checking goes through the compiled engine: the network is lowered
     once to a flat instruction stream ({!Cache} / {!Compiled}) and the
-    bit-sliced executor ({!Bitslice}) evaluates 63 test inputs per
+    bit-sliced executor ({!Bitslice}) evaluates 64 test inputs per
     pass — a comparator is one [(AND, OR)] word pair — so verifying
     [n = 20] is a few tens of millions of word operations instead of
     [2^20] interpretive evaluations.
@@ -16,6 +16,10 @@
     parallel chunk (a shared atomic flag), and the witness is returned,
     re-checked against {!Network.eval} before being surfaced. *)
 
+val default_max_wires : int
+(** 26: the [max_wires] guard every function below applies when none is
+    given. *)
+
 val verify :
   ?max_wires:int -> ?domains:int -> Network.t -> (unit, int array) result
 (** [verify nw] is [Ok ()] iff [nw] sorts ascending by wire index, and
@@ -25,8 +29,9 @@ val verify :
     chunk wins the race; the others are short-circuited). [domains]
     splits the [2^n]-input sweep across OCaml 5 domains via
     {!Par.map_ranges}.
-    @raise Invalid_argument if [wires nw > max_wires] (default 26), to
-    guard against accidental exponential blowups. *)
+    @raise Invalid_argument if [wires nw > max_wires] (default
+    {!default_max_wires}), to guard against accidental exponential
+    blowups. *)
 
 val is_sorting_network : ?max_wires:int -> ?domains:int -> Network.t -> bool
 (** [verify nw = Ok ()]. *)

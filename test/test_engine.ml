@@ -1,5 +1,5 @@
 (* Tests for the compiled evaluation engine: the scalar compiled
-   executor, the 63-lane bit-sliced 0-1 executor and the structural
+   executor, the 64-lane bit-sliced 0-1 executor and the structural
    compile cache, all cross-checked against the interpretive
    Network.eval (the reference semantics). *)
 
@@ -106,10 +106,20 @@ let prop_bitslice_agrees =
       Bitslice.count_unsorted c = List.length bad
       && Bitslice.find_unsorted c = (match bad with [] -> None | t :: _ -> Some t))
 
+(* A random mask batch of 0..300 inputs: empty, partial, exactly one
+   block (64) and non-multiples of 64 all occur. *)
+let random_masks rng n =
+  Array.init (Xoshiro.int rng ~bound:301) (fun _ ->
+      Xoshiro.int rng ~bound:(1 lsl n))
+
+let direct_output nw mask =
+  let n = Network.wires nw in
+  Network.eval nw (Array.init n (fun w -> (mask lsr w) land 1))
+
 let prop_eval_masks_agrees =
-  (* arbitrary non-consecutive lane-packed masks match per-input
-     Network.eval, including networks with pre permutations (output
-     routing through [take]) and the sortedness-per-lane helper *)
+  (* arbitrary non-consecutive masks match per-input Network.eval,
+     including networks with pre permutations (output routing through
+     [take]) and the sortedness-per-lane helper *)
   QCheck.Test.make ~name:"eval_masks = per-mask Network.eval" ~count:120
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -117,49 +127,59 @@ let prop_eval_masks_agrees =
       let nw = random_network rng in
       let n = Network.wires nw in
       let c = Compiled.of_network nw in
-      let m = 1 + Xoshiro.int rng ~bound:Bitslice.lanes in
-      let masks =
-        Array.init m (fun _ -> Xoshiro.int rng ~bound:(1 lsl n))
-      in
+      let masks = random_masks rng n in
       let out = Bitslice.eval_masks c masks in
-      Array.for_all2
-        (fun mask o ->
-          let input = Array.init n (fun w -> (mask lsr w) land 1) in
-          let direct = Network.eval nw input in
-          let direct_mask = ref 0 in
-          Array.iteri
-            (fun w v -> if v = 1 then direct_mask := !direct_mask lor (1 lsl w))
-            direct;
-          o = !direct_mask
-          && Bitslice.mask_sorted ~wires:n o = Sortedness.is_sorted direct)
-        masks out)
+      Array.length out = Array.length masks
+      && Array.for_all2
+           (fun mask o ->
+             let direct = direct_output nw mask in
+             let direct_mask = ref 0 in
+             Array.iteri
+               (fun w v ->
+                 if v = 1 then direct_mask := !direct_mask lor (1 lsl w))
+               direct;
+             o = !direct_mask
+             && Bitslice.mask_sorted ~wires:n o = Sortedness.is_sorted direct)
+           masks out)
 
-let prop_wide_masks_agree =
-  (* the >63-lane int64-block paths (transpose in, run, transpose out /
-     read violations off the wire rows) are bit-identical to the
-     chunked 63-lane fold, at every batch size including 0, non-block
-     multiples, and networks with pre permutations and exchanges *)
-  QCheck.Test.make ~name:"wide (64-lane) paths = 63-lane fold_masks"
-    ~count:100
-    QCheck.(pair (int_range 0 1_000_000) (int_range 0 300))
-    (fun (seed, nmasks) ->
+let prop_count_sorted_masks_agrees =
+  QCheck.Test.make ~name:"count_sorted_masks = Network.eval sorted count"
+    ~count:120
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
       let rng = Xoshiro.of_seed seed in
       let nw = random_network rng in
-      let n = Network.wires nw in
-      let c = Compiled.of_network nw in
-      let masks = Array.init nmasks (fun _ -> Xoshiro.int rng ~bound:(1 lsl n)) in
-      let narrow =
-        Bitslice.fold_masks c masks ~init:[] ~f:(fun acc ~off:_ out ->
-            List.rev_append (Array.to_list out) acc)
-        |> List.rev
+      let masks = random_masks rng (Network.wires nw) in
+      let direct =
+        Array.fold_left
+          (fun acc mask ->
+            if Sortedness.is_sorted (direct_output nw mask) then acc + 1
+            else acc)
+          0 masks
       in
-      let scratch = Bitslice.scratch () in
-      Array.to_list (Bitslice.eval_masks_wide ~scratch c masks) = narrow
-      && Bitslice.count_sorted_masks_wide ~scratch c masks
-         = Bitslice.count_sorted_masks c masks
-      (* a fresh scratch per call changes nothing *)
-      && Bitslice.count_sorted_masks_wide c masks
-         = Bitslice.count_sorted_masks c masks)
+      Bitslice.count_sorted_masks (Compiled.of_network nw) masks = direct)
+
+let prop_bitslice_windows_agree =
+  (* random [lo, hi) windows, both ends generally off the 64-input
+     block grid, on networks of 2..10 wires (so also 2^wires < 64) *)
+  QCheck.Test.make ~name:"range sweeps = direct enumeration on any window"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xoshiro.of_seed seed in
+      let nw = random_network rng in
+      let c = Compiled.of_network nw in
+      let total = 1 lsl Network.wires nw in
+      let a = Xoshiro.int rng ~bound:(total + 1)
+      and b = Xoshiro.int rng ~bound:(total + 1) in
+      let lo = min a b and hi = max a b in
+      let bad =
+        List.filter (fun t -> lo <= t && t < hi) (direct_unsorted_indices nw)
+      in
+      Bitslice.count_unsorted_range c ~lo ~hi = List.length bad
+      && Bitslice.count_sorted_range c ~lo ~hi = hi - lo - List.length bad
+      && Bitslice.find_unsorted_range c ~lo ~hi
+         = (match bad with [] -> None | t :: _ -> Some t))
 
 let prop_bitslice_ranges_partition =
   (* arbitrary (non-lane-aligned) range splits cover exactly once *)
@@ -363,6 +383,70 @@ let test_zero_one_verify_witness () =
   check_bool "sorter verifies Ok" true
     (Zero_one.verify (Bitonic.network ~n:8) = Ok ())
 
+(* --- engine boundary: inputs the unsafe 64-row kernel must never see --- *)
+
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_bitslice_rejects_bad_masks () =
+  let c = Compiled.of_network (Bitonic.network ~n:8) in
+  List.iter
+    (fun mask ->
+      check_bool
+        (Printf.sprintf "eval_masks rejects %d" mask)
+        true
+        (raises_invalid (fun () -> Bitslice.eval_masks c [| 3; mask |]));
+      check_bool
+        (Printf.sprintf "count_sorted_masks rejects %d" mask)
+        true
+        (raises_invalid (fun () -> Bitslice.count_sorted_masks c [| mask |])))
+    [ -1; min_int; 256; 257; max_int ]
+
+let test_bitslice_rejects_wide_networks () =
+  List.iter
+    (fun wires ->
+      let c =
+        Compiled.of_network
+          (Network.of_gate_levels ~wires [ [ Gate.compare_up 0 (wires - 1) ] ])
+      in
+      let entry name f =
+        check_bool
+          (Printf.sprintf "%s rejects %d wires" name wires)
+          true (raises_invalid f)
+      in
+      entry "find_unsorted_range" (fun () ->
+          Bitslice.find_unsorted_range c ~lo:0 ~hi:64);
+      entry "count_unsorted_range" (fun () ->
+          Bitslice.count_unsorted_range c ~lo:0 ~hi:64);
+      entry "count_sorted_range" (fun () ->
+          Bitslice.count_sorted_range c ~lo:0 ~hi:64);
+      entry "eval_masks" (fun () -> Bitslice.eval_masks c [| 1 |]);
+      entry "count_sorted_masks" (fun () ->
+          Bitslice.count_sorted_masks c [| 1 |]);
+      entry "find_unsorted" (fun () -> Bitslice.find_unsorted c);
+      entry "count_unsorted" (fun () -> Bitslice.count_unsorted c);
+      entry "is_sorting_network" (fun () -> Bitslice.is_sorting_network c))
+    [ 62; 64 ]
+
+let test_bitslice_rejects_bad_ranges () =
+  let c = Compiled.of_network (Bitonic.network ~n:8) in
+  List.iter
+    (fun (lo, hi) ->
+      let entry name f =
+        check_bool
+          (Printf.sprintf "%s rejects [%d, %d)" name lo hi)
+          true (raises_invalid f)
+      in
+      entry "find_unsorted_range" (fun () ->
+          Bitslice.find_unsorted_range c ~lo ~hi);
+      entry "count_unsorted_range" (fun () ->
+          Bitslice.count_unsorted_range c ~lo ~hi);
+      entry "count_sorted_range" (fun () ->
+          Bitslice.count_sorted_range c ~lo ~hi))
+    [ (-1, 10); (-64, 0); (11, 10); (200, 0) ]
+
 let () =
   Alcotest.run "engine"
     [ ( "registry",
@@ -379,10 +463,18 @@ let () =
       ( "zero-one",
         [ Alcotest.test_case "verify returns witness" `Quick
             test_zero_one_verify_witness ] );
+      ( "boundary",
+        [ Alcotest.test_case "masks outside [0, 2^wires)" `Quick
+            test_bitslice_rejects_bad_masks;
+          Alcotest.test_case "62 and 64 wires" `Quick
+            test_bitslice_rejects_wide_networks;
+          Alcotest.test_case "bad ranges" `Quick
+            test_bitslice_rejects_bad_ranges ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_compiled_eval_agrees; prop_compiled_shape;
             prop_eval_many_agrees; prop_bitslice_agrees;
-            prop_eval_masks_agrees; prop_wide_masks_agree;
-            prop_bitslice_ranges_partition; prop_bitslice_domains_agree;
+            prop_eval_masks_agrees; prop_count_sorted_masks_agrees;
+            prop_bitslice_windows_agree; prop_bitslice_ranges_partition;
+            prop_bitslice_domains_agree;
             prop_sorted_depth_agrees ] ) ]

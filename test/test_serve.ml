@@ -159,7 +159,7 @@ let spawn_all fs =
 
 let test_batch_coalescing_lanes () =
   (* 32 concurrent 0-1 evals on one network coalesce into a couple of
-     63-lane passes; sequential one-request-per-pass mode pays 32 —
+     64-lane passes; sequential one-request-per-pass mode pays 32 —
      the >= 3x pass reduction the bench measures, asserted exactly *)
   let inputs = List.init 32 (fun i -> (i * 37) land 0xFF) in
   let expected mask =
