@@ -238,7 +238,13 @@ let report_engine_speedup results =
         (scalar /. sliced) (scalar /. 1e6) (sliced /. 1e6)
   | _ -> ()
 
+(* Every file leads with the host's core count, so a row's numbers
+   can be read against the parallelism that produced them. *)
 let write_json path results =
+  let results =
+    ("host/cores", float_of_int (Domain.recommended_domain_count ()))
+    :: results
+  in
   let oc = open_out path in
   output_string oc "{\n";
   List.iteri
@@ -302,58 +308,6 @@ let eval_many_rows () =
    speedup is hardware-dependent — a single-core host shows pure
    domain overhead). *)
 let search_json_rows () =
-  (* sharded vs single-process on one deliberately expansion-heavy
-     workload: the unrestricted n=8 system cut at depth 3, whose last
-     level is ~99% of the work — the shape where fanning a level over
-     worker processes can win. On a multi-core host the speedup row is
-     asserted >= 1.5x with 4 shards; on a single core no parallel
-     speedup is physically possible, so `make bench-json` relaxes the
-     floor to a sanity bound and says so (the row still tracks
-     supervisor + serialization overhead, which is a few ms/level).
-     Computed first: OCaml 5 forbids Unix.fork once any domain has
-     been spawned, so the fork-based rows must precede every ~domains
-     fan-out (and the caller runs this whole section before the
-     bechamel loops). *)
-  let shard_rows =
-    let n = 8 and shards = 4 and max_depth = 3 in
-    let expect_unsorted = function
-      | Driver.Unsorted _ -> ()
-      | _ -> failwith "n=8 depth<=3 should be Unsorted"
-    in
-    let t0 = Clock.wall () in
-    expect_unsorted
-      (Driver.run ~max_depth (Driver.network_system ~restrict:false ~n ()));
-    let single = Clock.wall () -. t0 in
-    let dir = Filename.temp_file "snlb-bench-shard" "" in
-    Sys.remove dir;
-    let sharded =
-      Fun.protect
-        ~finally:(fun () ->
-          (match Sys.readdir dir with
-          | entries ->
-              Array.iter
-                (fun f ->
-                  try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-                entries
-          | exception Sys_error _ -> ());
-          try Sys.rmdir dir with Sys_error _ -> ())
-        (fun () ->
-          let t0 = Clock.wall () in
-          (match
-             Shard_search.run ~shards ~dir ~max_depth
-               (Driver.network_system ~restrict:false ~n ())
-           with
-          | Ok outcome -> expect_unsorted outcome
-          | Error e -> failwith ("sharded bench run: " ^ e));
-          Clock.wall () -. t0)
-    in
-    [ ("search/n=8/shard/single/wall_ms", single *. 1e3);
-      ( Printf.sprintf "search/n=8/shard/shards=%d/wall_ms" shards,
-        sharded *. 1e3 );
-      ( "search/n=8/shard_speedup",
-        if sharded > 0. then single /. sharded else 0. );
-      ("search/shard/cores", float_of_int (Par.recommended_domains ())) ]
-  in
   let k = max 2 (Par.recommended_domains ()) in
   let time_run ?checkpoint ~tag ~restrict ~domains n =
     let t0 = Clock.wall () in
@@ -403,8 +357,7 @@ let search_json_rows () =
       time_run ~tag:"pruned" ~restrict:true ~domains:1 7;
       time_run ~tag:"pruned" ~restrict:true ~domains:k 7;
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
-      checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
-      shard_rows ]
+      checkpointed ~tag:"pruned-ckpt0" ~interval:0. ]
 
 (* Analyzer throughput: repeated full analyses (structural lints, both
    abstract domains' walk, conformance recognizers) of mid-size bitonic
@@ -568,10 +521,9 @@ let evolve_json_rows () =
 let () =
   match Sys.getenv_opt "SNLB_BENCH_JSON" with
   | Some path ->
-      (* The search rows run first: the shard benchmark forks worker
-         processes, and OCaml 5 forbids Unix.fork once any domain has
-         been spawned — which both the bechamel engine loop and the
-         later multi-domain rows do. Fork-before-domains, always. *)
+      (* The search rows run first, before the bechamel engine loop:
+         moving them would shift their timings against earlier
+         BENCH_search.json files. *)
       let search_out =
         match Sys.getenv_opt "SNLB_BENCH_SEARCH_JSON" with
         | Some search_path ->

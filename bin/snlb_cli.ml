@@ -29,7 +29,10 @@ let build_sorter algo n =
   | Some e ->
       if e.pow2_only && not (Bitops.is_power_of_two n) then
         Error (Printf.sprintf "%s requires n to be a power of two" algo)
-      else Ok (e.build n)
+      else
+        match e.build n with
+        | nw -> Ok nw
+        | exception Invalid_argument msg -> Error msg
 
 let pp_array a =
   "[" ^ String.concat " " (Array.to_list (Array.map string_of_int a)) ^ "]"
@@ -154,8 +157,8 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-(* --shard-dir, shared by the subcommands that fork worker processes
-   (search --shards, evolve --islands) *)
+(* --shard-dir: evolve --islands's scratch space for its forked
+   workers *)
 
 let shard_dir_arg =
   let doc =
@@ -164,11 +167,6 @@ let shard_dir_arg =
      dir, removed again on success; kept for postmortem on failure)."
   in
   Arg.(value & opt (some string) None & info [ "shard-dir" ] ~docv:"DIR" ~doc)
-
-let default_shard_dir what =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "snlb-%s-%d" what (Unix.getpid ()))
 
 (* Best-effort: only called on the default temp-dir scratch space,
    never on a user-supplied --shard-dir. *)
@@ -212,7 +210,14 @@ let verify_cmd =
     Arg.(value & opt int 0 & info [ "domains" ] ~docv:"D" ~doc)
   in
   let run algo n domains trace metrics =
-    match build_sorter algo n with
+    let built =
+      if n > Zero_one.default_max_wires then
+        Error
+          (Printf.sprintf "verify: n=%d exceeds the %d-wire limit of the 0-1 sweep"
+             n Zero_one.default_max_wires)
+      else build_sorter algo n
+    in
+    match built with
     | Error e -> usage_error e
     | Ok nw ->
         let domains =
@@ -730,15 +735,6 @@ let search_cmd =
     let doc = "Search budget in nodes (move applications)." in
     Arg.(value & opt int 200_000_000 & info [ "budget" ] ~docv:"NODES" ~doc)
   in
-  let shards_arg =
-    let doc =
-      "Fan each level's frontier expansion out over $(docv) forked worker \
-       processes under the fault-tolerant shard supervisor (0 = stay \
-       in-process). The merged outcome, witness and statistics are \
-       identical to the single-process search."
-    in
-    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
-  in
   let emit_cert_arg =
     let doc =
       "Write an exhaustion certificate for the search's negative claim \
@@ -750,7 +746,7 @@ let search_cmd =
        On an $(b,--optimal) run that finds a depth-$(i,d) sorter, emits \
        exhaustion at depth $(i,d-1) plus a sortedness certificate for \
        the witness network — together a proof of optimality. Not \
-       available with --shuffle, --shards, or --resume."
+       available with --shuffle or --resume."
     in
     Arg.(value & opt (some string) None & info [ "emit-cert" ] ~docv:"FILE" ~doc)
   in
@@ -764,22 +760,15 @@ let search_cmd =
       s.Driver.nodes s.Driver.pruned s.Driver.deduped s.Driver.subsumed
       s.Driver.redundant s.Driver.peak_frontier
   in
-  let run n depth _optimal shuffle domains max_depth budget shards shard_dir
-      emit ckpt interval resume trace metrics =
+  let run n depth _optimal shuffle domains max_depth budget emit ckpt interval
+      resume trace metrics =
     let budget = { Driver.max_nodes = budget; max_seconds = None } in
     let domains = if domains <= 0 then Par.recommended_domains () else domains in
     record_domains domains;
     if resume && ckpt = None then
       usage_error "search: --resume needs --checkpoint FILE"
-    else if shards < 0 then usage_error "search: --shards must be >= 0"
-    else if shards > 0 && shuffle then
-      usage_error "search: --shards does not support --shuffle"
-    else if shards > 0 && (ckpt <> None || resume) then
-      usage_error "search: --shards does not support --checkpoint/--resume"
     else if emit <> None && shuffle then
       usage_error "search: --emit-cert does not support --shuffle"
-    else if emit <> None && shards > 0 then
-      usage_error "search: --emit-cert does not support --shards"
     else if emit <> None && resume then
       usage_error
         "search: --emit-cert needs the full frontier log; not available \
@@ -892,76 +881,58 @@ let search_cmd =
               print_stats stats;
               interrupted_exit "search"
         in
-        if shards > 0 then begin
-          let dir =
-            match shard_dir with
-            | Some d -> d
-            | None -> default_shard_dir "shard-search"
-          in
-          match
-            Shard_search.run ~sink ~cancel ~budget ~shards ~dir ~max_depth
-              (Driver.network_system ~n ())
-          with
-          | Error e ->
-              Printf.eprintf "snlb: search: %s\n%!" e;
-              1
-          | Ok outcome ->
-              if shard_dir = None then cleanup_shard_dir dir;
-              report outcome
-        end
-        else
-          match emit with
-          | None ->
-              report
-                (Driver.optimal_depth ~domains ~budget ~sink ~cancel ?checkpoint
-                   ?resume:resume_state ~max_depth ~n ())
-          | Some path ->
-              (* The exhaustion certificate replays every child of every
-                 frontier state, so the log must come from the
-                 unrestricted reference search: every layer, equality-
-                 only dedup. The restricted search's symmetry-reduced
-                 second layers leave children no pool entry covers. *)
-              let frontiers = ref [] in
-              let frontier_log ~level:_ states =
-                frontiers := states :: !frontiers
-              in
-              let outcome =
-                Driver.optimal_depth ~domains ~budget ~sink ~cancel ~frontier_log
-                  ?checkpoint ~restrict:false ~max_depth ~n ()
-              in
-              let frontiers = List.rev !frontiers in
-              let code = report outcome in
-              let emitted =
-                match outcome with
-                | Driver.Unsorted _ ->
-                    Result.map
-                      (fun c -> [ c ])
-                      (Cert_emit.exhaustion ~n ~max_depth ~frontiers)
-                | Driver.Sorted { depth; moves; _ } ->
-                    let sorted =
-                      Analysis_cert.sortedness (Driver.witness_network ~n moves)
-                    in
-                    let exhausted =
-                      if depth <= 1 then Ok []
-                      else
-                        Result.map
-                          (fun c -> [ c ])
-                          (Cert_emit.exhaustion ~n ~max_depth:(depth - 1)
-                             ~frontiers)
-                    in
-                    (match (exhausted, sorted) with
-                    | Ok ex, Ok sc -> Ok (ex @ [ sc ])
-                    | Error e, _ | _, Error e -> Error e)
-                | Driver.Inconclusive _ | Driver.Interrupted _ ->
-                    Error "search ended without a verdict"
-              in
-              (match emitted with
-              | Ok certs ->
-                  write_certs path certs;
-                  code
-              | Error e ->
-                  Printf.eprintf "search: cannot emit certificate: %s\n" e;
-                  if code = 0 then exit_failure else code)
+        match emit with
+        | None ->
+            report
+              (Driver.optimal_depth ~domains ~budget ~sink ~cancel ?checkpoint
+                 ?resume:resume_state ~max_depth ~n ())
+        | Some path ->
+            (* The exhaustion certificate replays every child of every
+               frontier state, so the log must come from the
+               unrestricted reference search: every layer, equality-
+               only dedup. The restricted search's symmetry-reduced
+               second layers leave children no pool entry covers. *)
+            let frontiers = ref [] in
+            let frontier_log ~level:_ states =
+              frontiers := states :: !frontiers
+            in
+            let outcome =
+              Driver.optimal_depth ~domains ~budget ~sink ~cancel ~frontier_log
+                ?checkpoint ~restrict:false ~max_depth ~n ()
+            in
+            let frontiers = List.rev !frontiers in
+            let code = report outcome in
+            let emitted =
+              match outcome with
+              | Driver.Unsorted _ ->
+                  Result.map
+                    (fun c -> [ c ])
+                    (Cert_emit.exhaustion ~n ~max_depth ~frontiers)
+              | Driver.Sorted { depth; moves; _ } ->
+                  let sorted =
+                    Analysis_cert.sortedness (Driver.witness_network ~n moves)
+                  in
+                  let exhausted =
+                    if depth <= 1 then Ok []
+                    else
+                      Result.map
+                        (fun c -> [ c ])
+                        (Cert_emit.exhaustion ~n ~max_depth:(depth - 1)
+                           ~frontiers)
+                  in
+                  (match (exhausted, sorted) with
+                  | Ok ex, Ok sc -> Ok (ex @ [ sc ])
+                  | Error e, _ | _, Error e -> Error e)
+              | Driver.Inconclusive _ | Driver.Interrupted _ ->
+                  Error "search ended without a verdict"
+            in
+            (match emitted with
+            | Ok certs ->
+                write_certs path certs;
+                code
+            | Error e ->
+                Printf.eprintf "search: cannot emit certificate: %s\n" e;
+                if code = 0 then exit_failure else code)
       end
     end
   in
@@ -971,9 +942,8 @@ let search_cmd =
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
       const run $ search_n_arg $ depth_arg $ optimal_arg $ shuffle_arg
-      $ domains_arg $ max_depth_arg $ budget_arg $ shards_arg
-      $ shard_dir_arg $ emit_cert_arg $ checkpoint_arg $ interval_arg
-      $ resume_arg $ trace_arg $ metrics_arg)
+      $ domains_arg $ max_depth_arg $ budget_arg $ emit_cert_arg
+      $ checkpoint_arg $ interval_arg $ resume_arg $ trace_arg $ metrics_arg)
 
 (* evolve *)
 
@@ -1085,7 +1055,10 @@ let evolve_cmd =
         let dir =
           match shard_dir with
           | Some d -> d
-          | None -> default_shard_dir "islands"
+          | None ->
+              Filename.concat
+                (Filename.get_temp_dir_name ())
+                (Printf.sprintf "snlb-islands-%d" (Unix.getpid ()))
         in
         match
           Shard_islands.run ~sink ~cancel ~mode:`Processes ~dir ~islands

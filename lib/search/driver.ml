@@ -126,7 +126,9 @@ let kept_subsumes k sc ~upto cand =
    in-order tail against the reps kept earlier in it. A candidate is
    dropped iff some rep kept before it subsumes it, as in a
    one-at-a-time filter, so survivors, kept order and counts are the
-   same at every batch size. *)
+   same at every batch size. Candidates are arena rows, each committed,
+   signed and unequal to every row committed before it. Returns the
+   survivors in kept order and the number of domains used. *)
 let subsume_filter k cands =
   let arena = k.arena and domains = Array.length k.scratches in
   let cands =

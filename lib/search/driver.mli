@@ -141,27 +141,6 @@ type 'm system = {
 val no_prune : level:int -> remaining:int -> State.t -> bool
 val no_redundant : level:int -> State.t -> 'a -> bool
 
-type kept
-(** The greedy subsumption filter's memory: the representatives kept
-    so far, as indices into one {!Arena}, plus a scratch per domain. *)
-
-val kept : domains:int -> Arena.t -> kept
-(** An empty kept set over [arena], filtering on up to [domains]
-    domains (clamped to [\[1, {!Par.clamp_max}\]]). *)
-
-val subsume_filter : kept -> (int * 'a) list -> (int * 'a) list * int
-(** [subsume_filter kept candidates] is the search's one greedy
-    subsumption filter, exposed so the sharded coordinator
-    ({!Shard_search}) merges with {e the same} decision procedure as
-    {!run}. [candidates] are arena rows in expansion order, each
-    committed, signed and not equal to any row committed before it.
-    They are stably sorted by ascending cardinality, so the strongest
-    states are kept first; a candidate is dropped iff a representative
-    kept before it subsumes it, and every survivor joins [kept].
-    Returns the survivors in that order and the number of domains the
-    filter used. For every domain count the survivors are those of
-    the plain sequential filter. *)
-
 type resume_state
 (** A validated checkpoint snapshot, ready to hand to {!run}. *)
 

@@ -1,9 +1,10 @@
 (** Fault-tolerant multi-process work-unit supervisor.
 
-    The coordinator pattern behind [--shards] search and island-model
-    evolve: a parent process forks a pool of workers over a queue of
-    work units, where every hop between processes is a CRC-checked
-    {!Checkpoint} envelope published atomically ({!Atomic_file}).
+    The coordinator pattern behind island-model evolve
+    ([snlb evolve --islands]): a parent process forks a pool of workers
+    over a queue of work units, where every hop between processes is a
+    CRC-checked {!Checkpoint} envelope published atomically
+    ({!Atomic_file}).
     Delivery is at-least-once and merges are idempotent: a unit may
     run twice (crash after publish, retry after a torn result), but
     because results are complete-or-absent and keyed by unit id, the

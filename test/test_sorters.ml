@@ -36,6 +36,33 @@ let permutation_cases =
             (Exhaustive.constant_output_assignment (e.Sorter_registry.build n))))
     Sorter_registry.all
 
+(* Every builder rejects a width it cannot build with [Invalid_argument]
+   and nothing else: the CLI turns exactly that exception into a usage
+   error (exit 2), so any other exception would surface as a crash. *)
+let rejected_width_cases =
+  List.map
+    (fun e ->
+      let name = e.Sorter_registry.name in
+      let smallest = if e.Sorter_registry.pow2_only then 2 else 1 in
+      let rejected =
+        [ -1; smallest - 1 ] @ if e.Sorter_registry.pow2_only then [ 3; 6; 12 ] else []
+      in
+      Alcotest.test_case
+        (Printf.sprintf "%s rejects n=%d with Invalid_argument" name (smallest - 1))
+        `Quick
+        (fun () ->
+          List.iter
+            (fun n ->
+              match e.Sorter_registry.build n with
+              | _ -> Alcotest.failf "%s built a network at n=%d" name n
+              | exception Invalid_argument _ -> ())
+            rejected;
+          check_int
+            (Printf.sprintf "%s builds n=%d" name smallest)
+            smallest
+            (Network.wires (e.Sorter_registry.build smallest))))
+    Sorter_registry.all
+
 let test_bitonic_depth_formula () =
   List.iter
     (fun n ->
@@ -163,6 +190,7 @@ let () =
   Alcotest.run "sorters"
     [ ("zero-one exact", exact_cases);
       ("exhaustive permutations", permutation_cases);
+      ("rejected widths", rejected_width_cases);
       ( "structure",
         [ Alcotest.test_case "bitonic depth formula" `Quick test_bitonic_depth_formula;
           Alcotest.test_case "odd-even-merge size formula" `Quick test_oem_size_formula;
