@@ -157,28 +157,6 @@ let resume_arg =
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
-(* --shard-dir: evolve --islands's scratch space for its forked
-   workers *)
-
-let shard_dir_arg =
-  let doc =
-    "Scratch directory for the shard supervisor's work-unit, result and \
-     heartbeat files (default: a fresh directory under the system temp \
-     dir, removed again on success; kept for postmortem on failure)."
-  in
-  Arg.(value & opt (some string) None & info [ "shard-dir" ] ~docv:"DIR" ~doc)
-
-(* Best-effort: only called on the default temp-dir scratch space,
-   never on a user-supplied --shard-dir. *)
-let cleanup_shard_dir dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        entries;
-      (try Sys.rmdir dir with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
 (* sort *)
 
 let sort_cmd =
@@ -973,10 +951,9 @@ let evolve_cmd =
   in
   let islands_arg =
     let doc =
-      "Evolve $(docv) independent populations (island model), each in a \
-       forked worker process under the fault-tolerant shard supervisor, \
-       synchronising every --epoch generations (0 = a single in-process \
-       population)."
+      "Evolve $(docv) independent populations of --pop genomes each \
+       (island model), one domain per island, synchronising every --epoch \
+       generations (0 = a single population)."
     in
     Arg.(value & opt int 0 & info [ "islands" ] ~docv:"K" ~doc)
   in
@@ -989,13 +966,14 @@ let evolve_cmd =
   in
   let migrants_arg =
     let doc =
-      "Elite genomes each island sends to its ring neighbour at every \
-       barrier (must be at most half the population)."
+      "At every barrier, each island's first $(docv) genomes (its elite \
+       while $(docv) <= 2) overwrite the last $(docv) of its ring \
+       neighbour (must be at most half the population)."
     in
     Arg.(value & opt int 2 & info [ "migrants" ] ~docv:"M" ~doc)
   in
-  let run n depth pop gens seed domains islands epoch migrants shard_dir ckpt
-      interval resume trace metrics =
+  let run n depth pop gens seed domains islands epoch migrants ckpt interval
+      resume trace metrics =
     if resume && ckpt = None then
       usage_error "evolve: --resume needs --checkpoint FILE"
     else if n < 2 || n > 16 then usage_error "evolve: n must be in [2,16]"
@@ -1052,53 +1030,35 @@ let evolve_cmd =
           (Zero_one.is_sorting_network (Genome.to_network best))
       in
       if islands > 0 then begin
-        let dir =
-          match shard_dir with
-          | Some d -> d
+        let r = Islands.run ~sink ~cancel ~islands ~epoch ~migrants cfg in
+        Printf.printf
+          "evolving n=%d depth=%d: pop=%d gens<=%d seed=%d islands=%d \
+           epoch=%d migrants=%d\n"
+          n depth pop gens seed islands epoch migrants;
+        let outcome =
+          match r.Islands.found with
+          | Some (g, island) ->
+              Printf.printf
+                "sorter found at generation %d on island %d (fitness %d/%d, \
+                 %d comparators)\n"
+                g island r.Islands.best_fitness max_fit
+                (Genome.size r.Islands.best);
+              print_witness r.Islands.best;
+              0
           | None ->
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "snlb-islands-%d" (Unix.getpid ()))
+              Printf.printf
+                "no sorter within %d generations on %d islands; best fitness \
+                 %d/%d (%d comparators)\n"
+                r.Islands.generations islands r.Islands.best_fitness max_fit
+                (Genome.size r.Islands.best);
+              exit_budget
         in
-        match
-          Shard_islands.run ~sink ~cancel ~mode:`Processes ~dir ~islands
-            ~epoch ~migrants cfg
-        with
-        | Error e ->
-            Printf.eprintf "snlb: evolve: %s\n%!" e;
-            1
-        | Ok r ->
-            if shard_dir = None then cleanup_shard_dir dir;
-            Printf.printf
-              "evolving n=%d depth=%d: pop=%d gens<=%d seed=%d islands=%d \
-               epoch=%d migrants=%d\n"
-              n depth pop gens seed islands epoch migrants;
-            let outcome =
-              match r.Shard_islands.found with
-              | Some (g, island) ->
-                  Printf.printf
-                    "sorter found at generation %d on island %d (fitness \
-                     %d/%d, %d comparators)\n"
-                    g island r.Shard_islands.best_fitness max_fit
-                    (Genome.size r.Shard_islands.best);
-                  print_witness r.Shard_islands.best;
-                  0
-              | None ->
-                  Printf.printf
-                    "no sorter within %d generations on %d islands; best \
-                     fitness %d/%d (%d comparators)\n"
-                    r.Shard_islands.generations islands
-                    r.Shard_islands.best_fitness max_fit
-                    (Genome.size r.Shard_islands.best);
-                  exit_budget
-            in
-            Array.iteri
-              (fun i pop ->
-                Printf.printf "island %d digest: %s\n" i
-                  (Evolve.population_digest pop))
-              r.Shard_islands.populations;
-            if r.Shard_islands.interrupted then interrupted_exit "evolve"
-            else outcome
+        Array.iteri
+          (fun i pop ->
+            Printf.printf "island %d digest: %s\n" i
+              (Evolve.population_digest pop))
+          r.Islands.populations;
+        if r.Islands.interrupted then interrupted_exit "evolve" else outcome
       end
       else begin
         let checkpoint = Option.map (fun path -> (path, interval)) ckpt in
@@ -1139,8 +1099,8 @@ let evolve_cmd =
   Cmd.v (Cmd.info "evolve" ~doc)
     Term.(
       const run $ n_arg $ depth_arg $ pop_arg $ gens_arg $ seed_arg
-      $ domains_arg $ islands_arg $ epoch_arg $ migrants_arg $ shard_dir_arg
-      $ checkpoint_arg $ interval_arg $ resume_arg $ trace_arg $ metrics_arg)
+      $ domains_arg $ islands_arg $ epoch_arg $ migrants_arg $ checkpoint_arg
+      $ interval_arg $ resume_arg $ trace_arg $ metrics_arg)
 
 (* fuzz *)
 

@@ -186,8 +186,8 @@ let initial_population cfg =
 
 (* One generation: evaluate, pick the generation's champion, and
    (unless it already sorts) breed the successor population. Shared by
-   [run] and [run_segment], so the single-process driver and the
-   island-model workers make byte-identical decisions — every draw
+   [run] and [run_segment], so the single-population driver and the
+   island model make byte-identical decisions — every draw
    comes from [rng_at] keyed by the {e absolute} generation index. *)
 let generation ~sink cfg ~max_fit ~gen pop =
   Span.run ~sink ~name:"evolve/gen" (fun sp ->
@@ -246,7 +246,7 @@ type segment = {
   seg_generations : int;
 }
 
-let run_segment ?(sink = Sink.null) cfg ~start_gen ~gens population =
+let run_segment ?(sink = Sink.null) ?cancel cfg ~start_gen ~gens population =
   validate cfg;
   if gens < 1 then invalid_arg "Evolve.run_segment: gens must be >= 1";
   if start_gen < 0 then invalid_arg "Evolve.run_segment: start_gen must be >= 0";
@@ -257,8 +257,9 @@ let run_segment ?(sink = Sink.null) cfg ~start_gen ~gens population =
   let best = ref None in
   let found_at = ref None in
   let evaluated = ref 0 in
+  let stopped = ref false in
   let g = ref start_gen in
-  while !g < start_gen + gens && !found_at = None do
+  while !g < start_gen + gens && !found_at = None && not !stopped do
     let bf, bsize, bgenome, next = generation ~sink cfg ~max_fit ~gen:!g !pop in
     (match !best with
     | Some (f, s, _) when not (better (bf, bsize, 0) (f, s, 0)) -> ()
@@ -267,7 +268,8 @@ let run_segment ?(sink = Sink.null) cfg ~start_gen ~gens population =
     (match next with
     | None -> found_at := Some !g
     | Some next -> pop := next);
-    incr g
+    incr g;
+    stopped := (match cancel with None -> false | Some c -> Cancel.cancelled c)
   done;
   let best_fitness, best_size, best =
     match !best with Some b -> b | None -> assert false (* gens >= 1 *)
@@ -280,9 +282,6 @@ let run_segment ?(sink = Sink.null) cfg ~start_gen ~gens population =
     seg_best = best;
     seg_generations = !evaluated;
   }
-
-let population_payload = snapshot_payload
-let parse_population = parse_payload
 
 let run ?(sink = Sink.null) ?cancel ?checkpoint ?(resume = false) cfg =
   validate cfg;

@@ -78,12 +78,11 @@ val population_digest : Genome.t array -> string
 
 (** {1 Segments — the island-model building block}
 
-    {!Shard_islands} runs each island's epoch as one {!run_segment}
-    call inside a forked worker. Because every draw is keyed by the
-    {e absolute} generation index, running [gens] generations as one
-    segment or as chained epochs (threading the population through)
-    produces byte-identical populations — and a retried worker
-    (at-least-once delivery) recomputes exactly the same segment. *)
+    {!Islands} runs each island's epoch as one {!run_segment} call on
+    its own domain. Because every draw is keyed by the {e absolute}
+    generation index, running [gens] generations as one segment or as
+    chained epochs (threading the population through) produces
+    byte-identical populations. *)
 
 val better : int * int * int -> int * int * int -> bool
 (** [better (f1, s1, i1) (f2, s2, i2)] — the driver's deterministic
@@ -109,24 +108,22 @@ type segment = {
 }
 
 val run_segment :
-  ?sink:Sink.t -> config -> start_gen:int -> gens:int -> Genome.t array -> segment
+  ?sink:Sink.t ->
+  ?cancel:Cancel.t ->
+  config ->
+  start_gen:int ->
+  gens:int ->
+  Genome.t array ->
+  segment
 (** [run_segment cfg ~start_gen ~gens pop] evaluates and breeds
     generations [start_gen .. start_gen + gens - 1] from [pop] —
-    {!run}'s inner loop with no checkpointing, cancellation or fault
-    hooks (the caller owns those), stopping early at a perfect sorter
-    exactly as {!run} does.
+    {!run}'s inner loop with no checkpointing or fault hooks (the
+    caller owns those), stopping early at a perfect sorter exactly as
+    {!run} does. When [cancel] trips, the segment stops after the
+    current generation; the caller tells such a cut-short segment
+    from a complete one by the token.
     @raise Invalid_argument on a nonsensical config, [gens < 1],
     [start_gen < 0], or a population sized other than [cfg.pop]. *)
-
-val population_payload : Genome.t array -> string
-(** The canonical text serialization of a population in slot order —
-    the checkpoint payload format, reused verbatim as the island
-    migration / work-unit format. *)
-
-val parse_population :
-  config -> string -> (Genome.t array, string) Stdlib.result
-(** Inverse of {!population_payload}, validating genome count and
-    shape against [config]. *)
 
 val known_optimal_depth : int -> int option
 (** The proved minimal sorting-network depth for [2 <= n <= 16]

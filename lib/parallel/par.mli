@@ -3,8 +3,9 @@
 
     Used by {!Zero_one} to split exact 0-1 verification across
     test-input ranges, by the experiment harness for independent
-    sampling legs, by the evolutionary fitness kernel, and by the
-    search driver's signature pass and subsumption filter.
+    sampling legs, by the evolutionary fitness kernel and island
+    model, and by the search driver's signature pass and subsumption
+    filter.
     {!map_ranges} and {!map_list} split work into contiguous chunks,
     one domain per chunk; {!iter_chunks} hands out small chunks from
     an atomic cursor for work whose cost varies along the range.

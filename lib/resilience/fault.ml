@@ -1,6 +1,5 @@
 let points =
-  [ "ckpt-write-fail"; "ckpt-truncate"; "kill-level"; "kill-block"; "kill-gen";
-    "kill-worker"; "stall-worker"; "corrupt-result" ]
+  [ "ckpt-write-fail"; "ckpt-truncate"; "kill-level"; "kill-block"; "kill-gen" ]
 
 type spec = { point : string; prob : float; rng : Splitmix.t }
 

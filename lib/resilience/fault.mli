@@ -26,22 +26,7 @@
     - ["kill-block"] — {!Theorem41.run} likewise, between adversary
       blocks;
     - ["kill-gen"] — the evolutionary driver likewise, at a generation
-      boundary;
-    - ["kill-worker"] — the {!Shard} supervisor sabotages a worker's
-      {e first} attempt at a unit: the child exits immediately with a
-      nonzero status before touching the unit (retries run clean, so
-      with probability [1.0] every unit crashes exactly once and the
-      merged outcome must still equal the fault-free run);
-    - ["stall-worker"] — likewise, but the child hangs without ever
-      writing its heartbeat, exercising the staleness timeout and
-      SIGKILL path;
-    - ["corrupt-result"] — likewise, but the child completes the unit
-      and then flips a byte in the published result envelope, so the
-      supervisor's CRC check must reject it and retry.
-
-    The three worker points draw from the supervisor's stream (the
-    parent process), not the worker's, so a seeded sub-[1.0] schedule
-    is reproducible regardless of worker interleaving.
+      boundary.
 
     When [SNLB_FAULT] is unset the whole module is a single [ref] read
     per consultation — the fault paths cost nothing in production. An

@@ -176,11 +176,12 @@ let subsume_filter k cands =
 
 (* --- checkpoint / resume --- *)
 
-(* -2: the snapshot gained [s_redundant] (the analysis-hook skip
-   counter); older snapshots deserialize into a different record
-   layout, so the kind is bumped and they are rejected as a whole —
-   rerunning is always sound, resuming into a wrong layout never is. *)
-let checkpoint_kind = "snlb-search-driver-2"
+(* -3: [s_kept] holds bare states; the boxed subsumption fingerprints
+   it used to carry were never read back. Older snapshots deserialize
+   into a different record layout, so the kind is bumped and they are
+   rejected as a whole — rerunning is always sound, resuming into a
+   wrong layout never is. *)
+let checkpoint_kind = "snlb-search-driver-3"
 
 (* Everything run needs to continue from a level boundary exactly as
    if it had never stopped: the frontier (with the move prefixes that
@@ -192,7 +193,7 @@ type 'm snapshot = {
   s_level : int;  (* next level to expand (1-based) *)
   s_frontier : (State.t * 'm list) list;
   s_seen : (int array, unit) Hashtbl.t;
-  s_kept : (State.t * Subsume.fingerprint) list;
+  s_kept : State.t list;
   s_nodes : int;
   s_pruned : int;
   s_deduped : int;
@@ -411,7 +412,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
           (fun key () -> ignore (commit_existing (State.of_key ~n:sys.n key)))
           s.s_seen;
         List.iter
-          (fun (st, _fp) -> kept_insert kept (commit_existing st))
+          (fun st -> kept_insert kept (commit_existing st))
           (List.rev s.s_kept);
         frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
     let result = ref None in
@@ -442,9 +443,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
           Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
         done;
         let s_kept =
-          List.init kept.len (fun k ->
-              let st = Arena.to_state arena kept.idx.(k) in
-              (st, Subsume.fingerprint st))
+          List.init kept.len (fun k -> Arena.to_state arena kept.idx.(k))
         in
         let s_frontier =
           List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier

@@ -1,6 +1,6 @@
 (* Tests for lib/evolve: genome operators, the batch fitness kernel,
-   the generational driver's determinism and checkpoint/resume, and
-   the differential fuzzer. *)
+   the generational driver's determinism and checkpoint/resume, the
+   island model, and the differential fuzzer. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -293,6 +293,215 @@ let test_known_optimal_depths () =
     [ (2, 1); (3, 3); (4, 3); (5, 5); (6, 5); (7, 6); (8, 6); (16, 9) ];
   check_bool "out of range" true (Evolve.known_optimal_depth 17 = None)
 
+(* --- island model --- *)
+
+let islands_config =
+  { (Evolve.default_config ~wires:6 ~depth:5) with
+    Evolve.pop = 32;
+    gens = 8;
+    seed = 11;
+  }
+
+let island_digests r =
+  Array.to_list (Array.map Evolve.population_digest r.Islands.populations)
+
+(* island i evolves from seed cfg.seed + i * 1_000_003 *)
+let island_cfg cfg i =
+  { cfg with Evolve.seed = cfg.Evolve.seed + (i * 1_000_003) }
+
+(* depth 5 is below n=8's optimum 6, so no island ever ends the run *)
+let unsolvable_config =
+  { (Evolve.default_config ~wires:8 ~depth:5) with
+    Evolve.pop = 32;
+    gens = 6;
+    seed = 5;
+  }
+
+let test_islands_single_matches_plain () =
+  (* one island, no migration: the plain generational run, reproduced
+     through the epoch schedule *)
+  let plain = Evolve.run islands_config in
+  let r = Islands.run ~islands:1 ~epoch:3 ~migrants:0 islands_config in
+  check_bool "found agrees" true
+    (r.Islands.found = Option.map (fun g -> (g, 0)) plain.Evolve.found_at);
+  check_int "fitness agrees" plain.Evolve.best_fitness r.Islands.best_fitness;
+  check_bool "population agrees" true
+    (island_digests r = [ Evolve.population_digest plain.Evolve.population ])
+
+let test_islands_fan_out_independent () =
+  (* at cfg.domains = Par.clamp_max only one island domain fits, so
+     the islands run one after another instead of side by side *)
+  let run domains =
+    Islands.run ~islands:3 ~epoch:3 ~migrants:2
+      { islands_config with Evolve.domains }
+  in
+  let a = run 1 and b = run Par.clamp_max in
+  check_bool "found" true (a.Islands.found = b.Islands.found);
+  check_string "best genome" (Genome.to_string a.Islands.best)
+    (Genome.to_string b.Islands.best);
+  check_int "generations" a.Islands.generations b.Islands.generations;
+  check_bool "digests" true (island_digests a = island_digests b)
+
+let test_islands_pre_cancelled () =
+  let cancel = Cancel.create () in
+  Cancel.cancel cancel;
+  let r = Islands.run ~cancel ~islands:3 ~epoch:3 ~migrants:2 islands_config in
+  check_bool "interrupted" true r.Islands.interrupted;
+  check_int "no barrier passed" 0 r.Islands.epochs_run;
+  let initial i =
+    Evolve.population_digest
+      (Evolve.initial_population (island_cfg islands_config i))
+  in
+  check_bool "initial populations" true
+    (island_digests r = List.init 3 initial)
+
+let test_segment_cancel_stops_after_a_generation () =
+  let cancel = Cancel.create () in
+  Cancel.cancel cancel;
+  let seg =
+    Evolve.run_segment ~cancel islands_config ~start_gen:0 ~gens:5
+      (Evolve.initial_population islands_config)
+  in
+  check_int "one generation" 1 seg.Evolve.seg_generations
+
+let test_islands_cancel_keeps_last_barrier () =
+  (* depth 5 is below n=8's optimum 6, so no island ends the run; the
+     token trips as the second epoch starts, so that epoch is cut
+     short on both islands *)
+  let epoch = 50 in
+  let cfg =
+    { (Evolve.default_config ~wires:8 ~depth:5) with
+      Evolve.pop = 32;
+      gens = 4000;
+    }
+  in
+  let sink, events = Sink.memory () in
+  let cancel = Cancel.create () in
+  let second_epoch_started e =
+    List.assoc_opt "generation" e.Sink.fields = Some (Sink.Int epoch)
+  in
+  let watcher =
+    Thread.create
+      (fun () ->
+        while not (List.exists second_epoch_started (events ())) do
+          Thread.delay 0.001
+        done;
+        Cancel.cancel cancel)
+      ()
+  in
+  let r = Islands.run ~sink ~cancel ~islands:2 ~epoch ~migrants:2 cfg in
+  Thread.join watcher;
+  check_bool "interrupted" true r.Islands.interrupted;
+  check_bool "stopped before the cap" true
+    (r.Islands.generations < cfg.Evolve.gens);
+  (* the reported state is the barrier an uncancelled run of that
+     many generations ends on *)
+  let barrier =
+    Islands.run ~islands:2 ~epoch ~migrants:2
+      { cfg with Evolve.gens = r.Islands.generations }
+  in
+  check_int "epochs" barrier.Islands.epochs_run r.Islands.epochs_run;
+  check_bool "digests" true (island_digests barrier = island_digests r)
+
+let test_islands_rejects_bad_shapes () =
+  List.iter
+    (fun (what, islands, epoch, migrants) ->
+      match Islands.run ~islands ~epoch ~migrants islands_config with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [ ("islands 0", 0, 3, 2); ("epoch 0", 3, 0, 2);
+      ("migrants > pop/2", 3, 3, 17) ]
+
+let test_islands_without_migrants_independent () =
+  (* with no migration each island is the plain run from its own seed *)
+  let cfg = unsolvable_config in
+  let r = Islands.run ~islands:3 ~epoch:4 ~migrants:0 cfg in
+  let plain = List.init 3 (fun i -> Evolve.run (island_cfg cfg i)) in
+  check_bool "digests" true
+    (island_digests r
+    = List.map (fun p -> Evolve.population_digest p.Evolve.population) plain);
+  check_int "best fitness"
+    (List.fold_left (fun m p -> max m p.Evolve.best_fitness) 0 plain)
+    r.Islands.best_fitness
+
+let test_islands_ring_migration () =
+  (* one epoch spans the run, so the final populations are the plain
+     runs' with one ring migration applied: island i's first
+     [migrants] slots overwrite island i+1's last [migrants] slots *)
+  let cfg = unsolvable_config in
+  let islands = 3 and migrants = 3 in
+  let r = Islands.run ~islands ~epoch:cfg.Evolve.gens ~migrants cfg in
+  let plain =
+    Array.init islands (fun i -> (Evolve.run (island_cfg cfg i)).Evolve.population)
+  in
+  Array.iteri
+    (fun i got ->
+      let expected = Array.copy plain.(i) in
+      Array.blit
+        plain.((i + islands - 1) mod islands)
+        0 expected (cfg.Evolve.pop - migrants) migrants;
+      check_string
+        (Printf.sprintf "island %d" i)
+        (Evolve.population_digest expected)
+        (Evolve.population_digest got))
+    r.Islands.populations
+
+let test_islands_earliest_find () =
+  (* with no migration the islands are the plain runs, so the find is
+     the least (generation, island) pair among theirs and the run stops
+     at the barrier that follows it; at seed 3 island 1 finds a sorter
+     one generation before island 0 does, in the same epoch *)
+  let cfg = { islands_config with Evolve.gens = 40; seed = 3 } in
+  let epoch = 4 in
+  let r = Islands.run ~islands:3 ~epoch ~migrants:0 cfg in
+  let finds =
+    List.filter_map
+      (fun i ->
+        Option.map (fun g -> (g, i)) (Evolve.run (island_cfg cfg i)).Evolve.found_at)
+      [ 0; 1; 2 ]
+  in
+  let gen, island = List.fold_left min (List.hd finds) finds in
+  check_bool "found" true (r.Islands.found = Some (gen, island));
+  check_int "generations" (gen + 1) r.Islands.generations;
+  check_int "stopped at the next barrier" ((gen / epoch) + 1)
+    r.Islands.epochs_run;
+  check_int "perfect fitness" (Fitness.max_fitness ~wires:6)
+    r.Islands.best_fitness
+
+let test_islands_counters () =
+  (* gens 8 in epochs of 3: barriers after generations 3, 6 and 8, each
+     moving 2 migrants into each of the 3 islands *)
+  let epochs = Metrics.counter "evolve.islands.epochs"
+  and migrations = Metrics.counter "evolve.islands.migrations" in
+  let e0 = Metrics.value epochs and m0 = Metrics.value migrations in
+  let r =
+    Islands.run ~islands:3 ~epoch:3 ~migrants:2
+      { unsolvable_config with Evolve.gens = 8 }
+  in
+  check_int "epochs run" 3 r.Islands.epochs_run;
+  check_int "generations" 8 r.Islands.generations;
+  check_int "epoch counter" 3 (Metrics.value epochs - e0);
+  check_int "migration counter" 18 (Metrics.value migrations - m0)
+
+let test_islands_trace_spans () =
+  let sink, events = Sink.memory () in
+  ignore (Islands.run ~sink ~islands:2 ~epoch:3 ~migrants:1 unsolvable_config);
+  let spans name =
+    List.filter (fun e -> e.Sink.ev = "span" && e.Sink.name = name) (events ())
+  in
+  let tags =
+    List.sort compare
+      (List.map
+         (fun e ->
+           (List.assoc "island" e.Sink.fields, List.assoc "epoch" e.Sink.fields))
+         (spans "evolve/island"))
+  in
+  check_bool "one span per island per epoch" true
+    (tags
+    = Sink.[ (Int 0, Int 0); (Int 0, Int 1); (Int 1, Int 0); (Int 1, Int 1) ]);
+  check_int "generation spans nest in the island spans" 12
+    (List.length (spans "evolve/island/evolve/gen"))
+
 (* --- differential fuzzer --- *)
 
 let test_fuzz_clean_run () =
@@ -381,6 +590,29 @@ let () =
             test_evolve_resume_rejects_mismatch;
           Alcotest.test_case "known optimal depth table" `Quick
             test_known_optimal_depths ] );
+      ( "islands",
+        [ Alcotest.test_case "islands=1 matches plain evolve" `Quick
+            test_islands_single_matches_plain;
+          Alcotest.test_case "independent of island fan-out" `Quick
+            test_islands_fan_out_independent;
+          Alcotest.test_case "pre-cancelled run keeps generation 0" `Quick
+            test_islands_pre_cancelled;
+          Alcotest.test_case "cancelled segment stops after a generation"
+            `Quick test_segment_cancel_stops_after_a_generation;
+          Alcotest.test_case "cancel reports the last barrier" `Quick
+            test_islands_cancel_keeps_last_barrier;
+          Alcotest.test_case "bad island shapes rejected" `Quick
+            test_islands_rejects_bad_shapes;
+          Alcotest.test_case "no migrants keeps islands independent" `Quick
+            test_islands_without_migrants_independent;
+          Alcotest.test_case "migrants overwrite the neighbour's tail"
+            `Quick test_islands_ring_migration;
+          Alcotest.test_case "earliest (generation, island) find wins"
+            `Quick test_islands_earliest_find;
+          Alcotest.test_case "epoch and migration counters" `Quick
+            test_islands_counters;
+          Alcotest.test_case "island spans wrap generation spans" `Quick
+            test_islands_trace_spans ] );
       ( "fuzz",
         [ Alcotest.test_case "400 seeded networks run clean" `Slow
             test_fuzz_clean_run;

@@ -227,31 +227,24 @@ let test_fault_probability_boundaries () =
            has 0)
   in
   List.iter rejected
-    [ "kill-worker:1.5"; "kill-worker:-0.001"; "kill-worker:1.0000001";
-      "kill-worker:nan"; "kill-worker:inf"; "kill-worker:-inf";
-      "kill-worker:1.5:42"; "stall-worker:2"; "corrupt-result:-1:7" ];
+    [ "kill-gen:1.5"; "kill-gen:-0.001"; "kill-gen:1.0000001";
+      "kill-gen:nan"; "kill-gen:inf"; "kill-gen:-inf";
+      "kill-gen:1.5:42"; "kill-level:2"; "kill-block:-1:7" ];
   (* the closed boundaries themselves are legal *)
   List.iter
     (fun spec ->
       match Fault.set (Some spec) with
       | Ok () -> ignore (Fault.set None)
       | Error e -> Alcotest.failf "rejected boundary spec %S: %s" spec e)
-    [ "kill-worker:0"; "kill-worker:0.0"; "kill-worker:1"; "kill-worker:1.0";
-      "kill-worker:0.0:42"; "kill-worker:1.0:42" ];
+    [ "kill-gen:0"; "kill-gen:0.0"; "kill-gen:1"; "kill-gen:1.0";
+      "kill-gen:0.0:42"; "kill-gen:1.0:42" ];
   (* and behave as the degenerate schedules they name *)
-  with_fault "kill-worker:1.0" (fun () ->
+  with_fault "kill-gen:1.0" (fun () ->
       check_bool "prob 1.0 always fires" true
-        (List.for_all Fun.id (List.init 32 (fun _ -> Fault.fire "kill-worker"))));
-  with_fault "kill-worker:0.0" (fun () ->
+        (List.for_all Fun.id (List.init 32 (fun _ -> Fault.fire "kill-gen"))));
+  with_fault "kill-gen:0.0" (fun () ->
       check_bool "prob 0.0 never fires" false
-        (List.mem true (List.init 32 (fun _ -> Fault.fire "kill-worker"))))
-
-let test_fault_worker_points_exist () =
-  (* the shard supervisor's sabotage points are registered (and so
-     usable from SNLB_FAULT) *)
-  List.iter
-    (fun p -> check_bool p true (List.mem p Fault.points))
-    [ "kill-worker"; "stall-worker"; "corrupt-result" ]
+        (List.mem true (List.init 32 (fun _ -> Fault.fire "kill-gen"))))
 
 let test_fault_off_by_default () =
   ignore (Fault.set None);
@@ -507,8 +500,6 @@ let () =
         [ Alcotest.test_case "parse errors" `Quick test_fault_parse_errors;
           Alcotest.test_case "probability boundaries" `Quick
             test_fault_probability_boundaries;
-          Alcotest.test_case "worker points registered" `Quick
-            test_fault_worker_points_exist;
           Alcotest.test_case "off by default" `Quick test_fault_off_by_default;
           Alcotest.test_case "point selectivity" `Quick
             test_fault_point_selectivity;
