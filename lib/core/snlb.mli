@@ -34,9 +34,9 @@
     - {!Compiled}, {!Bitslice}, {!Cache}: the compiled evaluation
       engine (flat instruction streams, 64-lane bit-sliced 0-1
       execution, structural compile cache).
-    - {!Search} ({!State}, {!Subsume}, {!Layers}, {!Driver}): the
-      exact-bounds search engine — layered BFS with subsumption
-      pruning for optimal depths of small networks.
+    - {!State}, {!Layers}, {!Driver}: the exact-bounds search engine
+      — layered BFS with subsumption pruning for optimal depths of
+      small networks.
     - {!Sortedness}, {!Zero_one}, {!Exhaustive}: verification.
     - {!Benes}: permutation routing.
     - {!Clock}, {!Metrics}, {!Sink}, {!Span}, {!Obs}: the
@@ -92,10 +92,8 @@ module Compiled = Compiled
 module Bitslice = Bitslice
 module Cache = Cache
 module State = State
-module Subsume = Subsume
 module Layers = Layers
 module Driver = Driver
-module Search = Search
 module Workload = Workload
 module Par = Par
 module Stat_summary = Stat_summary

@@ -885,13 +885,13 @@ let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
 
 (* --- subsumption ---
 
-   Boolean-identical to [Subsume.subsumes] on the corresponding
-   states: the card / level / channel filters are the same pointwise
-   <= tests (packed), the backtracking explores the same assignment
-   space (possibly in a different order), and the final check is the
-   same mask-image inclusion. The extra union check below only refutes
-   pairs the backtracking would refute anyway (a channel of B missing
-   from every candidate set cannot be covered by the injection). *)
+   Row A subsumes row B iff some wire permutation carries every mask
+   of A into B. Such a permutation maps A's masks injectively into B
+   preserving ones-counts, so the card / level / channel filters are
+   necessary pointwise <= tests (packed), and the leaf check is the
+   mask-image inclusion itself. The extra union check below only
+   refutes pairs the backtracking would refute anyway (a channel of B
+   missing from every candidate set cannot be covered). *)
 
 exception No
 
@@ -1024,3 +1024,10 @@ let subsumes_with t sc a b =
          assign 0 0)
 
 let subsumes t a b = subsumes_with t t.own a b
+
+(* [subsumes_with] leaves the witness in [pi] when the backtracking
+   succeeds; the subset short-circuit leaves it stale *)
+let subsumes_perm t a b =
+  if not (subsumes t a b) then None
+  else if row_subset t (a * t.wpr) (b * t.wpr) then Some (Array.init t.n Fun.id)
+  else Some (Array.copy t.own.pi)

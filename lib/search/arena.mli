@@ -118,10 +118,10 @@ val iter_masks : t -> int -> (int -> unit) -> unit
     without unpacking it. *)
 
 val subsumes : t -> int -> int -> bool
-(** [subsumes t a b] is boolean-identical to
-    [Subsume.subsumes (to_state t a, _) (to_state t b, _)]: does some
-    wire permutation carry row [a]'s reachable set into a subset of row
-    [b]'s? The card / level / per-channel filters run as field-wise
+(** [subsumes t a b]: does some wire permutation [pi] carry row [a]'s
+    reachable set into a subset of row [b]'s (Bundala–Závodný: then
+    [b] can be dropped from a frontier that keeps [a])? The necessary
+    card / level / per-channel filters run as field-wise
     comparisons on the packed signatures (one subtract-and-mask per
     signature word), candidate channel images are bitmasks, and the
     final backtracking search is allocation-free.
@@ -132,6 +132,12 @@ val subsumes : t -> int -> int -> bool
 val subsumes_with : t -> scratch -> int -> int -> bool
 (** {!subsumes} on the given scratch instead of the owner's, so any
     domain holding its own scratch can run it (see the preamble). *)
+
+val subsumes_perm : t -> int -> int -> int array option
+(** {!subsumes} returning its witness as an image array ([pi.(c)] is
+    where channel [c] lands), for certificate covers: [None] iff
+    [subsumes t a b] is false, the identity when row [a] is a subset of
+    row [b]. Runs on the owner's scratch. *)
 
 val record_metrics : t -> unit
 (** Flush the arena's local counters into the global {!Metrics}

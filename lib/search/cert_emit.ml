@@ -1,8 +1,9 @@
 (* Derive an exhaustion certificate from a search's frontier log. The
    driver only hands over the surviving states per level; every cover —
    the subsumption witness that justifies dropping each expanded child —
-   is recomputed here, then the finished certificate is re-validated by
-   the independent checker before it leaves this function. *)
+   is recomputed here on one arena, then the finished certificate is
+   re-validated by the independent checker before it leaves this
+   function. *)
 
 let exhaustion ~n ~max_depth ~frontiers =
   if n < 2 || n > 12 then Error "cert emission supports n in [2, 12]"
@@ -17,79 +18,71 @@ let exhaustion ~n ~max_depth ~frontiers =
     in
     let matchings = Cert.all_matchings ~n in
     (* the certificate pool: initial state implicit at index 0, then
-       every frontier state in file order *)
-    let dummy =
-      let st = State.initial ~n in
-      (st, Subsume.fingerprint st)
+       every frontier state in file order, committed first so its rows
+       are the arena's lowest; [first.(r)] is the first pool index
+       holding row [r] *)
+    let arena = Arena.create ~n () in
+    let rows =
+      Array.of_list
+        (List.map
+           (fun st ->
+             Arena.stage_state arena st;
+             match Arena.commit arena ~level:0 with `Fresh r | `Dup r -> r)
+           (State.initial ~n :: List.concat frontiers))
     in
-    let pool : (State.t * Subsume.fingerprint) array ref =
-      ref (Array.make 64 dummy)
-    in
-    let pool_len = ref 0 in
-    let by_key : (int array, int) Hashtbl.t = Hashtbl.create 1024 in
-    let add_pool st =
-      if !pool_len = Array.length !pool then begin
-        let np = Array.make (2 * Array.length !pool) (!pool).(0) in
-        Array.blit !pool 0 np 0 !pool_len;
-        pool := np
-      end;
-      (!pool).(!pool_len) <- (st, Subsume.fingerprint st);
-      let k = State.key st in
-      if not (Hashtbl.mem by_key k) then Hashtbl.add by_key k !pool_len;
-      incr pool_len
-    in
+    let first = Array.make (Arena.length arena) max_int in
+    Array.iteri (fun i r -> first.(r) <- min first.(r) i) rows;
     let identity = Array.init n Fun.id in
-    let cover_of child =
-      (* equality fast path: an identical pool entry covers the child
-         with the identity permutation *)
-      match Hashtbl.find_opt by_key (State.key child) with
-      | Some cite -> Some Cert.{ cite; pi = identity }
-      | None ->
-          let fc = Subsume.fingerprint child in
-          let rec scan i =
-            if i >= !pool_len then None
-            else
-              let q, fq = (!pool).(i) in
-              match Subsume.subsumes_perm (q, fq) (child, fc) with
-              | Some pi -> Some Cert.{ cite = i; pi }
-              | None -> scan (i + 1)
-          in
-          scan 0
+    (* among the first [pool_len] pool entries: the first identical
+       one with the identity permutation, else the lowest-indexed
+       subsumer *)
+    let cover_of ~pool_len child =
+      if child < Array.length first && first.(child) < pool_len then
+        Some Cert.{ cite = first.(child); pi = identity }
+      else
+        let rec scan i =
+          if i >= pool_len then None
+          else
+            match Arena.subsumes_perm arena rows.(i) child with
+            | Some pi -> Some Cert.{ cite = i; pi }
+            | None -> scan (i + 1)
+        in
+        scan 0
     in
     let exception Uncovered of string in
     try
-      add_pool (State.initial ~n);
-      let prev = ref [ State.initial ~n ] in
+      (* the parents of level l are the pool slice [lo, lo + parents),
+         and the pool through level l covers its children *)
+      let lo = ref 0 and parents = ref 1 and pool_len = ref 1 in
       let covers =
         List.mapi
           (fun li states ->
             let l = li + 1 in
-            List.iter add_pool states;
+            let len = List.length states in
+            pool_len := !pool_len + len;
             let block = ref [] in
-            List.iteri
-              (fun pi_idx p ->
-                List.iteri
-                  (fun mi m ->
-                    let child = State.apply_comparators p m in
-                    if State.is_sorted child then
-                      raise
-                        (Uncovered
-                           (Printf.sprintf
-                              "level %d parent %d matching %d: child is \
-                               sorted — not an exhaustion"
-                              l pi_idx mi));
-                    match cover_of child with
-                    | Some cv -> block := cv :: !block
-                    | None ->
-                        raise
-                          (Uncovered
-                             (Printf.sprintf
-                                "level %d parent %d matching %d: no pool \
-                                 entry subsumes the child"
-                                l pi_idx mi)))
-                  matchings)
-              !prev;
-            prev := states;
+            for p = 0 to !parents - 1 do
+              List.iteri
+                (fun mi m ->
+                  let fail what =
+                    raise
+                      (Uncovered
+                         (Printf.sprintf "level %d parent %d matching %d: %s" l p
+                            mi what))
+                  in
+                  Arena.stage_child arena ~parent:rows.(!lo + p) m;
+                  if Arena.staged_is_sorted arena then
+                    fail "child is sorted — not an exhaustion";
+                  let child =
+                    match Arena.commit arena ~level:l with `Fresh r | `Dup r -> r
+                  in
+                  match cover_of ~pool_len:!pool_len child with
+                  | Some cv -> block := cv :: !block
+                  | None -> fail "no pool entry subsumes the child")
+                matchings
+            done;
+            lo := !pool_len - len;
+            parents := len;
             List.rev !block)
           frontiers
       in

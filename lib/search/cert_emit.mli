@@ -7,7 +7,7 @@
     independent checker can re-validate. Every expanded child of every
     frontier state gets a cover: a cited pool entry (the implicit
     initial state, or any earlier-logged frontier state) plus the
-    witnessing wire permutation from {!Subsume.subsumes_perm}. The
+    witnessing wire permutation from {!Arena.subsumes_perm}. The
     derivation is deterministic — children are enumerated in
     {!Cert.all_matchings} order, equality hits cite the first identical
     pool entry with the identity permutation, and the fallback scan

@@ -2,7 +2,7 @@
 
    Keying. Two networks that are wire-permutation isomorphic (their
    0-1 reachable sets coincide up to a channel relabeling) share one
-   canonical form (Subsume.canonical_key) — but sharing a *verdict*
+   canonical form ([canonical_masks] below) — but sharing a *verdict*
    across an isomorphism class is only sound for STANDARD networks
    (no pre permutations, no exchanges, every comparator ascending:
    lo < hi). For a standard network the thresholds are fixed points,
@@ -108,7 +108,138 @@ let is_standard nw =
 
 let structural_key nw = "s:" ^ Network_io.to_string nw
 
+(* Canonical form. Channels are grouped into classes by their
+   per-level ones histogram (row [c] of [chan]: how many masks with [k]
+   ones have bit [c] set). The row is permutation-covariant — relabel
+   the set by [pi] and channel [pi c] inherits channel [c]'s row — so
+   the class partition, the class sizes and the lexicographic order of
+   class signatures are all isomorphism-invariant. The canonical form
+   is the lexicographically smallest image of the mask set over the
+   permutations that map each class onto its block of target positions
+   (classes ordered by signature): for two isomorphic sets those
+   candidate image sets coincide, so the minima are equal
+   (completeness), and any canonical form is an image of the set under
+   a concrete permutation, so equal canonical forms imply isomorphism
+   (soundness).
+
+   The candidate count is the product of class factorials —
+   exponential for highly symmetric sets — so the enumeration is
+   capped, scaled down for large sets so the total work stays bounded.
+   Beyond the cap each class keeps its members in channel order: still
+   deterministic and sound (the result remains a genuine image), merely
+   no longer guaranteed equal across isomorphs. The cap predicate only
+   reads isomorphism-invariant quantities, so two isomorphic sets
+   always take the same branch. *)
+
+let canonical_images_cap = 40_320 (* 8! *)
+
+let permute_mask pi m =
+  let img = ref 0 and w = ref m in
+  while !w <> 0 do
+    img := !img lor (1 lsl pi.(Bitops.floor_log2 (!w land - !w)));
+    w := !w land (!w - 1)
+  done;
+  !img
+
+let sorted_image pi masks =
+  let img = Array.map (permute_mask pi) masks in
+  Array.sort compare img;
+  img
+
+let canonical_masks ~n masks =
+  let chan = Array.make_matrix n (n + 1) 0 in
+  Array.iter
+    (fun m ->
+      let k = Bitops.popcount m in
+      for c = 0 to n - 1 do
+        if (m lsr c) land 1 = 1 then chan.(c).(k) <- chan.(c).(k) + 1
+      done)
+    masks;
+  (* order channels by signature; ties broken by channel index so the
+     capped fallback is deterministic *)
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun c d -> match compare chan.(c) chan.(d) with 0 -> compare c d | r -> r)
+    order;
+  (* classes: runs of equal signature, as (start, members) in target
+     position order *)
+  let classes = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && chan.(order.(!i)) = chan.(order.(!j)) do
+      incr j
+    done;
+    classes := (!i, Array.sub order !i (!j - !i)) :: !classes;
+    i := !j
+  done;
+  let classes = List.rev !classes in
+  let fact k = let r = ref 1 in for v = 2 to k do r := !r * v done; !r in
+  let images =
+    List.fold_left (fun acc (_, ms) -> acc * fact (Array.length ms)) 1 classes
+  in
+  let cap =
+    min canonical_images_cap (max 24 (2_000_000 / (Array.length masks + 1)))
+  in
+  let pi = Array.make n (-1) in
+  List.iter
+    (fun (start, members) -> Array.iteri (fun k c -> pi.(c) <- start + k) members)
+    classes;
+  if images <= 1 || images > cap then sorted_image pi masks
+  else begin
+    (* enumerate every block-respecting permutation: for each class,
+       all arrangements of its members over its positions *)
+    let best = ref (sorted_image pi masks) in
+    let rec arrange = function
+      | [] ->
+          let img = sorted_image pi masks in
+          if compare img !best < 0 then best := img
+      | (start, members) :: rest ->
+          let k = Array.length members in
+          let used = Array.make k false in
+          let rec place slot =
+            if slot = k then arrange rest
+            else
+              for m = 0 to k - 1 do
+                if not used.(m) then begin
+                  used.(m) <- true;
+                  pi.(members.(m)) <- start + slot;
+                  place (slot + 1);
+                  used.(m) <- false
+                end
+              done
+          in
+          place 0
+    in
+    arrange classes;
+    !best
+  end
+
+(* the reachable set of all 2^n 0-1 inputs, ascending, by one
+   bit-sliced sweep *)
+let reachable_masks nw =
+  let total = 1 lsl Network.wires nw in
+  let reach = Array.make total false in
+  Array.iter
+    (fun o -> reach.(o) <- true)
+    (Bitslice.eval_masks (Cache.compile nw) (Array.init total Fun.id));
+  let masks = ref [] in
+  for m = total - 1 downto 0 do
+    if reach.(m) then masks := m :: !masks
+  done;
+  Array.of_list !masks
+
 let key nw =
-  let w = Network.wires nw in
-  if is_standard nw && w >= 2 && w <= 16 then "c:" ^ Subsume.canonical_key nw
+  let n = Network.wires nw in
+  if is_standard nw && n >= 2 && n <= 16 then begin
+    let canon = canonical_masks ~n (reachable_masks nw) in
+    let b = Buffer.create (10 + (Array.length canon * 5)) in
+    Buffer.add_string b ("c:" ^ string_of_int n);
+    Array.iter
+      (fun m ->
+        Buffer.add_char b ':';
+        Buffer.add_string b (string_of_int m))
+      canon;
+    Buffer.contents b
+  end
   else structural_key nw

@@ -6,7 +6,8 @@
     Keys come from {!key}: wire-permutation {e canonical} for standard
     networks — no pre permutations, no exchanges, every comparator
     ascending — so isomorphic submissions share one entry, and exact
-    {e structural} for everything else. The restriction is a soundness
+    {e structural} for everything else. The canonical form is
+    {!canonical_masks} of the network's 0-1 reachable set. The restriction is a soundness
     requirement, not an optimisation: for standard networks "sorts"
     is a property of the canonical reachable set (the thresholds are
     fixed points, so sorting means the reachable set {e is} the
@@ -52,6 +53,20 @@ val is_standard : Network.t -> bool
 val structural_key : Network.t -> string
 (** Exact textual form — equal exactly for identical networks. *)
 
+val canonical_masks : n:int -> int array -> int array
+(** [canonical_masks ~n masks]: a distinguished image, sorted ascending,
+    of the set [masks] of [n]-bit masks (duplicate-free) under a wire
+    permutation. Channels are classed by their per-level ones
+    histograms, and the lexicographically smallest image over
+    class-respecting permutations wins. Equal forms always imply that
+    some permutation carries one set onto the other; the converse holds
+    whenever the product of class factorials fits an internal cap, and
+    beyond it the form is a fixed class-ordered image, losing sharing
+    but never soundness. *)
+
 val key : Network.t -> string
-(** Canonical key for standard networks of 2–16 wires (isomorphic
-    networks collide, by design); {!structural_key} otherwise. *)
+(** Canonical key for standard networks of 2–16 wires: ["c:"], the
+    width, then [':']-separated the {!canonical_masks} of the reachable
+    set of all [2^wires] 0-1 inputs (isomorphic networks collide, by
+    design; equal keys mean equal forms, never a hash collision);
+    {!structural_key} otherwise. *)

@@ -1,7 +1,8 @@
 (* Tests for the exact-bounds search subsystem (lib/search): packed
-   state arithmetic, subsumption with its necessary-condition filters,
-   layer generation up to symmetry, and the BFS driver against both the
-   known optimal depths and the subsumption-free reference search. *)
+   state arithmetic, the arena's subsumption against its brute-force
+   definition, layer generation up to symmetry, and the BFS driver
+   against both the known optimal depths and the subsumption-free
+   reference search. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -61,39 +62,79 @@ let test_state_sorted_recognition () =
   check_bool "unsorted vector" false
     (State.is_sorted (State.of_masks ~n (0b00001 :: sorted)))
 
-(* --- Subsume --- *)
+(* --- Subsumption: [Arena.subsumes] on states committed to a fresh
+   arena, held to its definition checked by brute force --- *)
 
 let st4 = State.of_masks ~n:4
+
+let permute_mask pi m =
+  let img = ref 0 in
+  for c = 0 to Array.length pi - 1 do
+    if (m lsr c) land 1 = 1 then img := !img lor (1 lsl pi.(c))
+  done;
+  !img
+
+(* some wire permutation carries every mask of [a] into [b]; every
+   permutation preserves the per-popcount counts, so those refute
+   first, and [a]'s masks are tried sparsest level of [b] first, where
+   a wrong permutation most likely misses *)
+let brute_subsumes a b =
+  let n = State.n a in
+  let counts st =
+    let c = Array.make (n + 1) 0 in
+    State.iter_masks
+      (fun m ->
+        let k = Bitops.popcount m in
+        c.(k) <- c.(k) + 1)
+      st;
+    c
+  in
+  let cb = counts b in
+  Array.for_all2 ( <= ) (counts a) cb
+  &&
+  let level m = cb.(Bitops.popcount m) in
+  let ma = Array.of_list (State.masks a) in
+  Array.stable_sort (fun x y -> compare (level x) (level y)) ma;
+  let exception Found in
+  match
+    Exhaustive.iter_permutations n (fun pi ->
+        if Array.for_all (fun m -> State.mem b (permute_mask pi m)) ma then
+          raise Found)
+  with
+  | () -> false
+  | exception Found -> true
+
+let subsumes a b =
+  let arena = Arena.create ~n:(State.n a) () in
+  let row st =
+    Arena.stage_state arena st;
+    match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
+  in
+  let ia = row a in
+  Arena.subsumes arena ia (row b)
 
 let test_subsume_permuted_positive () =
   (* {0011} maps to {0101} by the wire swap 1 <-> 2 *)
   let a = st4 [ 0b0011 ] and b = st4 [ 0b0101 ] in
-  check_bool "a subsumes b" true (Subsume.subsumes_states a b);
-  check_bool "b subsumes a" true (Subsume.subsumes_states b a);
+  check_bool "a subsumes b" true (subsumes a b);
+  check_bool "b subsumes a" true (subsumes b a);
   (* plain subset: identity permutation fast path *)
-  check_bool "subset path" true
-    (Subsume.subsumes_states (st4 [ 0b0011 ]) (st4 [ 0b0011; 0b1000 ]))
+  check_bool "subset path" true (subsumes (st4 [ 0b0011 ]) (st4 [ 0b0011; 0b1000 ]))
 
 let test_subsume_card_filter () =
   let a = st4 [ 0b0001; 0b0010 ] and b = st4 [ 0b0001 ] in
-  check_bool "larger cannot subsume" false (Subsume.subsumes_states a b)
+  check_bool "larger cannot subsume" false (subsumes a b)
 
 let test_subsume_level_filter () =
   (* equal cardinality but level profiles differ: (1,2) vs (1,1) ones *)
   let a = st4 [ 0b0001; 0b0011 ] and b = st4 [ 0b0001; 0b0010 ] in
-  let fa = Subsume.fingerprint a and fb = Subsume.fingerprint b in
-  check_bool "level filter refutes" false (Subsume.level_cards_le fa fb);
-  check_bool "subsumes agrees" false (Subsume.subsumes (a, fa) (b, fb))
+  check_bool "level filter refutes" false (subsumes a b)
 
 let test_subsume_channel_filter () =
   (* same level profile (two level-2 vectors) but A's wire 0 lies in
-     both vectors and no wire of B does: candidate list comes back
-     empty before any permutation search *)
+     both vectors and no wire of B does: no candidate for wire 0 *)
   let a = st4 [ 0b0011; 0b0101 ] and b = st4 [ 0b0011; 0b1100 ] in
-  let fa = Subsume.fingerprint a and fb = Subsume.fingerprint b in
-  check_bool "wire 0 has no candidate" true
-    ((Subsume.channel_candidates fa fb).(0) = []);
-  check_bool "subsumes agrees" false (Subsume.subsumes (a, fa) (b, fb))
+  check_bool "channel filter refutes" false (subsumes a b)
 
 let test_subsume_backtracking_negative () =
   (* level-2 vectors are graph edges; a 6-cycle and two triangles have
@@ -106,11 +147,8 @@ let test_subsume_backtracking_negative () =
     State.of_masks ~n:6
       [ 0b000011; 0b000110; 0b000101; 0b011000; 0b110000; 0b101000 ]
   in
-  let fa = Subsume.fingerprint c6 and fb = Subsume.fingerprint triangles in
-  check_bool "every wire keeps candidates" true
-    (Array.for_all (fun l -> l <> []) (Subsume.channel_candidates fa fb));
-  check_bool "C6 !~ 2xC3" false (Subsume.subsumes (c6, fa) (triangles, fb));
-  check_bool "2xC3 !~ C6" false (Subsume.subsumes (triangles, fb) (c6, fa))
+  check_bool "C6 !~ 2xC3" false (subsumes c6 triangles);
+  check_bool "2xC3 !~ C6" false (subsumes triangles c6)
 
 let test_subsume_permutation_property =
   QCheck.Test.make ~name:"any permuted image subsumes both ways" ~count:200
@@ -128,7 +166,7 @@ let test_subsume_permutation_property =
       in
       let a = State.of_masks ~n masks in
       let b = State.of_masks ~n (List.map image masks) in
-      Subsume.subsumes_states a b && Subsume.subsumes_states b a)
+      subsumes a b && subsumes b a)
 
 (* --- Layers --- *)
 
@@ -275,14 +313,7 @@ let test_multi_domain_agreement () =
   | Driver.Unsorted _ | Driver.Inconclusive _ | Driver.Interrupted _ ->
       Alcotest.fail "n=5 must be certified at 2 domains"
 
-(* --- canonical wire-permutation form --- *)
-
-let permute_mask pi m =
-  let img = ref 0 in
-  for c = 0 to Array.length pi - 1 do
-    if (m lsr c) land 1 = 1 then img := !img lor (1 lsl pi.(c))
-  done;
-  !img
+(* --- canonical wire-permutation form (Scache's cache key) --- *)
 
 let conjugate p nw =
   let levels =
@@ -310,6 +341,9 @@ let rec all_perms = function
         (fun x -> List.map (fun p -> x :: p) (all_perms (List.filter (( <> ) x) xs)))
         xs
 
+let canonical_of_state st =
+  Scache.canonical_masks ~n:(State.n st) (Array.of_list (State.masks st))
+
 let prop_canonical_masks_invariant =
   QCheck.Test.make ~name:"canonical_masks invariant under channel permutation"
     ~count:200
@@ -321,11 +355,21 @@ let prop_canonical_masks_invariant =
       let st = State.of_masks ~n masks in
       let pi = Perm.to_array (Perm.random rng n) in
       let img = State.map_masks st (permute_mask pi) in
-      Subsume.canonical_masks st = Subsume.canonical_masks img)
+      canonical_of_state st = canonical_of_state img)
 
-let test_canonical_hash_isomorphic () =
+(* the canonical form of a network's reachable set, swept here by
+   [Network.eval], and the text [Scache.key] gives a standard network
+   with that form *)
+let canonical_of_net nw =
+  Scache.canonical_masks ~n:(Network.wires nw) (Array.of_list (reachable_masks nw))
+
+let canonical_key_text n canon =
+  String.concat ":" (("c:" ^ string_of_int n) :: List.map string_of_int (Array.to_list canon))
+
+let test_canonical_isomorphic () =
   (* conjugated networks (wires relabeled end to end) must collide,
-     across widths and for both random circuits and the classics *)
+     across widths and for both random circuits and the classics; a
+     conjugate is rarely standard, so it is compared by its form *)
   let rng = Xoshiro.of_seed 7 in
   for _ = 1 to 30 do
     let n = 4 + Xoshiro.int rng ~bound:3 in
@@ -339,20 +383,23 @@ let test_canonical_hash_isomorphic () =
                  Gate.compare_up order.(2 * i) order.((2 * i) + 1))))
     in
     let p = Perm.random rng n in
-    check_bool "conjugate collides" true
-      (Subsume.canonical_hash nw = Subsume.canonical_hash (conjugate p nw));
+    let canon = canonical_of_net (conjugate p nw) in
+    check_bool "conjugate collides" true (canonical_of_net nw = canon);
     check_bool "conjugate key collides" true
-      (Subsume.canonical_key nw = Subsume.canonical_key (conjugate p nw))
+      (Scache.key nw = canonical_key_text n canon)
   done;
   (* every true sorter of one width has reachable set = the thresholds,
-     so all of them share a single canonical entry *)
-  check_bool "all n=8 sorters share the hash" true
-    (Subsume.canonical_hash (Bitonic.network ~n:8)
-    = Subsume.canonical_hash (Odd_even_merge.network ~n:8))
+     so all of them share a single canonical entry (bitonic's
+     descending comparators make it non-standard) *)
+  let canon = canonical_of_net (Bitonic.network ~n:8) in
+  check_bool "all n=8 sorters share the form" true
+    (canonical_of_net (Odd_even_merge.network ~n:8) = canon);
+  check_bool "all n=8 sorters share the key" true
+    (Scache.key (Odd_even_merge.network ~n:8) = canonical_key_text 8 canon)
 
-let test_canonical_hash_exhaustive_n4 () =
+let test_canonical_exhaustive_n4 () =
   (* ground truth by brute force over all 4! wire permutations: the
-     hash must collide exactly on reachable-set-isomorphic networks *)
+     key must collide exactly on reachable-set-isomorphic networks *)
   let n = 4 in
   let pairs =
     List.concat_map
@@ -374,7 +421,7 @@ let test_canonical_hash_exhaustive_n4 () =
   in
   let perms = List.map Array.of_list (all_perms [ 0; 1; 2; 3 ]) in
   let data =
-    List.map (fun nw -> (reachable_masks nw, Subsume.canonical_hash nw)) nets
+    List.map (fun nw -> (reachable_masks nw, Scache.key nw)) nets
   in
   let iso ra rb =
     List.exists
@@ -385,12 +432,12 @@ let test_canonical_hash_exhaustive_n4 () =
     (fun (ra, ha) ->
       List.iter
         (fun (rb, hb) ->
-          check_bool "hash collides exactly on isomorphs" (iso ra rb) (ha = hb))
+          check_bool "key collides exactly on isomorphs" (iso ra rb) (ha = hb))
         data)
     data
 
 (* --- Arena: the packed frontier must be decision-identical to the
-   boxed State/Subsume reference --- *)
+   boxed State reference and the brute-force subsumption --- *)
 
 let random_layer rng n =
   let order = Perm.to_array (Perm.random rng n) in
@@ -469,8 +516,8 @@ let prop_arena_dedup_agrees =
       !ok && arena_keys = ref_keys
       && List.for_all
            (fun st ->
-             Subsume.canonical_masks st
-             = Subsume.canonical_masks (Hashtbl.find seen (State.key st)))
+             canonical_of_state st
+             = canonical_of_state (Hashtbl.find seen (State.key st)))
            (List.filteri (fun i _ -> i < 3) arena_survivors))
 
 let prop_arena_stage_directed =
@@ -512,7 +559,7 @@ let prop_arena_stage_directed =
 
 let prop_arena_subsumes_parity =
   QCheck.Test.make
-    ~name:"Arena.subsumes = Subsume.subsumes on random frontiers (n=4..8)"
+    ~name:"Arena.subsumes = brute-force subsumption on random frontiers (n=4..8)"
     ~count:25
     QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
     (fun (seed, n) ->
@@ -526,7 +573,40 @@ let prop_arena_subsumes_parity =
            (fun _ ->
              let sa, ia = arr.(Xoshiro.int rng ~bound:m)
              and sb, ib = arr.(Xoshiro.int rng ~bound:m) in
-             Arena.subsumes arena ia ib = Subsume.subsumes_states sa sb)
+             Arena.subsumes arena ia ib = brute_subsumes sa sb)
+           (List.init 250 Fun.id))
+
+let prop_arena_subsumes_perm =
+  QCheck.Test.make
+    ~name:"Arena.subsumes_perm: a permutation carrying a into b, None iff brute force refutes (n=4..8)"
+    ~count:15
+    QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~n () in
+      let ok, states = random_frontier rng arena n 80 in
+      let arr = Array.of_list states in
+      let m = Array.length arr in
+      let witnessed sa sb = function
+        | Some pi ->
+            List.sort compare (Array.to_list pi) = List.init n Fun.id
+            && State.for_all_masks (fun x -> State.mem sb (permute_mask pi x)) sa
+        | None -> not (brute_subsumes sa sb)
+      in
+      ok
+      && List.for_all
+           (fun _ ->
+             let sa, ia = arr.(Xoshiro.int rng ~bound:m)
+             and sb, ib = arr.(Xoshiro.int rng ~bound:m) in
+             (* and a relabeled copy of [sa], which unless the
+                relabeling fixes [sa] needs a non-identity witness *)
+             let perm = Perm.to_array (Perm.random rng n) in
+             Arena.stage_child arena ~perm ~parent:ia [];
+             let ic = match Arena.commit arena ~level:1 with `Fresh i | `Dup i -> i in
+             let to_copy = Arena.subsumes_perm arena ia ic in
+             witnessed sa sb (Arena.subsumes_perm arena ia ib)
+             && to_copy <> None
+             && witnessed sa (State.map_masks sa (permute_mask perm)) to_copy)
            (List.init 250 Fun.id))
 
 (* Outcomes recorded when a second, boxed search engine still
@@ -574,7 +654,7 @@ let test_pinned_optimal_depths () =
 
 let prop_arena_subsumes_other_domain =
   QCheck.Test.make
-    ~name:"Arena.subsumes_with on a second domain = own scratch = Subsume"
+    ~name:"Arena.subsumes_with on a second domain = own scratch = brute force"
     ~count:15
     QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
     (fun (seed, n) ->
@@ -595,7 +675,7 @@ let prop_arena_subsumes_other_domain =
       let own = test (Arena.subsumes arena) in
       let remote = Domain.join remote in
       let reference =
-        Array.map (fun (i, j) -> Subsume.subsumes_states (fst arr.(i)) (fst arr.(j))) pairs
+        Array.map (fun (i, j) -> brute_subsumes (fst arr.(i)) (fst arr.(j))) pairs
       in
       ok && remote = own && own = reference)
 
@@ -778,14 +858,15 @@ let () =
       ( "canonical",
         [ QCheck_alcotest.to_alcotest prop_canonical_masks_invariant;
           Alcotest.test_case "isomorphic networks collide" `Quick
-            test_canonical_hash_isomorphic;
+            test_canonical_isomorphic;
           Alcotest.test_case "n=4 exhaustive: collide iff isomorphic" `Quick
-            test_canonical_hash_exhaustive_n4 ] );
+            test_canonical_exhaustive_n4 ] );
       ("layers", [ Alcotest.test_case "counts" `Quick test_layer_counts ]);
       ( "arena",
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
           QCheck_alcotest.to_alcotest prop_arena_stage_directed;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
+          QCheck_alcotest.to_alcotest prop_arena_subsumes_perm;
           Alcotest.test_case "pinned optima and counts n=4..8" `Quick
             test_pinned_optimal_depths;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
