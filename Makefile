@@ -20,7 +20,9 @@ bench:
 
 # Engine microbenchmarks only; writes name -> ns/op to BENCH_engine.json
 # so successive PRs have a perf trajectory to compare against (plus the
-# eval-many row: 8192 masks through one compiled network). The same
+# eval-many row: 8192 masks through one compiled network, and the
+# paper's adversary-to-checker pipeline by layer at n=16384, with
+# ceilings on its flattening and its lower-bound check). The same
 # run times the exact-bounds search (pruned vs reference, 1 vs K
 # domains, checkpointing) into BENCH_search.json, the static
 # analyzer's throughput (networks/sec, comparators/sec) into
@@ -41,6 +43,12 @@ bench-json:
 	grep -q '"obs/engine.cache.hits"' BENCH_engine.json
 	grep -q '"obs/engine.cache.evictions"' BENCH_engine.json
 	grep -q '"engine/eval-many/wall_ms"' BENCH_engine.json
+	grep -q '"adversary/n=16384/to_iterated_ms"' BENCH_engine.json
+	grep -q '"adversary/n=16384/to_network_ms"' BENCH_engine.json
+	grep -q '"adversary/n=16384/validate_ms"' BENCH_engine.json
+	grep -q '"cert/lower-bound/n=16384/check_ms"' BENCH_engine.json
+	awk -F': ' '/"adversary\/n=16384\/to_network_ms"/ { exit !($$2 + 0 <= 250.0) }' BENCH_engine.json
+	awk -F': ' '/"cert\/lower-bound\/n=16384\/check_ms"/ { exit !($$2 + 0 <= 150.0) }' BENCH_engine.json
 	grep -q '"search/n=6/pruned/domains=1/subsumed"' BENCH_search.json
 	grep -q '"obs/search.nodes"' BENCH_search.json
 	grep -q '"obs/analysis.redundant_moves"' BENCH_search.json

@@ -298,6 +298,45 @@ let eval_many_rows () =
   done;
   [ ("engine/eval-many/wall_ms", !best *. 1e3) ]
 
+(* The paper's pipeline by layer, on the seed-1 2-block random shuffle
+   program of 16384 wires (snbench's prove input): its reverse delta
+   decomposition, the flattened circuit, the fooling pair's validation,
+   and the independent checker on the emitted certificate. Each row is
+   the median of 5 runs after one warm-up. *)
+let adversary_rows () =
+  let n = 16384 in
+  let prog =
+    Shuffle_net.random_program (Xoshiro.of_seed 1) ~n
+      ~stages:(2 * Bitops.log2_exact n)
+  in
+  let it = Shuffle_net.to_iterated prog in
+  let nw = Iterated.to_network it in
+  let cert =
+    match Certificate.of_pattern (Theorem41.run it).Theorem41.final_pattern with
+    | Some c -> c
+    | None -> failwith "adversary_rows: no fooling pair"
+  in
+  let lb =
+    match Certificate.to_cert (Register_model.to_network prog) cert with
+    | Ok c -> c
+    | Error e -> failwith ("adversary_rows: " ^ e)
+  in
+  let median_ms f =
+    ignore (f ());
+    let times =
+      List.init 5 (fun _ ->
+          let t0 = Clock.wall () in
+          ignore (f ());
+          Clock.wall () -. t0)
+    in
+    List.nth (List.sort compare times) 2 *. 1e3
+  in
+  [ ("adversary/n=16384/to_iterated_ms", median_ms (fun () -> Shuffle_net.to_iterated prog));
+    ("adversary/n=16384/to_network_ms", median_ms (fun () -> Iterated.to_network it));
+    ( "adversary/n=16384/validate_ms",
+      median_ms (fun () -> assert (Certificate.validate nw cert = Ok ())) );
+    ("cert/lower-bound/n=16384/check_ms", median_ms (fun () -> assert (Cert.check lb = Ok ()))) ]
+
 (* Search-engine throughput: wall-clock rows for the exact-bounds BFS,
    written as the same flat name -> float JSON as the engine file. Each
    configuration contributes wall_ms / nodes / nodes_per_s /
@@ -541,7 +580,9 @@ let () =
       (* the obs/ rows carry whatever the bechamel loops accumulated in
          the global registry (cache hit/miss/eviction traffic, verify
          sweep rates) *)
-      write_json path (results @ eval_many_rows () @ obs_rows ());
+      let obs = obs_rows () in
+      let eval_many = eval_many_rows () in
+      write_json path (results @ eval_many @ adversary_rows () @ obs);
       (match search_out with
        | Some (search_path, rows) -> write_json search_path rows
        | None -> ());

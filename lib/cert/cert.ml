@@ -972,11 +972,24 @@ let check_lower_bound ~n ~stages ~input ~twin ~wire0 ~wire1 ~value0 ~value1 ~m_s
     then err "CRT231" "mset" "the witness wires are not in the M-set"
     else Ok ()
   in
-  (* replay: the reference register-model interpreter, tracing every
-     value comparison ('+'/'-' ops compare; '1'/'0' and permutations
-     never do). Values stay a permutation of 0..n-1, so the trace is an
-     n x n table over values. *)
-  let compared = Bytes.make (n * n) '\000' in
+  (* replay: the reference register-model interpreter, tracing value
+     comparisons ('+'/'-' ops compare; '1'/'0' and permutations never
+     do). Values stay a permutation of 0..n-1. The trace keeps only
+     comparisons between two M-set values, in an |M| x |M| table indexed
+     by rank in the M-set list: CRT232 asks about value0 and value1,
+     which the checks above placed in the M-set, and CRT235 only about
+     M-set pairs, so nothing it drops is ever asked about. *)
+  let m = List.length m_set in
+  let rank = Array.make n (-1) in
+  List.iteri (fun i w -> rank.(input.(w)) <- i) m_set;
+  let compared = Bytes.make (m * m) '\000' in
+  let note x y =
+    let rx = rank.(x) and ry = rank.(y) in
+    if rx >= 0 && ry >= 0 then begin
+      Bytes.set compared ((rx * m) + ry) '\001';
+      Bytes.set compared ((ry * m) + rx) '\001'
+    end
+  in
   let run ~trace input =
     let v = ref (Array.copy input) in
     List.iter
@@ -994,16 +1007,10 @@ let check_lower_bound ~n ~stages ~input ~twin ~wire0 ~wire1 ~value0 ~value1 ~m_s
             in
             match op with
             | '+' ->
-                if trace then begin
-                  Bytes.set compared ((x * n) + y) '\001';
-                  Bytes.set compared ((y * n) + x) '\001'
-                end;
+                if trace then note x y;
                 if x > y then swap ()
             | '-' ->
-                if trace then begin
-                  Bytes.set compared ((x * n) + y) '\001';
-                  Bytes.set compared ((y * n) + x) '\001'
-                end;
+                if trace then note x y;
                 if x < y then swap ()
             | '1' -> swap ()
             | _ -> ())
@@ -1014,7 +1021,8 @@ let check_lower_bound ~n ~stages ~input ~twin ~wire0 ~wire1 ~value0 ~value1 ~m_s
   in
   let out0 = run ~trace:true input in
   let out1 = run ~trace:false twin in
-  let was_compared x y = Bytes.get compared ((x * n) + y) <> '\000' in
+  (* M-set values only *)
+  let was_compared x y = Bytes.get compared ((rank.(x) * m) + rank.(y)) <> '\000' in
   let* () =
     if was_compared value0 value1 then
       err "CRT232" "trace" "witness values %d and %d were compared" value0
@@ -1192,8 +1200,6 @@ let check_exhaustion ~n ~max_depth ~frontiers ~covers =
   in
   let* () = levels 1 in
   (* the last frontier: every child of every matching must be unsorted *)
-  let child_tbl = Bytes.make total '\000' in
-  ignore child_tbl;
   let rec final pi = function
     | [] -> Ok ()
     | p :: rest ->

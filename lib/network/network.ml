@@ -2,7 +2,16 @@ type level = { pre : Perm.t option; gates : Gate.t list }
 
 type t = { wires : int; levels : level list }
 
-let validate_level ~wires lvl =
+let touch ~wires used w =
+  if w < 0 || w >= wires then
+    invalid_arg (Printf.sprintf "Network.create: wire %d out of [0,%d)" w wires)
+  else if Bytes.unsafe_get used w <> '\000' then
+    invalid_arg (Printf.sprintf "Network.create: wire %d used twice in a level" w)
+  else Bytes.unsafe_set used w '\001'
+
+(* [used] is one byte per wire, allocated once per network and cleared
+   per level. *)
+let validate_level ~wires used lvl =
   (match lvl.pre with
   | None -> ()
   | Some p ->
@@ -10,24 +19,21 @@ let validate_level ~wires lvl =
         invalid_arg
           (Printf.sprintf "Network.create: permutation size %d <> wires %d"
              (Perm.n p) wires));
-  let used = Array.make wires false in
-  let touch w =
-    if w < 0 || w >= wires then
-      invalid_arg (Printf.sprintf "Network.create: wire %d out of [0,%d)" w wires)
-    else if used.(w) then
-      invalid_arg (Printf.sprintf "Network.create: wire %d used twice in a level" w)
-    else used.(w) <- true
-  in
-  let touch_gate g =
-    let a, b = Gate.wires g in
-    touch a;
-    touch b
-  in
-  List.iter touch_gate lvl.gates
+  Bytes.fill used 0 wires '\000';
+  List.iter
+    (function
+      | Gate.Compare { lo; hi } ->
+          touch ~wires used lo;
+          touch ~wires used hi
+      | Gate.Exchange { a; b } ->
+          touch ~wires used a;
+          touch ~wires used b)
+    lvl.gates
 
 let create ~wires levels =
   if wires < 1 then invalid_arg "Network.create: wires must be >= 1";
-  List.iter (validate_level ~wires) levels;
+  let used = Bytes.create wires in
+  List.iter (validate_level ~wires used) levels;
   { wires; levels }
 
 let of_gate_levels ~wires gss =

@@ -37,20 +37,24 @@ let depth p =
     (fun acc st -> if stage_has_comparator st then acc + 1 else acc)
     0 p.stages
 
-let gates_of_ops ops =
-  let out = ref [] in
-  Array.iteri
-    (fun k op ->
-      let a = 2 * k and b = (2 * k) + 1 in
-      match op with
-      | Plus -> out := Gate.Compare { lo = a; hi = b } :: !out
-      | Minus -> out := Gate.Compare { lo = b; hi = a } :: !out
-      | One -> out := Gate.Exchange { a; b } :: !out
-      | Zero -> ())
-    ops;
-  List.rev !out
-
 let to_network p =
+  (* One immutable gate per op per register pair, shared by every stage,
+     so a stage's level costs only its list cells. *)
+  let half = p.n / 2 in
+  let plus = Array.init half (fun k -> Gate.Compare { lo = 2 * k; hi = (2 * k) + 1 }) in
+  let minus = Array.init half (fun k -> Gate.Compare { lo = (2 * k) + 1; hi = 2 * k }) in
+  let one = Array.init half (fun k -> Gate.Exchange { a = 2 * k; b = (2 * k) + 1 }) in
+  let gates_of_ops ops =
+    let out = ref [] in
+    for k = half - 1 downto 0 do
+      match ops.(k) with
+      | Plus -> out := plus.(k) :: !out
+      | Minus -> out := minus.(k) :: !out
+      | One -> out := one.(k) :: !out
+      | Zero -> ()
+    done;
+    !out
+  in
   let level_of_stage st =
     { Network.pre = Some st.perm; gates = gates_of_ops st.ops }
   in

@@ -28,4 +28,5 @@ val pairs : t -> (int * int) list
 val wires_collide : Network.t -> int array -> int -> int -> bool
 (** [wires_collide nw input w0 w1] is [true] iff input wires [w0] and
     [w1] collide in [nw] under [input] — i.e. the values placed on
-    those wires are compared somewhere (Definition 3.6). *)
+    those wires are compared somewhere (Definition 3.6). One evaluation
+    pass that asks only about that pair; the relation is not built. *)

@@ -27,7 +27,8 @@ val validate : t -> unit
 (** Checks the structural invariants: both subnetworks of every node
     have the same number of leaves, all leaf wires are distinct, every
     cross element joins a [sub0] wire with a [sub1] wire, and no wire
-    is used twice within one cross level.
+    is used twice within one cross level. Linear in the size of the
+    tree.
     @raise Invalid_argument on violation. *)
 
 val levels : t -> int

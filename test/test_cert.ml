@@ -200,6 +200,150 @@ let test_lower_bound () =
                 && String.sub e.Cert.code 0 3 = "CRT"))
       | Ok c -> Alcotest.failf "expected lower-bound, got %s" (Cert.kind_name c))
 
+(* --- lower bound: the M-set-sized trace decides as the n x n one.
+   [reference_replay] is the checker's earlier replay, kept verbatim as
+   the oracle: it records every value comparison in an n x n table,
+   then runs the CRT232..CRT235 checks. --- *)
+
+let reference_replay ~n ~stages ~input ~twin ~value0 ~value1 ~m_set =
+  let err code where fmt =
+    Printf.ksprintf (fun reason -> Error (code, where, reason)) fmt
+  in
+  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+  let compared = Bytes.make (n * n) '\000' in
+  let run ~trace input =
+    let v = ref (Array.copy input) in
+    List.iter
+      (fun (st : Cert.stage) ->
+        let cur = !v in
+        let nxt = Array.make n 0 in
+        Array.iteri (fun j x -> nxt.(st.perm.(j)) <- x) cur;
+        String.iteri
+          (fun k op ->
+            let a = 2 * k and b = (2 * k) + 1 in
+            let x = nxt.(a) and y = nxt.(b) in
+            let swap () =
+              nxt.(a) <- y;
+              nxt.(b) <- x
+            in
+            match op with
+            | '+' ->
+                if trace then begin
+                  Bytes.set compared ((x * n) + y) '\001';
+                  Bytes.set compared ((y * n) + x) '\001'
+                end;
+                if x > y then swap ()
+            | '-' ->
+                if trace then begin
+                  Bytes.set compared ((x * n) + y) '\001';
+                  Bytes.set compared ((y * n) + x) '\001'
+                end;
+                if x < y then swap ()
+            | '1' -> swap ()
+            | _ -> ())
+          st.ops;
+        v := nxt)
+      stages;
+    !v
+  in
+  let out0 = run ~trace:true input in
+  let out1 = run ~trace:false twin in
+  let was_compared x y = Bytes.get compared ((x * n) + y) <> '\000' in
+  let* () =
+    if was_compared value0 value1 then
+      err "CRT232" "trace" "witness values %d and %d were compared" value0
+        value1
+    else Ok ()
+  in
+  let swap v =
+    if v = value0 then value1
+    else if v = value1 then value0
+    else v
+  in
+  let* () =
+    if Array.for_all2 (fun a b -> b = swap a) out0 out1 then Ok ()
+    else err "CRT233" "outputs" "outputs differ beyond the witness swap"
+  in
+  let sorted a =
+    let ok = ref true in
+    for i = 0 to Array.length a - 2 do
+      if a.(i) > a.(i + 1) then ok := false
+    done;
+    !ok
+  in
+  let* () =
+    if sorted out0 && sorted out1 then
+      err "CRT234" "outputs" "both fooling-pair outputs are sorted"
+    else Ok ()
+  in
+  let values = List.map (fun w -> input.(w)) m_set in
+  let rec audit = function
+    | [] -> Ok ()
+    | v :: rest -> (
+        match List.find_opt (fun u -> was_compared v u) rest with
+        | Some u -> err "CRT235" "mset" "M-set values %d and %d were compared" v u
+        | None -> audit rest)
+  in
+  audit values
+
+let shuffled rng a =
+  let a = Array.copy a in
+  for i = Array.length a - 1 downto 1 do
+    let j = Xoshiro.int rng ~bound:(i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* A random register-model transcript over all four ops, a random input,
+   a random adjacent witness pair and a random M-set around its wires;
+   every structural check passes, so the verdict is the replay's. *)
+let prop_lower_bound_mset_trace =
+  QCheck.Test.make ~name:"lower-bound M-set trace = n x n reference" ~count:400
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 6))
+    (fun (seed, d) ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 1 lsl d in
+      let stages =
+        List.init (1 + Xoshiro.int rng ~bound:4) (fun _ ->
+            { Cert.perm = shuffled rng (Array.init n Fun.id);
+              ops = String.init (n / 2) (fun _ -> "+-01".[Xoshiro.int rng ~bound:4]) })
+      in
+      let input = shuffled rng (Array.init n Fun.id) in
+      let value0 = Xoshiro.int rng ~bound:(n - 1) in
+      let value1 = value0 + 1 in
+      let wire_of v =
+        let w = ref 0 in
+        Array.iteri (fun i x -> if x = v then w := i) input;
+        !w
+      in
+      let wire0 = wire_of value0 and wire1 = wire_of value1 in
+      let twin = Array.copy input in
+      twin.(wire0) <- value1;
+      twin.(wire1) <- value0;
+      let others =
+        shuffled rng
+          (Array.of_list
+             (List.filter (fun w -> w <> wire0 && w <> wire1) (List.init n Fun.id)))
+      in
+      let extra = Xoshiro.int rng ~bound:(min (n - 2) 6 + 1) in
+      let m_set =
+        Array.to_list
+          (shuffled rng
+             (Array.append [| wire0; wire1 |] (Array.sub others 0 extra)))
+      in
+      let got =
+        match
+          Cert.check
+            (Cert.Lower_bound
+               { n; stages; input; twin; wire0; wire1; value0; value1; m_set })
+        with
+        | Ok () -> Ok ()
+        | Error e -> Error (e.Cert.code, e.Cert.where, e.Cert.reason)
+      in
+      got = reference_replay ~n ~stages ~input ~twin ~value0 ~value1 ~m_set)
+
 (* --- parse errors are typed --- *)
 
 let test_parse_errors () =
@@ -230,4 +374,6 @@ let () =
           Alcotest.test_case "lower-bound" `Quick test_lower_bound;
           Alcotest.test_case "parse-errors" `Quick test_parse_errors;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_lower_bound_mset_trace ] );
     ]

@@ -264,6 +264,222 @@ let prop_shuffle_block_equivalence =
       let input = Workload.random_permutation rng ~n in
       Network.eval nw input = Network.eval nw_it input)
 
+(* --- oracles for the linear flattening and validation: the earlier
+   quadratic builder (each node's gates appended to its level with [@])
+   and the [Int_set] validator, kept verbatim as references --- *)
+
+let reference_gate_of_cross (c : Reverse_delta.cross) =
+  match c.kind with
+  | Reverse_delta.Min_left -> Gate.Compare { lo = c.left; hi = c.right }
+  | Reverse_delta.Min_right -> Gate.Compare { lo = c.right; hi = c.left }
+  | Reverse_delta.Swap -> Gate.Exchange { a = c.left; b = c.right }
+
+let reference_to_network ~wires rd =
+  let l = Reverse_delta.levels rd in
+  let time_levels = Array.make l [] in
+  let rec walk depth = function
+    | Reverse_delta.Wire _ -> ()
+    | Reverse_delta.Node { sub0; sub1; cross } ->
+        let step = l - depth - 1 in
+        time_levels.(step) <-
+          time_levels.(step) @ List.map reference_gate_of_cross cross;
+        walk (depth + 1) sub0;
+        walk (depth + 1) sub1
+  in
+  walk 0 rd;
+  Network.of_gate_levels ~wires (Array.to_list time_levels)
+
+module Int_set = Set.Make (Int)
+
+let reference_validate rd =
+  let rec go = function
+    | Reverse_delta.Wire w ->
+        if w < 0 then invalid_arg "Reverse_delta.validate: negative wire id";
+        (Int_set.singleton w, 0)
+    | Reverse_delta.Node { sub0; sub1; cross } ->
+        let s0, l0 = go sub0 and s1, l1 = go sub1 in
+        if l0 <> l1 then
+          invalid_arg
+            (Printf.sprintf "Reverse_delta.validate: subnetworks of depth %d and %d" l0 l1);
+        if not (Int_set.is_empty (Int_set.inter s0 s1)) then
+          invalid_arg "Reverse_delta.validate: subnetworks share a wire";
+        let used = Hashtbl.create 16 in
+        let touch w =
+          if Hashtbl.mem used w then
+            invalid_arg
+              (Printf.sprintf "Reverse_delta.validate: wire %d used twice in a cross level" w)
+          else Hashtbl.add used w ()
+        in
+        List.iter
+          (fun (c : Reverse_delta.cross) ->
+            if not (Int_set.mem c.left s0) then
+              invalid_arg
+                (Printf.sprintf "Reverse_delta.validate: left wire %d not in sub0" c.left);
+            if not (Int_set.mem c.right s1) then
+              invalid_arg
+                (Printf.sprintf "Reverse_delta.validate: right wire %d not in sub1" c.right);
+            touch c.left;
+            touch c.right)
+          cross;
+        (Int_set.union s0 s1, l0 + 1)
+  in
+  ignore (go rd)
+
+let level_lists nw =
+  List.map (fun (l : Network.level) -> (l.pre, l.gates)) (Network.levels nw)
+
+let prop_to_network_random_trees =
+  QCheck.Test.make ~name:"to_network = quadratic reference (random trees)" ~count:120
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 8))
+    (fun (seed, levels) ->
+      let rng = Xoshiro.of_seed seed in
+      let density = Xoshiro.float rng in
+      let rd = Random_net.reverse_delta rng ~levels ~density ~swap_prob:0.3 in
+      let wires = 1 lsl levels in
+      level_lists (Reverse_delta.to_network ~wires rd)
+      = level_lists (reference_to_network ~wires rd))
+
+let prop_to_network_shuffle_blocks =
+  QCheck.Test.make ~name:"to_network = quadratic reference (shuffle blocks)" ~count:120
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 8))
+    (fun (seed, d) ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 1 lsl d in
+      let prog = Shuffle_net.random_program rng ~n ~stages:d in
+      let opss = List.map (fun st -> st.Register_model.ops) (Register_model.stages prog) in
+      let rd = Shuffle_net.block_of_ops ~n opss in
+      level_lists (Reverse_delta.to_network ~wires:n rd)
+      = level_lists (reference_to_network ~wires:n rd))
+
+let outcome f =
+  match f () with () -> None | exception Invalid_argument msg -> Some msg
+
+(* Rebuilds [rd] with [f] applied to its [k]-th subtree in pre-order. *)
+let edit_subtree k f rd =
+  let i = ref (-1) in
+  let rec go t =
+    incr i;
+    if !i = k then f t
+    else
+      match t with
+      | Reverse_delta.Wire _ -> t
+      | Reverse_delta.Node { sub0; sub1; cross } ->
+          let sub0 = go sub0 in
+          let sub1 = go sub1 in
+          Reverse_delta.Node { sub0; sub1; cross }
+  in
+  go rd
+
+let subtrees rd =
+  let rec go acc t =
+    match t with
+    | Reverse_delta.Wire _ -> t :: acc
+    | Reverse_delta.Node { sub0; sub1; _ } -> go (go (t :: acc) sub0) sub1
+  in
+  List.rev (go [] rd)
+
+let pick rng l = List.nth l (Xoshiro.int rng ~bound:(List.length l))
+
+(* The pre-order index and cross list of every node with at least [k]
+   cross elements. *)
+let crossed_nodes rd k =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun i t ->
+         match t with
+         | Reverse_delta.Node { cross; _ } when List.length cross >= k ->
+             Some (i, Array.of_list cross)
+         | _ -> None)
+       (subtrees rd))
+
+let set_cross rd i j (f : Reverse_delta.cross -> Reverse_delta.cross) =
+  edit_subtree i
+    (function
+      | Reverse_delta.Node n ->
+          Reverse_delta.Node
+            { n with cross = List.mapi (fun k c -> if k = j then f c else c) n.cross }
+      | t -> t)
+    rd
+
+(* Rebuilds [rd] with [f] applied to the wire of its [k]-th leaf. *)
+let edit_leaf k f rd =
+  let pos = ref (-1) in
+  let rec go = function
+    | Reverse_delta.Wire w ->
+        incr pos;
+        Reverse_delta.Wire (if !pos = k then f w else w)
+    | Reverse_delta.Node { sub0; sub1; cross } ->
+        let sub0 = go sub0 in
+        let sub1 = go sub1 in
+        Reverse_delta.Node { sub0; sub1; cross }
+  in
+  go rd
+
+(* One injected fault: a repeated leaf, a depth mismatch (a subtree one
+   level too shallow, or a leaf one level too deep, through a fresh
+   wire id far above the rest), a cross endpoint on the wrong side, a
+   wire used twice in one cross level, or a negative wire. *)
+let inject rng rd =
+  let leaves = Reverse_delta.leaves rd in
+  let count = Array.length leaves in
+  let repeated_leaf () =
+    let i = Xoshiro.int rng ~bound:count in
+    let j = (i + 1 + Xoshiro.int rng ~bound:(count - 1)) mod count in
+    edit_leaf j (fun _ -> leaves.(i)) rd
+  in
+  match Xoshiro.int rng ~bound:5 with
+  | 0 -> repeated_leaf ()
+  | 1 ->
+      let k = 1 + Xoshiro.int rng ~bound:(List.length (subtrees rd) - 1) in
+      edit_subtree k
+        (function
+          | Reverse_delta.Node { sub0; _ } -> sub0
+          | Reverse_delta.Wire w ->
+              Reverse_delta.Node
+                { sub0 = Reverse_delta.Wire w;
+                  sub1 = Reverse_delta.Wire (1_000_000 + w);
+                  cross = [] })
+        rd
+  | 2 -> (
+      match crossed_nodes rd 1 with
+      | [] -> repeated_leaf ()
+      | ns ->
+          let i, cross = pick rng ns in
+          set_cross rd i (Xoshiro.int rng ~bound:(Array.length cross)) (fun c ->
+              { c with left = c.right; right = c.left }))
+  | 3 -> (
+      match crossed_nodes rd 2 with
+      | [] -> repeated_leaf ()
+      | ns ->
+          let i, cross = pick rng ns in
+          let len = Array.length cross in
+          let a = Xoshiro.int rng ~bound:len in
+          let b = (a + 1 + Xoshiro.int rng ~bound:(len - 1)) mod len in
+          if Xoshiro.bool rng then
+            set_cross rd i b (fun c -> { c with left = cross.(a).left })
+          else set_cross rd i b (fun c -> { c with right = cross.(a).right }))
+  | _ -> (
+      match (Xoshiro.bool rng, crossed_nodes rd 1) with
+      | true, (_ :: _ as ns) ->
+          let i, _ = pick rng ns in
+          set_cross rd i 0 (fun c -> { c with right = -1 - c.right })
+      | _ -> edit_leaf (Xoshiro.int rng ~bound:count) (fun w -> -1 - w) rd)
+
+let prop_validate_single_fault =
+  QCheck.Test.make ~name:"validate = Int_set reference on one injected fault" ~count:600
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 6))
+    (fun (seed, levels) ->
+      let rng = Xoshiro.of_seed seed in
+      let rd =
+        Random_net.reverse_delta rng ~levels ~density:(0.3 +. (0.7 *. Xoshiro.float rng))
+          ~swap_prob:0.2
+      in
+      let bad = inject rng rd in
+      let expected = outcome (fun () -> reference_validate bad) in
+      outcome (fun () -> Reverse_delta.validate rd) = None
+      && expected <> None
+      && outcome (fun () -> Reverse_delta.validate bad) = expected)
+
 let () =
   Alcotest.run "topology"
     [ ( "reverse delta",
@@ -290,4 +506,8 @@ let () =
         [ Alcotest.test_case "random reverse delta valid" `Quick test_random_reverse_delta_valid;
           Alcotest.test_case "random iterated valid" `Quick test_random_iterated_valid ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_shuffle_block_equivalence ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_shuffle_block_equivalence;
+            prop_to_network_random_trees;
+            prop_to_network_shuffle_blocks;
+            prop_validate_single_fault ] ) ]
