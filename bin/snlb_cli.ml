@@ -535,7 +535,10 @@ let lint_cmd =
       "Widest network analysed with the exact reachable-set domain; \
        wider ones use the sound order-bounds approximation."
     in
-    Arg.(value & opt int 12 & info [ "exact-max" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int Analysis.default_exact_max_wires
+      & info [ "exact-max" ] ~docv:"N" ~doc)
   in
   let strict_arg =
     let doc = "Exit 1 on warnings too, not just errors." in

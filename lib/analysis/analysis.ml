@@ -29,71 +29,85 @@ type facts = {
 
 type report = { facts : facts; diags : Diag.t list }
 
-(* One walk, either domain. Queries for all gates of a level run
-   against the level-entry state (the gates of a level fire in
-   parallel); transfers are then applied sequentially, which is
-   equivalent because gates of one level touch disjoint wires. *)
-let classify_gates ~exact nw =
+let default_exact_max_wires = 12
+let exact_cap = 16
+
+(* Gate verdicts in walk order. [level_verdicts li level] gives each
+   gate of level [li] (0-based) its (dead, redundant) pair; [dead]
+   lists the redundant gates too. *)
+let gate_verdicts nw level_verdicts =
   let dead = ref [] and redundant = ref [] in
-  let record lvl gi g ~is_dead ~is_red =
-    if is_dead || is_red then begin
-      let a, b = match g with
-        | Gate.Compare { lo; hi } -> (lo, hi)
-        | Gate.Exchange { a; b } -> (a, b)
-      in
-      let r = { level = lvl; gate = gi; a; b } in
-      if is_dead || is_red then dead := r :: !dead;
-      if is_red then redundant := r :: !redundant
-    end
-  in
-  let final_sortedness =
-    if exact then begin
-      let n = Network.wires nw in
-      let st = ref (Reach.all n) in
+  List.iteri
+    (fun li (level : Network.level) ->
       List.iteri
-        (fun li (level : Network.level) ->
-          (match level.pre with
-          | None -> ()
-          | Some p -> st := Reach.apply_perm !st p);
-          List.iteri
-            (fun gi g ->
-              record (li + 1) gi g
-                ~is_dead:(Reach.gate_dead !st g)
-                ~is_red:(Reach.gate_redundant !st g))
-            level.gates;
-          List.iter (fun g -> st := Reach.apply_gate !st g) level.gates)
-        (Network.levels nw);
-      match Reach.find_unsorted !st with
-      | None -> Sorting_proved
-      | Some m -> Sorting_refuted m
-    end
-    else begin
-      let b = Bounds.create (Network.wires nw) in
-      List.iteri
-        (fun li (level : Network.level) ->
-          (match level.pre with
-          | None -> ()
-          | Some p -> Bounds.transfer_perm b p);
-          List.iteri
-            (fun gi g ->
-              record (li + 1) gi g ~is_dead:(Bounds.gate_dead b g)
-                ~is_red:(Bounds.gate_redundant b g))
-            level.gates;
-          List.iter (fun g -> Bounds.transfer_gate b g) level.gates)
-        (Network.levels nw);
-      if Bounds.sorted_proved b then Sorted_by_bounds else Unknown
-    end
+        (fun gi (g, (is_dead, is_red)) ->
+          if is_dead || is_red then begin
+            let a, b =
+              match g with
+              | Gate.Compare { lo; hi } -> (lo, hi)
+              | Gate.Exchange { a; b } -> (a, b)
+            in
+            let r = { level = li + 1; gate = gi; a; b } in
+            dead := r :: !dead;
+            if is_red then redundant := r :: !redundant
+          end)
+        (List.combine level.gates (level_verdicts li level)))
+    (Network.levels nw);
+  (List.rev !dead, List.rev !redundant)
+
+(* The exact domain is the kernel's sweep over all 2^n inputs. A
+   comparator is dead iff it never fires, an exchange iff its wires
+   never differ; any gate is redundant iff its wires never differ. *)
+let exact_verdicts nw c =
+  let { Bitslice.fires; differs; least_unsorted } = Bitslice.gate_activity c in
+  let dead, redundant =
+    gate_verdicts nw (fun li (level : Network.level) ->
+        List.mapi
+          (fun gi g ->
+            let i = c.Compiled.level_off.(li) + gi in
+            let never_differs = not differs.(i) in
+            ((if Gate.is_comparator g then not fires.(i) else never_differs),
+             never_differs))
+          level.gates)
   in
-  (final_sortedness, List.rev !dead, List.rev !redundant)
+  let sortedness =
+    match least_unsorted with
+    | None -> Sorting_proved
+    | Some m -> Sorting_refuted m
+  in
+  (sortedness, dead, redundant)
+
+(* The one order-bounds walk. A level's gates are all queried against
+   its entry state (they fire in parallel on disjoint wires), then
+   transferred. *)
+let bounds_verdicts nw ~on_level =
+  let b = Bounds.create (Network.wires nw) in
+  let dead, redundant =
+    gate_verdicts nw (fun _ (level : Network.level) ->
+        Option.iter (Bounds.transfer_perm b) level.pre;
+        let verdicts =
+          List.map
+            (fun g -> (Bounds.gate_dead b g, Bounds.gate_redundant b g))
+            level.gates
+        in
+        List.iter (Bounds.transfer_gate b) level.gates;
+        on_level b;
+        verdicts)
+  in
+  let sortedness = if Bounds.sorted_proved b then Sorted_by_bounds else Unknown in
+  (sortedness, dead, redundant)
 
 let mask_bits ~n m =
   String.init n (fun i -> if m land (1 lsl (n - 1 - i)) <> 0 then '1' else '0')
 
-let analyze_gen ?(exact_max_wires = 12) ?(cross_check = false)
-    ~conformance nw =
+let analyze_gen ?(exact_max_wires = default_exact_max_wires)
+    ?(cross_check = false) ~conformance nw =
   let n = Network.wires nw in
-  let exact = n <= min exact_max_wires Reach.max_wires in
-  let sortedness, dead, redundant = classify_gates ~exact nw in
+  let exact = n <= min exact_max_wires exact_cap in
+  let sortedness, dead, redundant =
+    if exact then exact_verdicts nw (Compiled.of_network nw)
+    else bounds_verdicts nw ~on_level:ignore
+  in
   let comparators = Network.size nw in
   let exchanges =
     List.fold_left
@@ -138,7 +152,7 @@ let analyze_gen ?(exact_max_wires = 12) ?(cross_check = false)
             "exact 0-1 domain unavailable at %d wires (cap %d): sortedness \
              and gate verdicts use the approximate bounds domain"
             n
-            (min exact_max_wires Reach.max_wires)));
+            (min exact_max_wires exact_cap)));
   let red_set = List.map (fun r -> (r.level, r.gate)) redundant in
   List.iter
     (fun r ->

@@ -1,16 +1,17 @@
-(** The analyzer façade: one level-by-level walk of a network through
-    the abstract domains, producing a facts record plus typed
-    diagnostics; the strictness gate for loading; the observability
-    counters.
+(** The analyzer façade: one pass of a network through an abstract
+    domain, producing a facts record plus typed diagnostics; the
+    strictness gate for loading; the observability counters.
 
     Domain choice: networks with at most [exact_max_wires] wires
-    (default 12) use the exact 0-1 reachable-set domain ({!Reach}) —
-    sortedness is then decided (proved {e or} refuted), and
-    dead/redundant classifications are exact on 0-1 behaviour. Wider
-    networks use the polynomial order-bounds domain ({!Bounds}) —
-    sortedness can only be proved, never refuted, and dead/redundant
-    are sound under-approximations (every flagged gate really is
-    dead/redundant; unflagged gates are unclassified).
+    (default {!default_exact_max_wires}, never above {!exact_cap}) use
+    the exact 0-1 domain: the compiled kernel's sweep over all [2^n]
+    zero-one inputs ({!Bitslice.gate_activity}) — sortedness is then
+    decided (proved {e or} refuted), and dead/redundant
+    classifications are exact on 0-1 behaviour. Wider networks use the
+    polynomial order-bounds domain ({!Bounds}) — sortedness can only
+    be proved, never refuted, and dead/redundant are sound
+    under-approximations (every flagged gate really is dead/redundant;
+    unflagged gates are unclassified).
 
     Definitions (see DESIGN.md for the soundness argument):
     - a comparator is {b dead} when it never exchanges on any
@@ -50,6 +51,14 @@ type facts = {
 
 type report = { facts : facts; diags : Diag.t list }
 
+val default_exact_max_wires : int
+(** 12: the widest network {!analyze}, the {!Analysis_cert} emitters
+    and [snlb lint] put in the exact domain unless told otherwise. *)
+
+val exact_cap : int
+(** 16: no exact domain above it, whatever [exact_max_wires] asks —
+    the checker's reach certificates stop at 16 wires. *)
+
 val analyze : ?exact_max_wires:int -> ?cross_check:bool -> Network.t -> report
 (** [cross_check] (default false): when the exact domain decided
     sortedness, re-derive the verdict independently through the
@@ -63,6 +72,28 @@ val remove_dead : Network.t -> facts -> Network.t
 val flip_redundant : Network.t -> facts -> Network.t
 (** The network with every comparator in [facts.redundant]
     orientation-flipped (ditto). *)
+
+(** {1 Domain passes}
+
+    The two passes behind {!analyze}'s verdicts, shared with the
+    {!Analysis_cert} emitters. Each returns the sortedness verdict and
+    the [dead] and [redundant] lists of {!facts}. *)
+
+val exact_verdicts :
+  Network.t -> Compiled.t -> sortedness * gate_ref list * gate_ref list
+(** [exact_verdicts nw c], with [c] compiled from [nw]: one
+    {!Bitslice.gate_activity} sweep. A comparator is dead iff it never
+    fires, an exchange iff its wires never differ; any gate is
+    redundant iff its wires never differ. [Sorting_refuted] carries
+    the least unsorted output mask. *)
+
+val bounds_verdicts :
+  Network.t ->
+  on_level:(Bounds.t -> unit) ->
+  sortedness * gate_ref list * gate_ref list
+(** The order-bounds walk: each level's gates are judged against its
+    entry state, then transferred, and [on_level] sees the state after
+    each level. Sortedness is [Sorted_by_bounds] or [Unknown]. *)
 
 (** {1 Load gate} *)
 

@@ -24,105 +24,57 @@ let bounds_claims b =
   done;
   !pairs
 
-let reach_sets nw =
+let sortedness ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
   let n = Network.wires nw in
-  let st = ref (Reach.all n) in
-  let sets =
-    List.map
-      (fun (level : Network.level) ->
-        (match level.pre with
-        | None -> ()
-        | Some p -> st := Reach.apply_perm !st p);
-        List.iter (fun g -> st := Reach.apply_gate !st g) level.gates;
-        let masks = ref [] in
-        Reach.iter (fun m -> masks := m :: !masks) !st;
-        List.rev !masks)
-      (Network.levels nw)
-  in
-  (sets, !st)
-
-let sortedness ?(exact_max_wires = 12) nw =
-  let n = Network.wires nw in
-  if n <= min exact_max_wires Reach.max_wires then begin
-    let sets, final = reach_sets nw in
-    match Reach.find_unsorted final with
+  if n <= min exact_max_wires Analysis.exact_cap then begin
+    let c = Compiled.of_network nw in
+    (* refute with a concrete input: the smallest 0-1 vector whose
+       output is unsorted *)
+    match Bitslice.find_unsorted c with
+    | Some witness -> self_check (Cert.Refutation { network = nw; witness })
     | None ->
         self_check
           (Cert.Sortedness
-             { network = nw; domain = Cert.Reach_sets (Array.of_list sets) })
-    | Some _ ->
-        (* refute with a concrete input: the smallest 0-1 vector whose
-           output is unsorted (one exists — the final set is the image
-           of all 2^n inputs) *)
-        let witness = ref None in
-        let m = ref 0 in
-        while !witness = None && !m < 1 lsl n do
-          if not (Cert.is_sorted_mask ~n (Cert.eval_mask nw !m)) then
-            witness := Some !m;
-          incr m
-        done;
-        (match !witness with
-        | Some witness ->
-            self_check (Cert.Refutation { network = nw; witness })
-        | None ->
-            Error "analyzer refuted sortedness but no witness input exists")
+             { network = nw; domain = Cert.Reach_sets (Bitslice.level_images c) })
   end
   else begin
-    let b = Bounds.create n in
-    let lvls =
-      List.map
-        (fun (level : Network.level) ->
-          (match level.pre with
-          | None -> ()
-          | Some p -> Bounds.transfer_perm b p);
-          List.iter (fun g -> Bounds.transfer_gate b g) level.gates;
-          bounds_claims b)
-        (Network.levels nw)
+    let lvls = ref [] in
+    let verdict, _, _ =
+      Analysis.bounds_verdicts nw ~on_level:(fun b ->
+          lvls := bounds_claims b :: !lvls)
     in
-    if Bounds.sorted_proved b then
+    if verdict = Analysis.Sorted_by_bounds then
       self_check
         (Cert.Sortedness
-           { network = nw; domain = Cert.Bounds_leq (Array.of_list lvls) })
+           { network = nw;
+             domain = Cert.Bounds_leq (Array.of_list (List.rev !lvls)) })
     else
       Error
         (Printf.sprintf
            "the bounds domain cannot decide sortedness at %d wires (exact \
             domain capped at %d)"
            n
-           (min exact_max_wires Reach.max_wires))
+           (min exact_max_wires Analysis.exact_cap))
   end
 
-let dead_gates ?(exact_max_wires = 12) nw =
-  let n = Network.wires nw in
-  if n > min exact_max_wires Reach.max_wires then Ok None
+let dead_gates ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
+  if Network.wires nw > min exact_max_wires Analysis.exact_cap then Ok None
   else begin
-    let st = ref (Reach.all n) in
-    let claims = ref [] in
-    let sets =
-      List.mapi
-        (fun li (level : Network.level) ->
-          (match level.pre with
-          | None -> ()
-          | Some p -> st := Reach.apply_perm !st p);
-          List.iteri
-            (fun gi g ->
-              if Reach.gate_redundant !st g then
-                claims := Cert.Redundant { level = li + 1; gate = gi } :: !claims
-              else if Reach.gate_dead !st g then
-                claims := Cert.Dead { level = li + 1; gate = gi } :: !claims)
-            level.gates;
-          List.iter (fun g -> st := Reach.apply_gate !st g) level.gates;
-          let masks = ref [] in
-          Reach.iter (fun m -> masks := m :: !masks) !st;
-          List.rev !masks)
-        (Network.levels nw)
-    in
-    match List.rev !claims with
+    let c = Compiled.of_network nw in
+    let _, dead, redundant = Analysis.exact_verdicts nw c in
+    match dead with
     | [] -> Ok None
-    | claims ->
-        Result.map
-          (fun c -> Some c)
+    | dead ->
+        let claims =
+          List.map
+            (fun (r : Analysis.gate_ref) ->
+              if List.mem r redundant then
+                Cert.Redundant { level = r.level; gate = r.gate }
+              else Cert.Dead { level = r.level; gate = r.gate })
+            dead
+        in
+        Result.map Option.some
           (self_check
              (Cert.Dead_gates
-                { network = nw; sets = Array.of_list sets; claims }))
+                { network = nw; sets = Bitslice.level_images c; claims }))
   end

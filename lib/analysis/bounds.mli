@@ -1,6 +1,6 @@
 (** Approximate order-bounds abstract domain for large networks.
 
-    Where {!Reach} tracks the exact reachable 0-1 set (exponential in
+    Where the exact domain sweeps all [2^n] 0-1 inputs (exponential in
     [n]), this domain keeps two kinds of sound facts, each polynomial:
 
     - an [n * n] order matrix [R] with [R(i, j)] set only if the value

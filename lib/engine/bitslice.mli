@@ -82,3 +82,33 @@ val count_unsorted : ?domains:int -> Compiled.t -> int
 
 val is_sorting_network : ?domains:int -> Compiled.t -> bool
 (** [find_unsorted c = None]. *)
+
+(** {1 Whole-network facts}
+
+    Two sweeps over all [2^wires] 0-1 inputs for the static analyzer:
+    the exact per-gate and per-level facts its verdicts and
+    certificates need. Both are exponential in [wires], like
+    {!find_unsorted}; the caller guards the width. *)
+
+type activity = {
+  fires : bool array;
+      (** per gate of the instruction stream: some input reaches it
+          with 1 on [ga] and 0 on [gb] (a comparator exchanges) *)
+  differs : bool array;
+      (** per gate: some input reaches it with unequal bits on its two
+          wires *)
+  least_unsorted : int option;
+      (** the least unsorted output mask in register coordinates (bit
+          [r] = output register [r]), or [None] when [c] sorts *)
+}
+
+val gate_activity : Compiled.t -> activity
+(** Both per-gate bits are read before the gate acts. A gate's index
+    is its position in the stream; gate [g] of source level [l] is
+    [level_off.(l) + g]. *)
+
+val level_images : Compiled.t -> int list array
+(** For each source level (gate-free permutation levels included), the
+    distinct masks the [2^wires] inputs reach after it, in register
+    coordinates (bit [r] = register [r], through the level's [slots]
+    map) and increasing order. *)

@@ -27,7 +27,8 @@ type t = private {
   gb : int array;  (** second endpoint (flattened slot) per gate *)
   level_off : int array;
       (** length [levels + 1]; gates of level [i] occupy
-          [level_off.(i) .. level_off.(i+1) - 1] *)
+          [level_off.(i) .. level_off.(i+1) - 1], in the source level's
+          gate order *)
   level_cmp : bool array;  (** level contains at least one comparator *)
   slots : int array array option;
       (** register→slot map in effect at each level; [None] when the

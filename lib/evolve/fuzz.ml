@@ -183,7 +183,10 @@ let check_known_optima nw c =
       else Ok ()
 
 let check_genome g =
-  if Genome.wires g > 12 then invalid_arg "Fuzz.check_genome: wires > 12";
+  if Genome.wires g > Analysis.default_exact_max_wires then
+    invalid_arg
+      (Printf.sprintf "Fuzz.check_genome: wires > %d"
+         Analysis.default_exact_max_wires);
   let nw = Genome.to_network g in
   let c = Compiled.of_network nw in
   let* () = check_engine_vs_interpreter nw c in

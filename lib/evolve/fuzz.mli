@@ -50,9 +50,9 @@ type report = {
 }
 
 val check_genome : Genome.t -> (unit, string * string) result
-(** Run every oracle pair on one genome ([wires <= 12] for the exact
-    analyzer domain); [Error (kind, detail)] on the first
-    disagreement. *)
+(** Run every oracle pair on one genome ([wires <=
+    {!Analysis.default_exact_max_wires}] for the exact analyzer
+    domain); [Error (kind, detail)] on the first disagreement. *)
 
 val genome_at : seed:int -> index:int -> Genome.t
 (** The [index]-th genome of the [seed] stream (width in [\[2, 8\]],

@@ -171,13 +171,11 @@ let crossover rng a b =
     }
   end
 
-let exact_max_wires = 12
-
 let c_repairs = Metrics.counter "evolve.repairs"
 let c_repaired_gates = Metrics.counter "evolve.repaired_gates"
 
 let repair g =
-  if g.wires > exact_max_wires then g
+  if g.wires > Analysis.default_exact_max_wires then g
   else begin
     let r = Analysis.analyze (to_network g) in
     match r.Analysis.facts.Analysis.dead with

@@ -71,8 +71,8 @@ val repair : t -> t
     extensionally sound). Since removing a dead comparator changes no
     reachable value anywhere, repair never {e introduces} a dead
     comparator: the repaired genome analyzes dead-free (the QCheck
-    property). Genomes wider than the exact-domain cutoff (12) are
-    returned unchanged. *)
+    property). Genomes wider than the exact-domain cutoff
+    ({!Analysis.default_exact_max_wires}) are returned unchanged. *)
 
 val repair_grow : Xoshiro.t -> t -> t
 (** {!repair}, then refill: each level that lost comparators gets

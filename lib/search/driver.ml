@@ -45,8 +45,8 @@ let c_subsumed = Metrics.counter "search.subsumed"
 let c_levels = Metrics.counter "search.levels"
 
 (* The static-analysis pruning hook lives under the analyzer's counter
-   namespace: these are redundancy facts (lib/analysis Reach domain)
-   consumed by the search. *)
+   namespace: these are redundancy facts (comparators that cannot fire
+   on a state's reachable 0-1 set) consumed by the search. *)
 let c_redundant = Metrics.counter "analysis.redundant_moves"
 let c_ckpt_failures = Metrics.counter "checkpoint.failures"
 let c_resumes = Metrics.counter "checkpoint.resumes"
@@ -694,7 +694,7 @@ let network_system ?(restrict = true) ~n () =
   (* Analysis hook (restricted mode, levels >= 3 only): a layer
      containing a comparator [(i, j)] that never fires on the state's
      reachable set — no reachable mask has bit [i] set and bit [j]
-     clear ({!Reach.unordered_pairs} over {!State.iter_masks}) —
+     clear ({!State.unordered_pairs}) —
      reaches exactly the state of that layer minus the comparator.
      [Layers.all] contains every nonempty matching, so from level 3 on
      the smaller layer is itself an available move (or, when it
@@ -708,12 +708,10 @@ let network_system ?(restrict = true) ~n () =
   let redundant_of ~level st =
     if not restrict || level <= 2 then fun _ -> false
     else begin
-      let tbl =
-        lazy (Reach.unordered_pairs ~n ~iter:(fun f -> State.iter_masks f st))
-      in
+      let tbl = lazy (State.unordered_pairs st) in
       fun layer ->
         List.exists
-          (fun (i, j) -> not (Reach.pair_unordered (Lazy.force tbl) ~n i j))
+          (fun (i, j) -> not (State.pair_unordered (Lazy.force tbl) ~n i j))
           layer
     end
   in

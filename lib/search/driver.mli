@@ -198,7 +198,7 @@ val network_system : ?restrict:bool -> n:int -> unit -> layer system
     first-layer symmetry and subsumption deduplication, and levels 3+
     consult the static-analysis [redundant_of] hook: a layer holding a
     comparator that never fires on the state's reachable 0-1 set
-    ({!Reach.unordered_pairs}) is skipped, because [Layers.all]
+    ({!State.unordered_pairs}) is skipped, because [Layers.all]
     contains the same layer without it — same child, one comparator
     cheaper. With [~restrict:false] they use every layer, equality-only
     deduplication and no analysis hook — the slow exhaustive reference

@@ -125,3 +125,28 @@ let sorted_state n =
       st
 
 let is_sorted st = subset st (sorted_state st.n)
+
+let unordered_pairs st =
+  let n = st.n in
+  let tbl = Bytes.make (n * n) '\000' in
+  let total = n * (n - 1) in
+  let seen = ref 0 in
+  (try
+     iter_masks
+       (fun m ->
+         for i = 0 to n - 1 do
+           if m land (1 lsl i) <> 0 then
+             for j = 0 to n - 1 do
+               if m land (1 lsl j) = 0 && Bytes.unsafe_get tbl ((i * n) + j) = '\000'
+               then begin
+                 Bytes.unsafe_set tbl ((i * n) + j) '\001';
+                 incr seen;
+                 if !seen = total then raise Early
+               end
+             done
+         done)
+       st
+   with Early -> ());
+  tbl
+
+let pair_unordered tbl ~n i j = Bytes.unsafe_get tbl ((i * n) + j) <> '\000'

@@ -70,3 +70,20 @@ val map_masks : t -> (int -> int) -> t
 val is_sorted : t -> bool
 (** True iff every reachable vector is sorted ascending by wire index
     (zeros on low wires) — i.e. the prefix is a sorting network. *)
+
+(** {1 Pair table}
+
+    The driver's redundant-move filter asks, per state, whether an
+    ascending comparator placed on [(i, j)] could still exchange
+    anything. *)
+
+val unordered_pairs : t -> Bytes.t
+(** [unordered_pairs st] scans the masks of [st] once and returns an
+    [n * n] byte table whose entry [(i, j)] (row-major) is [1] iff some
+    mask has bit [i] set and bit [j] clear — i.e. a comparator
+    directing [i -> j] placed at this point would exchange at least one
+    reachable vector. Scanning stops early once every ordered pair has
+    been witnessed. *)
+
+val pair_unordered : Bytes.t -> n:int -> int -> int -> bool
+(** [pair_unordered tbl ~n i j] reads entry [(i, j)]. *)

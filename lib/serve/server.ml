@@ -18,11 +18,9 @@ type config = {
   addr : addr;
   domains : int;  (* per verify sweep *)
   window : float;  (* batch gather window, seconds *)
-  max_batch : int;
   cache_capacity : int;  (* 0 disables the response cache *)
   max_request : int;
   max_wires : int;
-  exact_max_wires : int;
   idle_timeout : float;  (* idle-session reaper; 0 disables *)
   request_deadline : float;  (* per-request cap; 0 disables *)
 }
@@ -31,11 +29,9 @@ let default_config addr =
   { addr;
     domains = 1;
     window = 0.002;
-    max_batch = 256;
     cache_capacity = 512;
     max_request = 1 lsl 20;
     max_wires = 16;
-    exact_max_wires = 12;
     idle_timeout = 300.;
     request_deadline = 30.;
   }
@@ -88,7 +84,7 @@ let run ?(sink = Sink.null) ?(ready = fun () -> ()) ~cancel config =
       let batcher =
         Batcher.create
           { Batcher.window = config.window;
-            max_batch = config.max_batch;
+            max_batch = 256;  (* jobs per round *)
             domains = config.domains;
             cache;
           }
@@ -97,7 +93,6 @@ let run ?(sink = Sink.null) ?(ready = fun () -> ()) ~cancel config =
         { Session.batcher;
           max_request = config.max_request;
           max_wires = config.max_wires;
-          exact_max_wires = config.exact_max_wires;
           idle_timeout = config.idle_timeout;
           request_deadline = config.request_deadline;
           sink;

@@ -24,11 +24,9 @@ type config = {
   addr : addr;
   domains : int;  (** domains per verify sweep *)
   window : float;  (** batch gather window, seconds *)
-  max_batch : int;  (** jobs per batch round *)
   cache_capacity : int;  (** response-cache entries; 0 disables *)
   max_request : int;  (** frame payload cap, bytes *)
   max_wires : int;  (** width cap — sweeps are [2^wires] *)
-  exact_max_wires : int;  (** lint: exact-domain cutoff *)
   idle_timeout : float;
       (** seconds a session may sit idle before the reaper closes it
           with a typed [idle-timeout] error; [0.] disables *)
@@ -38,9 +36,10 @@ type config = {
 }
 
 val default_config : addr -> config
-(** 1 domain, 2 ms window, 256-job rounds, 512 cache entries, 1 MiB
-    frames, 16 wires, exact lint up to 12, 300 s idle timeout, 30 s
-    request deadline. *)
+(** 1 domain, 2 ms window, 512 cache entries, 1 MiB frames, 16 wires,
+    300 s idle timeout, 30 s request deadline. Whatever the config,
+    batch rounds hold up to 256 jobs and lint uses the exact domain up
+    to {!Analysis.default_exact_max_wires} wires. *)
 
 val connect : addr -> Unix.file_descr
 (** Client-side dial (the CLI client and tests).

@@ -21,7 +21,6 @@ type config = {
   batcher : Batcher.t;
   max_request : int;  (* frame payload cap, bytes *)
   max_wires : int;  (* width cap (sweeps are 2^wires) *)
-  exact_max_wires : int;  (* lint: exact domain cutoff *)
   idle_timeout : float;  (* seconds between requests; 0 disables *)
   request_deadline : float;  (* seconds per request; 0 disables *)
   sink : Sink.t;
@@ -74,16 +73,16 @@ let witness_fields = function
    verdict the certificate emitters cannot back (e.g. bounds-domain
    undecided above the exact cutoff) reports a [cert_error] field, it
    never fails the request. *)
-let cert_fields ~exact_max_wires ~dead want nw =
+let cert_fields ~dead want nw =
   if not want then []
   else
-    match Analysis_cert.sortedness ~exact_max_wires nw with
+    match Analysis_cert.sortedness nw with
     | Error e -> [ ("cert_error", Json.Str e) ]
     | Ok sc ->
         let dead_certs =
           if not dead then []
           else
-            match Analysis_cert.dead_gates ~exact_max_wires nw with
+            match Analysis_cert.dead_gates nw with
             | Ok (Some dc) -> [ dc ]
             | Ok None | Error _ -> []
         in
@@ -106,8 +105,7 @@ let dispatch config req nw =
            ("key", Json.Str key_digest);
          ]
         @ witness_fields r.Batcher.witness
-        @ cert_fields ~exact_max_wires:config.exact_max_wires ~dead:false
-            req.Wire.want_cert nw)
+        @ cert_fields ~dead:false req.Wire.want_cert nw)
   | Wire.Certify -> (
       (* uncached, unbatched, independently re-checked: the verdict a
          client can audit. Negative: the witness is re-evaluated
@@ -123,8 +121,7 @@ let dispatch config req nw =
                ("output", Wire.ints_json out);
              ]
             @ witness_fields (Some w)
-            @ cert_fields ~exact_max_wires:config.exact_max_wires ~dead:false
-                req.Wire.want_cert nw)
+            @ cert_fields ~dead:false req.Wire.want_cert nw)
       | Ok () ->
           let cross =
             if Network.wires nw <= 20 then
@@ -140,10 +137,9 @@ let dispatch config req nw =
               ([ ("sorts", Json.Bool true);
                  ("cross_checked", Json.Bool (cross = Some true));
                ]
-              @ cert_fields ~exact_max_wires:config.exact_max_wires
-                  ~dead:false req.Wire.want_cert nw))
+              @ cert_fields ~dead:false req.Wire.want_cert nw))
   | Wire.Lint ->
-      let r = Analysis.analyze ~exact_max_wires:config.exact_max_wires nw in
+      let r = Analysis.analyze nw in
       let f = r.Analysis.facts in
       Ok
         ([ ("wires", Json.Int f.Analysis.wires);
@@ -157,8 +153,7 @@ let dispatch config req nw =
            ("redundant", Json.Int (List.length f.Analysis.redundant));
            ("diags", Json.List (List.map diag_json r.Analysis.diags));
          ]
-        @ cert_fields ~exact_max_wires:config.exact_max_wires ~dead:true
-            req.Wire.want_cert nw)
+        @ cert_fields ~dead:true req.Wire.want_cert nw)
   | Wire.Eval -> (
       let input = Option.get req.Wire.input in
       if Array.length input <> Network.wires nw then

@@ -25,7 +25,6 @@ type config = {
   batcher : Batcher.t;
   max_request : int;  (** frame payload cap, bytes *)
   max_wires : int;  (** width cap — sweeps are [2^wires] *)
-  exact_max_wires : int;  (** lint: exact-domain cutoff *)
   idle_timeout : float;
       (** seconds a session may sit between requests before it is
           reaped; [0.] disables the reaper *)

@@ -11,23 +11,8 @@ let levels = Reverse_delta.levels
 let inputs = Reverse_delta.inputs
 
 let to_network ~wires d =
-  let l = Reverse_delta.levels d in
-  let time_levels = Array.make (max l 1) [] in
-  let gate_of_cross (c : Reverse_delta.cross) =
-    match c.kind with
-    | Reverse_delta.Min_left -> Gate.Compare { lo = c.left; hi = c.right }
-    | Reverse_delta.Min_right -> Gate.Compare { lo = c.right; hi = c.left }
-    | Reverse_delta.Swap -> Gate.Exchange { a = c.left; b = c.right }
-  in
-  let rec walk depth = function
-    | Reverse_delta.Wire _ -> ()
-    | Reverse_delta.Node { sub0; sub1; cross } ->
-        time_levels.(depth) <- time_levels.(depth) @ List.map gate_of_cross cross;
-        walk (depth + 1) sub0;
-        walk (depth + 1) sub1
-  in
-  walk 0 d;
-  Network.of_gate_levels ~wires (Array.to_list (Array.sub time_levels 0 l))
+  let nw = Reverse_delta.to_network ~wires d in
+  Network.create ~wires (List.rev (Network.levels nw))
 
 let butterfly ~levels = of_reverse_delta (Butterfly.ascending ~levels)
 

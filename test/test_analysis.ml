@@ -68,72 +68,145 @@ let test_random_agreement () =
       (same_zero_one_function nw (Analysis.flip_redundant nw r.facts))
   done
 
-(* The exact domain's dead classification, cross-validated against
-   concrete simulation: a gate is marked dead iff NO 0-1 input makes
-   it act (comparator seeing lo=1/hi=0, exchange seeing unequal bits).
-   This checks soundness AND completeness of Reach's transfer function
-   through an independent level-stepping evaluator. (Note: "live"
-   does not mean "removal changes the function" — a live comparator's
+(* The exact domain against a reference that steps every 0-1 input
+   through each level on its own: a gate is dead iff NO input makes it
+   act (comparator seeing lo=1/hi=0, exchange seeing unequal bits),
+   redundant iff its wires never differ, the refuted mask is the least
+   unsorted output, and each level's reached set is the set of masks
+   the inputs reach after it. Checked against [Analysis.analyze], the
+   kernel's [level_images] and both [Analysis_cert] emitters, on
+   networks with pre permutations, exchanges and descending
+   comparators, some of them completed to sorters. (Note: "live" does
+   not mean "removal changes the function" — a live comparator's
    effect can be masked downstream; dead => removable only.) *)
-let test_dead_iff_never_fires () =
-  let rng = Xoshiro.of_seed 7 in
-  for _ = 1 to 20 do
-    let n = 2 + Xoshiro.int rng ~bound:5 in
-    let nw = random_network rng ~n ~levels:(1 + Xoshiro.int rng ~bound:4) in
-    let r = Analysis.analyze nw in
-    let dead =
-      List.map (fun g -> (g.Analysis.level, g.Analysis.gate)) r.facts.dead
-    in
-    (* fires.(level).(gate) <- true when some input makes the gate act *)
-    let fires =
-      Array.of_list
-        (List.map
-           (fun (l : Network.level) ->
-             Array.make (max 1 (List.length l.gates)) false)
-           (Network.levels nw))
-    in
-    for m = 0 to (1 lsl n) - 1 do
-      let v = Array.init n (fun w -> (m lsr w) land 1) in
-      List.iteri
-        (fun li (level : Network.level) ->
-          (match level.pre with
-          | None -> ()
-          | Some p ->
-              let moved = Perm.permute_array p (Array.copy v) in
-              Array.blit moved 0 v 0 n);
-          List.iteri
-            (fun gi g ->
-              match g with
-              | Gate.Compare { lo; hi } ->
-                  if v.(lo) > v.(hi) then fires.(li).(gi) <- true
-              | Gate.Exchange { a; b } ->
-                  if v.(a) <> v.(b) then fires.(li).(gi) <- true)
-            level.gates;
-          List.iter
-            (fun g ->
-              match g with
-              | Gate.Compare { lo; hi } ->
-                  if v.(lo) > v.(hi) then begin
-                    let t = v.(lo) in
-                    v.(lo) <- v.(hi);
-                    v.(hi) <- t
-                  end
-              | Gate.Exchange { a; b } ->
+let random_level rng n =
+  let pre =
+    if Xoshiro.int rng ~bound:3 = 0 then Some (Perm.random rng n) else None
+  in
+  let order = Perm.to_array (Perm.random rng n) in
+  let gates =
+    List.init
+      (Xoshiro.int rng ~bound:((n / 2) + 1))
+      (fun k ->
+        let a = order.(2 * k) and b = order.((2 * k) + 1) in
+        match Xoshiro.int rng ~bound:4 with
+        | 0 -> Gate.exchange a b
+        | 1 -> Gate.compare_down a b
+        | _ -> Gate.compare_up a b)
+  in
+  { Network.pre; gates }
+
+(* bit [w] = the value on wire [w] *)
+let mask_of v =
+  let m = ref 0 in
+  Array.iteri (fun w b -> m := !m lor (b lsl w)) v;
+  !m
+
+let prop_exact_domain_reference =
+  QCheck.Test.make ~name:"dead-iff-never-fires" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 1 + Xoshiro.int rng ~bound:12 in
+      let prefix =
+        Network.create ~wires:n
+          (List.init (Xoshiro.int rng ~bound:7) (fun _ -> random_level rng n))
+      in
+      let nw =
+        if Xoshiro.int rng ~bound:4 = 0 then
+          Network.serial prefix (Transposition.network ~n)
+        else prefix
+      in
+      let levels = Array.of_list (Network.levels nw) in
+      let size = 1 lsl n in
+      let per_gate () =
+        Array.map
+          (fun (l : Network.level) -> Array.make (List.length l.gates) false)
+          levels
+      in
+      let fires = per_gate () and differs = per_gate () in
+      let reached = Array.map (fun _ -> Array.make size false) levels in
+      let least = ref None and witness = ref None in
+      for m = 0 to size - 1 do
+        let v = ref (Array.init n (fun w -> (m lsr w) land 1)) in
+        Array.iteri
+          (fun li (level : Network.level) ->
+            Option.iter (fun p -> v := Perm.permute_array p !v) level.pre;
+            let v = !v in
+            (* a level's gates touch disjoint wires, so each one reads
+               the level's entry values *)
+            List.iteri
+              (fun gi g ->
+                let a, b, acts =
+                  match g with
+                  | Gate.Compare { lo; hi } -> (lo, hi, v.(lo) > v.(hi))
+                  | Gate.Exchange { a; b } -> (a, b, true)
+                in
+                if v.(a) > v.(b) then fires.(li).(gi) <- true;
+                if v.(a) <> v.(b) then differs.(li).(gi) <- true;
+                if acts then begin
                   let t = v.(a) in
                   v.(a) <- v.(b);
-                  v.(b) <- t)
+                  v.(b) <- t
+                end)
+              level.gates;
+            reached.(li).(mask_of v) <- true)
+          levels;
+        if not (Sortedness.is_sorted !v) then begin
+          let o = mask_of !v in
+          if !witness = None then witness := Some m;
+          if Option.fold ~none:true ~some:(fun best -> o < best) !least then
+            least := Some o
+        end
+      done;
+      let dead = ref [] and redundant = ref [] in
+      Array.iteri
+        (fun li (level : Network.level) ->
+          List.iteri
+            (fun gi g ->
+              let never_differs = not differs.(li).(gi) in
+              if Gate.is_comparator g then begin
+                if not fires.(li).(gi) then dead := (li + 1, gi) :: !dead
+              end
+              else if never_differs then dead := (li + 1, gi) :: !dead;
+              if never_differs then redundant := (li + 1, gi) :: !redundant)
             level.gates)
-        (Network.levels nw)
-    done;
-    List.iteri
-      (fun li (level : Network.level) ->
-        List.iteri
-          (fun gi _ ->
-            check_bool "dead iff never fires" (not (List.mem (li + 1, gi) dead))
-              fires.(li).(gi))
-          level.gates)
-      (Network.levels nw)
-  done
+        levels;
+      let dead = List.rev !dead and redundant = List.rev !redundant in
+      let sets =
+        Array.map
+          (fun r -> List.filter (fun m -> r.(m)) (List.init size Fun.id))
+          reached
+      in
+      let claims =
+        List.map
+          (fun (level, gate) ->
+            if List.mem (level, gate) redundant then
+              Cert.Redundant { level; gate }
+            else Cert.Dead { level; gate })
+          dead
+      in
+      let key (g : Analysis.gate_ref) = (g.level, g.gate) in
+      let facts = (Analysis.analyze nw).Analysis.facts in
+      facts.exact
+      && List.map key facts.dead = dead
+      && List.map key facts.redundant = redundant
+      && (match (facts.sortedness, !least) with
+         | Analysis.Sorting_proved, None -> true
+         | Analysis.Sorting_refuted m, Some m' -> m = m'
+         | _ -> false)
+      && Bitslice.level_images (Compiled.of_network nw) = sets
+      && (match (Analysis_cert.sortedness nw, !witness) with
+         | Ok (Cert.Sortedness { domain = Cert.Reach_sets s; _ }), None ->
+             s = sets
+         | Ok (Cert.Refutation { witness = w; _ }), Some w' -> w = w'
+         | _ -> false)
+      &&
+      match (Analysis_cert.dead_gates nw, claims) with
+      | Ok None, [] -> true
+      | Ok (Some (Cert.Dead_gates { sets = s; claims = c; _ })), _ :: _ ->
+          s = sets && c = claims
+      | _ -> false)
 
 (* --- bounds domain: sound, never contradicts the exact domain --- *)
 
@@ -344,21 +417,6 @@ let test_to_iterated_reject () =
   | Ok _ -> Alcotest.fail "classic bitonic wrongly certified"
   | Error _ -> ()
 
-(* --- unordered-pairs table (shared with the search driver) --- *)
-
-let test_unordered_pairs () =
-  let n = 4 in
-  let st = Reach.all n in
-  let st = Reach.apply_gate st (Gate.compare_up 0 1) in
-  let iter f = Reach.iter f st in
-  let tbl = Reach.unordered_pairs ~n ~iter in
-  (* (0,1) ordered now; (1,0) still has no witness either way round? —
-     after compare_up 0 1 no mask has bit0=1,bit1=0, so (0,1) is
-     "ordered": placing an ascending comparator 0->1 is dead *)
-  check_bool "0->1 ordered" false (Reach.pair_unordered tbl ~n 0 1);
-  check_bool "1->0 unordered" true (Reach.pair_unordered tbl ~n 1 0);
-  check_bool "2->3 unordered" true (Reach.pair_unordered tbl ~n 2 3)
-
 (* --- load gate --- *)
 
 let test_check_gate () =
@@ -429,14 +487,12 @@ let () =
       ( "domains",
         [
           Alcotest.test_case "random-agreement-200" `Quick test_random_agreement;
-          Alcotest.test_case "dead-iff-never-fires" `Quick
-            test_dead_iff_never_fires;
+          QCheck_alcotest.to_alcotest prop_exact_domain_reference;
           Alcotest.test_case "bounds-sound" `Quick test_bounds_sound;
           Alcotest.test_case "bounds-large" `Quick test_bounds_large;
           Alcotest.test_case "injected-dead" `Quick test_injected_dead;
           Alcotest.test_case "redundant-flip" `Quick test_redundant_flip;
           Alcotest.test_case "standardize" `Quick test_standardize;
-          Alcotest.test_case "unordered-pairs" `Quick test_unordered_pairs;
         ] );
       ( "conformance",
         [

@@ -11,16 +11,41 @@ let test_flip_roundtrip () =
   check_int "levels" 4 (Delta_net.levels d);
   check_int "inputs" 16 (Delta_net.inputs d)
 
+(* [Delta_net.to_network]'s contract written out: level k (1-based)
+   holds the cross elements of recursion depth k-1, in walk order *)
+let root_first ~wires rd =
+  let gate (c : Reverse_delta.cross) =
+    match c.kind with
+    | Reverse_delta.Min_left -> Gate.Compare { lo = c.left; hi = c.right }
+    | Reverse_delta.Min_right -> Gate.Compare { lo = c.right; hi = c.left }
+    | Reverse_delta.Swap -> Gate.Exchange { a = c.left; b = c.right }
+  in
+  let by_depth = Array.make (Reverse_delta.levels rd) [] in
+  let rec walk depth = function
+    | Reverse_delta.Wire _ -> ()
+    | Reverse_delta.Node { sub0; sub1; cross } ->
+        by_depth.(depth) <- by_depth.(depth) @ List.map gate cross;
+        walk (depth + 1) sub0;
+        walk (depth + 1) sub1
+  in
+  walk 0 rd;
+  Network.of_gate_levels ~wires (Array.to_list by_depth)
+
 let test_delta_levels_reversed () =
   (* flattening a delta network = flattening the reverse delta with
-     levels reversed *)
+     levels reversed, gate order included *)
   let rng = Xoshiro.of_seed 11 in
-  let rd = Random_net.reverse_delta rng ~levels:5 ~density:0.7 ~swap_prob:0.0 in
-  let fwd = Delta_net.to_network ~wires:32 (Delta_net.of_reverse_delta rd) in
-  let bwd = Reverse_delta.to_network ~wires:32 rd in
-  let fwd_levels = List.map (fun l -> List.length l.Network.gates) (Network.levels fwd) in
-  let bwd_levels = List.map (fun l -> List.length l.Network.gates) (Network.levels bwd) in
-  Alcotest.(check (list int)) "mirrored level sizes" (List.rev bwd_levels) fwd_levels
+  for i = 0 to 449 do
+    let levels = i mod 9 in
+    let wires = 1 lsl levels in
+    let rd = Random_net.reverse_delta rng ~levels ~density:0.7 ~swap_prob:0.2 in
+    let fwd = Delta_net.to_network ~wires (Delta_net.of_reverse_delta rd) in
+    let bwd = Reverse_delta.to_network ~wires rd in
+    check_bool "root-first levels" true
+      (Network.levels fwd = Network.levels (root_first ~wires rd));
+    check_bool "mirrored levels" true
+      (Network.levels fwd = List.rev (Network.levels bwd))
+  done
 
 let test_delta_butterfly_is_bitonic_merger () =
   let rng = Xoshiro.of_seed 13 in

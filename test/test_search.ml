@@ -38,6 +38,21 @@ let test_state_of_masks () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* the driver's redundant-move table: after an ascending (0,1) no
+   mask has bit 0 set and bit 1 clear, so a comparator 0->1 placed
+   there is dead; 1->0 and 2->3 can still exchange *)
+let test_unordered_pairs () =
+  let n = 4 in
+  let st =
+    State.of_masks ~n
+      (List.filter (fun m -> m land 0b01 = 0 || m land 0b10 <> 0)
+         (List.init 16 Fun.id))
+  in
+  let tbl = State.unordered_pairs st in
+  check_bool "0->1 ordered" false (State.pair_unordered tbl ~n 0 1);
+  check_bool "1->0 unordered" true (State.pair_unordered tbl ~n 1 0);
+  check_bool "2->3 unordered" true (State.pair_unordered tbl ~n 2 3)
+
 let test_state_subset_short_circuit () =
   (* n=7 states span multiple packed words; a violation found in the
      first word must answer false through the early-exit path even
@@ -844,6 +859,7 @@ let () =
     [ ( "state",
         [ Alcotest.test_case "initial and comparators" `Quick test_state_initial;
           Alcotest.test_case "of_masks/map/subset" `Quick test_state_of_masks;
+          Alcotest.test_case "unordered-pairs" `Quick test_unordered_pairs;
           Alcotest.test_case "sortedness" `Quick test_state_sorted_recognition;
           Alcotest.test_case "subset short-circuits" `Quick
             test_state_subset_short_circuit ] );

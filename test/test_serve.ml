@@ -268,8 +268,8 @@ let with_session ?(max_request = 4096) ?(idle_timeout = 0.)
       }
   in
   let config =
-    { Session.batcher; max_request; max_wires = 16; exact_max_wires = 12;
-      idle_timeout; request_deadline; sink = Sink.null }
+    { Session.batcher; max_request; max_wires = 16; idle_timeout;
+      request_deadline; sink = Sink.null }
   in
   let th =
     (* close our end when the session loop exits, as Server.spawn
