@@ -24,7 +24,8 @@ bench:
 # paper's adversary-to-checker pipeline by layer at n=16384, with
 # ceilings on its flattening and its lower-bound check). The same
 # run times the exact-bounds search (pruned vs reference, 1 vs K
-# domains, checkpointing) into BENCH_search.json, the static
+# domains, checkpointing, and the n=9 depth-5 refutation by phase
+# at 1 and 2 domains) into BENCH_search.json, the static
 # analyzer's throughput (networks/sec, comparators/sec) into
 # BENCH_analysis.json, and the serve scheduler's 32-client
 # batched-vs-sequential throughput and lane-fill ratio into
@@ -53,6 +54,14 @@ bench-json:
 	grep -q '"obs/search.nodes"' BENCH_search.json
 	grep -q '"obs/analysis.redundant_moves"' BENCH_search.json
 	grep -q '"search/n=7/pruned-ckpt/domains=1/wall_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/wall_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/expand_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/sign_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/filter_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/wall_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/expand_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/sign_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/filter_ms"' BENCH_search.json
 	grep -q '"obs/checkpoint.writes"' BENCH_search.json
 	grep -q '"obs/checkpoint.bytes"' BENCH_search.json
 	grep -q '"obs/checkpoint.write_ms.mean"' BENCH_search.json

@@ -388,6 +388,30 @@ let search_json_rows () =
       (fun () ->
         time_run ~checkpoint:(path, interval) ~tag ~restrict:true ~domains:1 7)
   in
+  (* snbench's search-n9 (the n=9 depth-5 refutation) split by phase:
+     the wall time is the run's "search" span and the phase times are
+     summed over its "search/level" spans, so these rows and a --trace
+     of the same run read one clock *)
+  let phased ~domains =
+    let sink, events = Sink.memory () in
+    let sys = Driver.network_system ~n:9 () in
+    (match Driver.run ~domains ~sink ~max_depth:5 sys with
+     | Driver.Unsorted _ -> ()
+     | _ -> failwith "search_json_rows: n=9 depth 5 must be refuted");
+    let sum name key =
+      List.fold_left
+        (fun acc (e : Sink.event) ->
+          match List.assoc_opt key e.fields with
+          | Some (Sink.Float f) when e.name = name -> acc +. f
+          | _ -> acc)
+        0. (events ())
+    in
+    let prefix = Printf.sprintf "search/n=9/depth=5/domains=%d" domains in
+    [ (prefix ^ "/wall_ms", sum "search" "wall_s" *. 1e3);
+      (prefix ^ "/expand_ms", sum "search/level" "expand_s" *. 1e3);
+      (prefix ^ "/sign_ms", sum "search/level" "sign_s" *. 1e3);
+      (prefix ^ "/filter_ms", sum "search/level" "filter_s" *. 1e3) ]
+  in
   List.concat
     [ time_run ~tag:"pruned" ~restrict:true ~domains:1 6;
       time_run ~tag:"pruned" ~restrict:true ~domains:k 6;
@@ -396,7 +420,9 @@ let search_json_rows () =
       time_run ~tag:"pruned" ~restrict:true ~domains:1 7;
       time_run ~tag:"pruned" ~restrict:true ~domains:k 7;
       checkpointed ~tag:"pruned-ckpt" ~interval:60.;
-      checkpointed ~tag:"pruned-ckpt0" ~interval:0. ]
+      checkpointed ~tag:"pruned-ckpt0" ~interval:0.;
+      phased ~domains:1;
+      phased ~domains:2 ]
 
 (* Analyzer throughput: repeated full analyses (structural lints, both
    abstract domains' walk, conformance recognizers) of mid-size bitonic

@@ -71,7 +71,7 @@ let codes =
     ("SNL103", "channel untouched by any gate");
     ("SNL104", "gate-free level (pure routing or padding)");
     ("SNL201", "dead comparator: never exchanges on any reachable 0-1 input");
-    ("SNL202", "redundant comparator: its wires are provably already ordered");
+    ("SNL202", "redundant comparator: its wires provably carry equal values");
     ("SNL203", "sortedness refuted (exact 0-1 domain, witness input)");
     ("SNL204", "sortedness proved (exact 0-1 domain)");
     ("SNL205", "sortedness proved (order-bounds domain)");

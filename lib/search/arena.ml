@@ -19,11 +19,14 @@
    operations per comparator instead of a per-mask loop.
 
    Subsumption filters run on packed SWAR signatures: the per-level
-   counts (and per-channel ones/zeros counts) are packed into bitfields
-   sized by [C(n, k)] with one guard bit per field, so "every count of
-   A <= the matching count of B" is one subtract-and-mask per signature
-   word (the carry trick: [((b | guards) - a) & guards = guards] iff no
-   field borrows). *)
+   counts and per-channel ones counts are packed into bitfields sized
+   by [C(n, k)] with one guard bit per field, and so are the sorted
+   out- and in-degrees of the row's pair-order profile, so "every count
+   of A <= the matching count of B" is one subtract-and-mask per
+   signature word (the carry trick: [((b | guards) - a) & guards =
+   guards] iff no field borrows). The profile itself (for each channel,
+   the channels it can still be above) and its transpose are packed n
+   bits per channel and prune the permutation search. *)
 
 type row = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -47,12 +50,22 @@ type scratch = {
   accc : int array array;
   lvl : int array;
   chan : int array array;
-  zeros : int array;
+  prof : int array; (* the row's pair-order profile, one set per channel *)
+  inv : int array; (* the profile transposed *)
+  hist : int array;
   cand : int array;
   order : int array;
   opc : int array;
   pi : int array;
+  (* the permutation search: A's and B's profiles, B's transposed, and
+     per depth the images still open to every later channel *)
+  pa : int array;
+  pb : int array;
+  qb : int array;
+  dom : int array;
   perm : row; (* wpr words: row A permuted by [pi] in the leaf test *)
+  mutable backtracks : int; (* [subsumes_with] calls that searched *)
+  mutable leaves : int; (* full permutations they tested *)
 }
 
 type t = {
@@ -67,8 +80,18 @@ type t = {
   mutable hash : int array; (* 62-bit nonnegative row hash *)
   mutable sigs : int array; (* cap * sig_stride when with_sigs *)
   with_sigs : bool;
+  (* a row's signature block: the key (level signature, then the
+     sorted out- and in-degree words), the ones signature of every
+     channel, then the profile and its transpose, each [prof_words]
+     words of [prof_cpw] channels at n bits per channel *)
   sig_stride : int;
-  lay : layout;
+  lay : layout; (* level and ones signatures *)
+  deg_lay : layout; (* degree words *)
+  key_words : int;
+  key_guards : int array;
+  prof_off : int;
+  prof_cpw : int;
+  prof_words : int;
   mutable table : int array; (* open addressing: 0 = empty, else idx + 1 *)
   mutable mask : int; (* Array.length table - 1 *)
   (* precomputed per n *)
@@ -166,15 +189,16 @@ let width_of_value v =
   done;
   !w
 
-(* pack the n + 1 count fields (field k holds values up to C(n, k))
-   into as few <= 62-bit words as the guard bits allow *)
-let make_layout n =
-  let field_word = Array.make (n + 1) 0 in
-  let field_shift = Array.make (n + 1) 0 in
+(* pack fields [k] holding values up to [maxes.(k)] into as few
+   <= 62-bit words as the guard bits allow *)
+let make_layout maxes =
+  let nf = Array.length maxes in
+  let field_word = Array.make nf 0 in
+  let field_shift = Array.make nf 0 in
   let guards = ref [] in
   let word = ref 0 and shift = ref 0 and guard = ref 0 in
-  for k = 0 to n do
-    let w = width_of_value (binomial n k) in
+  for k = 0 to nf - 1 do
+    let w = width_of_value maxes.(k) in
     if !shift + w + 1 > 62 then begin
       guards := !guard :: !guards;
       incr word;
@@ -201,12 +225,20 @@ let make_scratch ~n ~wpr =
     accc = Array.make_matrix n (max 1 (n - 2)) 0;
     lvl = Array.make (n + 1) 0;
     chan = Array.make_matrix n (n + 1) 0;
-    zeros = Array.make (n + 1) 0;
+    prof = Array.make n 0;
+    inv = Array.make n 0;
+    hist = Array.make n 0;
     cand = Array.make n 0;
     order = Array.init n Fun.id;
     opc = Array.make n 0;
     pi = Array.make n 0;
-    perm = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout wpr }
+    pa = Array.make n 0;
+    pb = Array.make n 0;
+    qb = Array.make n 0;
+    dom = Array.make (n * n) 0;
+    perm = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout wpr;
+    backtracks = 0;
+    leaves = 0 }
 
 let scratch t = make_scratch ~n:t.n ~wpr:t.wpr
 
@@ -214,9 +246,13 @@ let create ?(with_sigs = true) ~n () =
   check_n n;
   let wpr = max 1 ((1 lsl n) / 64) in
   let cap = 1024 in
-  let lay = make_layout n in
-  (* level sig, then per channel a ones sig and a zeros sig *)
-  let sig_stride = lay.sig_words * (1 + (2 * n)) in
+  let lay = make_layout (Array.init (n + 1) (binomial n)) in
+  let deg_lay = make_layout (Array.make n (n - 1)) in
+  let key_words = lay.sig_words + (2 * deg_lay.sig_words) in
+  let prof_off = key_words + (n * lay.sig_words) in
+  let prof_cpw = 62 / n in
+  let prof_words = (n + prof_cpw - 1) / prof_cpw in
+  let sig_stride = prof_off + (2 * prof_words) in
   let intra =
     Array.init 6 (fun i ->
         Array.init 6 (fun j ->
@@ -279,6 +315,12 @@ let create ?(with_sigs = true) ~n () =
     with_sigs;
     sig_stride;
     lay;
+    deg_lay;
+    key_words;
+    key_guards = Array.concat [ lay.guards; deg_lay.guards; deg_lay.guards ];
+    prof_off;
+    prof_cpw;
+    prof_words;
     table = Array.make 4096 0;
     mask = 4095;
     intra;
@@ -626,26 +668,26 @@ let rehash t =
 
 let sig_base t idx = idx * t.sig_stride
 
-(* pack counts (field k = counts.(k)) at t.sigs[off ..]; runs 2n + 1
-   times per committed state, so the single-word case (n <= 9) builds
-   the word in a register and stores once *)
-let pack_counts t counts off =
-  let lay = t.lay in
+(* pack [vals] (field k = vals.(k)) at [sigs.(off ..)]; runs n + 1
+   times per committed state, so the single-word case builds the word
+   in a register and stores once *)
+let pack_fields lay vals sigs off =
+  let nf = Array.length lay.field_shift in
   if lay.sig_words = 1 then begin
     let shift = lay.field_shift in
     let acc = ref 0 in
-    for k = 0 to t.n do
-      acc := !acc lor (Array.unsafe_get counts k lsl Array.unsafe_get shift k)
+    for k = 0 to nf - 1 do
+      acc := !acc lor (Array.unsafe_get vals k lsl Array.unsafe_get shift k)
     done;
-    Array.unsafe_set t.sigs off !acc
+    Array.unsafe_set sigs off !acc
   end
   else begin
     for w = 0 to lay.sig_words - 1 do
-      t.sigs.(off + w) <- 0
+      sigs.(off + w) <- 0
     done;
-    for k = 0 to t.n do
+    for k = 0 to nf - 1 do
       let w = lay.field_word.(k) and s = lay.field_shift.(k) in
-      t.sigs.(off + w) <- t.sigs.(off + w) lor (counts.(k) lsl s)
+      sigs.(off + w) <- sigs.(off + w) lor (vals.(k) lsl s)
     done
   end
 
@@ -749,38 +791,191 @@ let compute_counts_packed t sc rbase =
     done
   done
 
+(* [half_pat.(c)], c < 5: the positions of a 32-bit half-word whose
+   index has bit c set; index bit 5 selects the half *)
+let half_pat = [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+
+(* 1 if [x], below 2^32, is nonzero, else 0 — without a branch *)
+let[@inline] nz32 x = (x + 0xFFFF_FFFF) lsr 32
+
+(* The pair-order profile of the row at [rbase]: [prof.(c)] gets every
+   channel d such that some reachable mask has bit c set and bit d
+   clear — the pairs whose comparator would still exchange, as
+   [State.unordered_pairs] computes them — and [inv.(d)] the same
+   relation transposed. One pass over the row words, on native-int
+   half-words and without data-dependent branches (this runs for every
+   signed row). Index bits 0-5 lie inside a word, so the pairs of two
+   low channels come from the OR of all words. A word's index [w]
+   fixes the high channels (6 + k is set in all of the word's masks iff
+   bit k of [w] is), so the pass only ORs, into each high channel, the
+   channels the word's masks clear (where it is set) or set (where it
+   is clear); the pairs of a low and a high channel are then read off
+   those sets. *)
+let compute_profile t sc rbase =
+  let nn = t.n in
+  let prof = sc.prof and inv = sc.inv in
+  Array.fill prof 0 nn 0;
+  Array.fill inv 0 nn 0;
+  let wmask = if nn > 6 then (1 lsl (nn - 6)) - 1 else 0 in
+  let ulo = ref 0 and uhi = ref 0 in
+  for w = 0 to t.wpr - 1 do
+    let x = Bigarray.Array1.unsafe_get t.words (rbase + w) in
+    if x <> 0L then begin
+      let lo = Int64.to_int x land 0xFFFF_FFFF
+      and hi = Int64.to_int (Int64.shift_right_logical x 32) in
+      ulo := !ulo lor lo;
+      uhi := !uhi lor hi;
+      if nn > 6 then begin
+        (* the channels some mask of this word sets, and clears *)
+        let u = lo lor hi in
+        let ones = ref ((nz32 hi lsl 5) lor (w lsl 6))
+        and zeros = ref ((nz32 lo lsl 5) lor ((lnot w land wmask) lsl 6)) in
+        for c = 0 to 4 do
+          let p = Array.unsafe_get half_pat c in
+          ones := !ones lor (nz32 (u land p) lsl c);
+          zeros := !zeros lor (nz32 (u land (p lxor 0xFFFF_FFFF)) lsl c)
+        done;
+        let ones = !ones and zeros = !zeros in
+        for c = 6 to nn - 1 do
+          let b = (w lsr (c - 6)) land 1 in
+          Array.unsafe_set prof c (Array.unsafe_get prof c lor (zeros land -b));
+          Array.unsafe_set inv c (Array.unsafe_get inv c lor (ones land (b - 1)))
+        done
+      end
+    end
+  done;
+  (* for a low channel c and a high one h, (c, h) is unordered iff
+     some word with h clear has a mask setting c, and (h, c) iff some
+     word with h set has a mask clearing c *)
+  for h = 6 to nn - 1 do
+    for c = 0 to 5 do
+      prof.(c) <- prof.(c) lor (((inv.(h) lsr c) land 1) lsl h);
+      inv.(c) <- inv.(c) lor (((prof.(h) lsr c) land 1) lsl h)
+    done
+  done;
+  let ulo = !ulo and uhi = !uhi in
+  let u = ulo lor uhi in
+  for c = 0 to min 6 nn - 1 do
+    (* the positions with bit c set; channel 5 selects the half *)
+    let s = if c = 5 then uhi else u land half_pat.(c) in
+    for d = 0 to min 6 nn - 1 do
+      if c <> d then begin
+        let hit =
+          if d = 5 then nz32 (ulo land half_pat.(c))
+          else nz32 (s land lnot half_pat.(d))
+        in
+        prof.(c) <- prof.(c) lor (hit lsl d);
+        inv.(d) <- inv.(d) lor (hit lsl c)
+      end
+    done
+  done
+
+(* Pack the ascending sort of the degrees [popcount sets.(c)], c < n,
+   as the degree fields at [sigs.(off ..)]: a counting sort whose
+   output goes straight into the fields. *)
+let pack_degrees t hist sets off =
+  let nn = t.n and lay = t.deg_lay in
+  Array.fill hist 0 nn 0;
+  for c = 0 to nn - 1 do
+    let d = Bitops.popcount (Array.unsafe_get sets c) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
+  done;
+  for w = 0 to lay.sig_words - 1 do
+    t.sigs.(off + w) <- 0
+  done;
+  (* the first hist.(0) fields hold 0; then hist.(1) fields hold 1 ... *)
+  let k = ref hist.(0) in
+  for v = 1 to nn - 1 do
+    for _ = 1 to hist.(v) do
+      let w = off + lay.field_word.(!k) in
+      t.sigs.(w) <- t.sigs.(w) lor (v lsl lay.field_shift.(!k));
+      incr k
+    done
+  done
+
+let pack_profile t prof off =
+  let nn = t.n and cpw = t.prof_cpw in
+  for w = 0 to t.prof_words - 1 do
+    let acc = ref 0 in
+    for k = 0 to min cpw (nn - (w * cpw)) - 1 do
+      acc := !acc lor (prof.((w * cpw) + k) lsl (k * nn))
+    done;
+    t.sigs.(off + w) <- !acc
+  done
+
+let unpack_profile t off dst =
+  let nn = t.n and cpw = t.prof_cpw in
+  let fm = (1 lsl nn) - 1 in
+  for w = 0 to t.prof_words - 1 do
+    let x = Array.unsafe_get t.sigs (off + w) in
+    for k = 0 to min cpw (nn - (w * cpw)) - 1 do
+      Array.unsafe_set dst ((w * cpw) + k) ((x lsr (k * nn)) land fm)
+    done
+  done
+
 let compute_sigs t sc idx =
   let nn = t.n in
   let rbase = idx * t.wpr in
   if nn <= 10 then compute_counts_packed t sc rbase
   else compute_counts_pat t sc rbase;
-  let sw = t.lay.sig_words in
+  compute_profile t sc rbase;
+  let sigs = t.sigs and sw = t.lay.sig_words in
   let base = sig_base t idx in
-  let lvl = sc.lvl in
-  pack_counts t lvl base;
-  (* channel c: ones signature then zeros (complement) signature *)
-  let zeros = sc.zeros in
+  pack_fields t.lay sc.lvl sigs base;
+  (* a channel's zeros signature is level - ones, field by field, so
+     only the ones are stored *)
   for c = 0 to nn - 1 do
-    let ones = sc.chan.(c) in
-    for k = 0 to nn do
-      zeros.(k) <- lvl.(k) - ones.(k)
-    done;
-    pack_counts t ones (base + ((1 + (2 * c)) * sw));
-    pack_counts t zeros (base + ((2 + (2 * c)) * sw))
-  done
+    pack_fields t.lay sc.chan.(c) sigs (base + t.key_words + (c * sw))
+  done;
+  pack_degrees t sc.hist sc.prof (base + sw);
+  pack_degrees t sc.hist sc.inv (base + sw + t.deg_lay.sig_words);
+  pack_profile t sc.prof (base + t.prof_off);
+  pack_profile t sc.inv (base + t.prof_off + t.prof_words)
 
-(* fieldwise a <= b over one packed signature (the borrow trick) *)
-let sig_le t off_a off_b =
-  let lay = t.lay in
-  let ok = ref true in
-  for w = 0 to lay.sig_words - 1 do
-    let g = Array.unsafe_get lay.guards w in
+(* The pre-filter: every key word of the signature block at [sa]
+   (level signature, sorted out- and in-degrees) fieldwise <= its
+   counterpart at [sb]. The three-word key of n <= 9 is unrolled: this
+   is the filter's hottest test, and classic-mode ocamlopt does not
+   inline a loop. *)
+let key_le t sa sb =
+  let sigs = t.sigs and g = t.key_guards in
+  if t.key_words = 3 then begin
+    let gl = Array.unsafe_get g 0 and gd = Array.unsafe_get g 1 in
+    ((Array.unsafe_get sigs sb lor gl) - Array.unsafe_get sigs sa) land gl = gl
+    && ((Array.unsafe_get sigs (sb + 1) lor gd) - Array.unsafe_get sigs (sa + 1))
+       land gd
+       = gd
+    && ((Array.unsafe_get sigs (sb + 2) lor gd) - Array.unsafe_get sigs (sa + 2))
+       land gd
+       = gd
+  end
+  else begin
+    let ok = ref true and w = ref 0 in
+    while !ok && !w < t.key_words do
+      let gw = Array.unsafe_get g !w in
+      if
+        ((Array.unsafe_get sigs (sb + !w) lor gw) - Array.unsafe_get sigs (sa + !w))
+        land gw
+        <> gw
+      then ok := false;
+      incr w
+    done;
+    !ok
+  end
+
+(* channel signatures at [oa] (of the block at [la]) fieldwise <= those
+   at [ob] (of the block at [lb]): ones directly, zeros as level - ones *)
+let chan_le t la oa lb ob =
+  let sigs = t.sigs and guards = t.lay.guards in
+  let ok = ref true and w = ref 0 in
+  while !ok && !w < t.lay.sig_words do
+    let g = guards.(!w) in
+    let a1 = sigs.(oa + !w) and b1 = sigs.(ob + !w) in
     if
-      ((Array.unsafe_get t.sigs (off_b + w) lor g)
-      - Array.unsafe_get t.sigs (off_a + w))
-        land g
-      <> g
-    then ok := false
+      ((b1 lor g) - a1) land g <> g
+      || (((sigs.(lb + !w) - b1) lor g) - (sigs.(la + !w) - a1)) land g <> g
+    then ok := false;
+    incr w
   done;
   !ok
 
@@ -885,13 +1080,25 @@ let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
 
 (* --- subsumption ---
 
-   Row A subsumes row B iff some wire permutation carries every mask
+   Row A subsumes row B iff some wire permutation pi carries every mask
    of A into B. Such a permutation maps A's masks injectively into B
    preserving ones-counts, so the card / level / channel filters are
    necessary pointwise <= tests (packed), and the leaf check is the
    mask-image inclusion itself. The extra union check below only
    refutes pairs the backtracking would refute anyway (a channel of B
-   missing from every candidate set cannot be covered). *)
+   missing from every candidate set cannot be covered).
+
+   It also maps A's pair-order profile into B's: a mask of A with bit c
+   set and bit d clear lands on a mask of B with bit pi(c) set and bit
+   pi(d) clear. So channel c's out- and in-degree in the profile are at
+   most pi(c)'s in B, and the sorted degree vectors compare fieldwise
+   (the k-th smallest degree of A is at most B's); and once c -> c' is
+   assigned, a later channel d with (c, d) unordered in A may only go
+   where (c', pi d) is unordered in B, and likewise for (d, c). Both
+   prune only permutations the leaf test would refute, and the search
+   still takes channels in the order of the unpruned candidate sets
+   and images in ascending order, so the first witness it finds is the
+   one the unpruned search finds. *)
 
 exception No
 
@@ -917,111 +1124,149 @@ let perm_subset t sc base_b =
   done;
   !ok
 
+(* [sc.cand.(c)]: the channels c' of B whose ones and zeros counts
+   dominate channel c's of A at every level. Raises [No] when a channel
+   of A has no image or a channel of B no preimage. *)
+let candidates t sc sa sb =
+  let nn = t.n and sw = t.lay.sig_words and sigs = t.sigs in
+  let oa0 = sa + t.key_words and ob0 = sb + t.key_words in
+  let cand = sc.cand in
+  let union = ref 0 in
+  if sw = 1 then begin
+    (* n <= 9: one word per signature, inlined *)
+    let g = t.lay.guards.(0) in
+    let la = Array.unsafe_get sigs sa and lb = Array.unsafe_get sigs sb in
+    for c = 0 to nn - 1 do
+      let oa = Array.unsafe_get sigs (oa0 + c) in
+      let za = la - oa in
+      let m = ref 0 in
+      for c' = 0 to nn - 1 do
+        let ob = Array.unsafe_get sigs (ob0 + c') in
+        if ((ob lor g) - oa) land g = g && (((lb - ob) lor g) - za) land g = g
+        then m := !m lor (1 lsl c')
+      done;
+      if !m = 0 then raise No;
+      cand.(c) <- !m;
+      union := !union lor !m
+    done
+  end
+  else
+    for c = 0 to nn - 1 do
+      let m = ref 0 in
+      for c' = 0 to nn - 1 do
+        if chan_le t sa (oa0 + (c * sw)) sb (ob0 + (c' * sw)) then
+          m := !m lor (1 lsl c')
+      done;
+      if !m = 0 then raise No;
+      cand.(c) <- !m;
+      union := !union lor !m
+    done;
+  if !union <> (1 lsl nn) - 1 then raise No
+
+(* Backtracking over the candidate sets: channels most constrained
+   first, images in ascending order, every assignment narrowing the
+   later channels' open images by the profiles (forward checking); a
+   leaf permutes row A and tests inclusion in row B. *)
+let permutation_search t sc a b sa sb =
+  match candidates t sc sa sb with
+  | exception No -> false
+  | () ->
+      let nn = t.n in
+      let cand = sc.cand in
+      (* most constrained channel first — insertion sort on the
+         precomputed candidate popcounts ([Array.sort] with a closure
+         is measurable at this call rate). The order steers which
+         witness is found first, so it is taken from the unpruned
+         candidate sets. *)
+      let order = sc.order and opc = sc.opc in
+      for c = 0 to nn - 1 do
+        order.(c) <- c;
+        opc.(c) <- Bitops.popcount (Array.unsafe_get cand c)
+      done;
+      for i = 1 to nn - 1 do
+        let c = Array.unsafe_get order i in
+        let k = Array.unsafe_get opc c in
+        let j = ref (i - 1) in
+        while !j >= 0 && Array.unsafe_get opc (Array.unsafe_get order !j) > k do
+          Array.unsafe_set order (!j + 1) (Array.unsafe_get order !j);
+          decr j
+        done;
+        Array.unsafe_set order (!j + 1) c
+      done;
+      sc.backtracks <- sc.backtracks + 1;
+      (* [pa.(c)]: the channels d with (c, d) unordered in A (some
+         mask has c = 1, d = 0); [pb] the same in B, and [qb.(c')] the
+         channels e with (e, c') unordered in B *)
+      let pa = sc.pa and pb = sc.pb and qb = sc.qb in
+      unpack_profile t (sa + t.prof_off) pa;
+      unpack_profile t (sb + t.prof_off) pb;
+      unpack_profile t (sb + t.prof_off + t.prof_words) qb;
+      (* [dom.(i * nn + j)]: the images open to channel [order.(j)]
+         once the channels before position i are assigned; they
+         exclude every image already taken *)
+      let dom = sc.dom in
+      for j = 0 to nn - 1 do
+        dom.(j) <- cand.(order.(j))
+      done;
+      let pi = sc.pi in
+      let ba = a * t.wpr and bb = b * t.wpr in
+      let leaves = ref 0 in
+      let rec assign i =
+        if i = nn then begin
+          (* image inclusion: every mask of A lands in B — permute
+             the whole row A by pi into the scratch row and do one
+             word-parallel subset scan *)
+          incr leaves;
+          permute_row t sc ba pi;
+          perm_subset t sc bb
+        end
+        else begin
+          let c = Array.unsafe_get order i in
+          let row = i * nn in
+          let next = row + nn in
+          let out_c = Array.unsafe_get pa c in
+          let avail = ref (Array.unsafe_get dom (row + i)) in
+          let ok = ref false in
+          while (not !ok) && !avail <> 0 do
+            let bit = !avail land - !avail in
+            let c' = Bitops.floor_log2 bit in
+            pi.(c) <- c';
+            let keep = lnot bit
+            and fo = Array.unsafe_get pb c'
+            and fi = Array.unsafe_get qb c' in
+            (* a later channel d keeps the images still free that,
+               where (c, d) is unordered in A, make (c', image)
+               unordered in B, and where (d, c) is, (image, c') *)
+            let alive = ref true and j = ref (i + 1) in
+            while !alive && !j < nn do
+              let d = Array.unsafe_get order !j in
+              let m =
+                Array.unsafe_get dom (row + !j)
+                land keep
+                land (fo lor (((out_c lsr d) land 1) - 1))
+                land (fi lor (((Array.unsafe_get pa d lsr c) land 1) - 1))
+              in
+              if m = 0 then alive := false else Array.unsafe_set dom (next + !j) m;
+              incr j
+            done;
+            if !alive && assign (i + 1) then ok := true
+            else avail := !avail land keep
+          done;
+          !ok
+        end
+      in
+      let found = assign 0 in
+      sc.leaves <- sc.leaves + !leaves;
+      found
+
 let subsumes_with t sc a b =
   if a >= t.signed || b >= t.signed then
     invalid_arg "Arena.subsumes: row not signed";
   t.card.(a) <= t.card.(b)
   &&
-  let sw = t.lay.sig_words in
   let sa = sig_base t a and sb = sig_base t b in
-  (* n <= 9 packs each signature into one word: inline the borrow
-     test there — this pair loop is the filter's hottest code and
-     classic-mode ocamlopt does not inline sig_le *)
-  (if sw = 1 then
-     let g = t.lay.guards.(0) in
-     ((Array.unsafe_get t.sigs sb lor g) - Array.unsafe_get t.sigs sa) land g
-     = g
-   else sig_le t sa sb)
-  && (row_subset t (a * t.wpr) (b * t.wpr)
-     ||
-     let nn = t.n in
-     let cand = sc.cand in
-     let full = (1 lsl nn) - 1 in
-     match
-       let union = ref 0 in
-       (if sw = 1 then begin
-          let sigs = t.sigs and g = t.lay.guards.(0) in
-          for c = 0 to nn - 1 do
-            let oa = Array.unsafe_get sigs (sa + 1 + (2 * c))
-            and za = Array.unsafe_get sigs (sa + 2 + (2 * c)) in
-            let m = ref 0 in
-            for c' = 0 to nn - 1 do
-              let ob = Array.unsafe_get sigs (sb + 1 + (2 * c')) in
-              if ((ob lor g) - oa) land g = g then begin
-                let zb = Array.unsafe_get sigs (sb + 2 + (2 * c')) in
-                if ((zb lor g) - za) land g = g then m := !m lor (1 lsl c')
-              end
-            done;
-            if !m = 0 then raise No;
-            cand.(c) <- !m;
-            union := !union lor !m
-          done
-        end
-        else
-          for c = 0 to nn - 1 do
-            let m = ref 0 in
-            let oa = sa + ((1 + (2 * c)) * sw)
-            and za = sa + ((2 + (2 * c)) * sw) in
-            for c' = 0 to nn - 1 do
-              if
-                sig_le t oa (sb + ((1 + (2 * c')) * sw))
-                && sig_le t za (sb + ((2 + (2 * c')) * sw))
-              then m := !m lor (1 lsl c')
-            done;
-            if !m = 0 then raise No;
-            cand.(c) <- !m;
-            union := !union lor !m
-          done);
-       if !union <> full then raise No
-     with
-     | exception No -> false
-     | () ->
-         (* most constrained channel first — insertion sort on the
-            precomputed candidate popcounts ([Array.sort] with a
-            closure is measurable at this call rate; the order only
-            steers the backtracking, the boolean result is
-            order-independent) *)
-         let order = sc.order and opc = sc.opc in
-         for c = 0 to nn - 1 do
-           order.(c) <- c;
-           opc.(c) <- Bitops.popcount (Array.unsafe_get cand c)
-         done;
-         for i = 1 to nn - 1 do
-           let c = Array.unsafe_get order i in
-           let k = Array.unsafe_get opc c in
-           let j = ref (i - 1) in
-           while !j >= 0 && Array.unsafe_get opc (Array.unsafe_get order !j) > k
-           do
-             Array.unsafe_set order (!j + 1) (Array.unsafe_get order !j);
-             decr j
-           done;
-           Array.unsafe_set order (!j + 1) c
-         done;
-         let pi = sc.pi in
-         let ba = a * t.wpr and bb = b * t.wpr in
-         let rec assign i used =
-           if i = nn then begin
-             (* image inclusion: every mask of A lands in B — permute
-                the whole row A by pi into the scratch row and do one
-                word-parallel subset scan *)
-             permute_row t sc ba pi;
-             perm_subset t sc bb
-           end
-           else begin
-             let c = order.(i) in
-             let avail = ref (cand.(c) land lnot used) in
-             let ok = ref false in
-             while (not !ok) && !avail <> 0 do
-               let bit = !avail land - !avail in
-               let c' = Bitops.floor_log2 bit in
-               pi.(c) <- c';
-               if assign (i + 1) (used lor bit) then ok := true
-               else avail := !avail land lnot bit
-             done;
-             !ok
-           end
-         in
-         assign 0 0)
+  key_le t sa sb
+  && (row_subset t (a * t.wpr) (b * t.wpr) || permutation_search t sc a b sa sb)
 
 let subsumes t a b = subsumes_with t t.own a b
 
@@ -1031,3 +1276,16 @@ let subsumes_perm t a b =
   if not (subsumes t a b) then None
   else if row_subset t (a * t.wpr) (b * t.wpr) then Some (Array.init t.n Fun.id)
   else Some (Array.copy t.own.pi)
+
+(* --- the pre-filter key and the search counters, for callers that
+   keep their own index of candidate subsumers --- *)
+
+let key_words t = t.key_words
+let key_guards t = Array.copy t.key_guards
+
+let blit_key t idx dst off =
+  if idx >= t.signed then invalid_arg "Arena.blit_key: row not signed";
+  Array.blit t.sigs (sig_base t idx) dst off t.key_words
+
+let backtracks sc = sc.backtracks
+let leaves sc = sc.leaves

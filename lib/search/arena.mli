@@ -78,8 +78,10 @@ val commit_unsigned : t -> level:int -> [ `Fresh of int | `Dup of int ]
 
 type scratch
 (** Per-domain working memory for {!subsumes_with} and the signature
-    packing of {!sign_pending}: candidate channel sets, the
-    permutation under test, count accumulators and one row buffer. *)
+    packing of {!sign_pending}: candidate channel sets, the profiles
+    and open images of the permutation search, the permutation under
+    test, count accumulators, one row buffer, and the {!backtracks} and
+    {!leaves} counters. *)
 
 val scratch : t -> scratch
 (** A fresh scratch sized for this arena, for one domain's use. *)
@@ -121,10 +123,17 @@ val subsumes : t -> int -> int -> bool
 (** [subsumes t a b]: does some wire permutation [pi] carry row [a]'s
     reachable set into a subset of row [b]'s (Bundala–Závodný: then
     [b] can be dropped from a frontier that keeps [a])? The necessary
-    card / level / per-channel filters run as field-wise
-    comparisons on the packed signatures (one subtract-and-mask per
-    signature word), candidate channel images are bitmasks, and the
-    final backtracking search is allocation-free.
+    conditions run first, as field-wise comparisons on the packed
+    signatures (one subtract-and-mask per signature word): total
+    cardinality, the per-level counts, and the sorted out- and
+    in-degrees of the pair-order profile (for each channel [c], the
+    channels [d] such that some reachable mask has bit [c] set and bit
+    [d] clear). Unless row [a] is a subset of row [b], a backtracking
+    search then assigns channels to the images their ones and zeros
+    counts allow, every assignment narrowing the later channels'
+    images by the profiles (a pair unordered in [a] must map to one
+    unordered in [b]), and tests each full permutation on the whole
+    row. Allocates only a closure and a counter per search.
     @raise Invalid_argument unless both rows are signed — which needs
     an arena created with signatures, and rows committed by {!commit}
     or covered by a {!sign_pending} since. *)
@@ -137,7 +146,38 @@ val subsumes_perm : t -> int -> int -> int array option
 (** {!subsumes} returning its witness as an image array ([pi.(c)] is
     where channel [c] lands), for certificate covers: [None] iff
     [subsumes t a b] is false, the identity when row [a] is a subset of
-    row [b]. Runs on the owner's scratch. *)
+    row [b], and otherwise the first permutation in the search's order
+    (channels by fewest candidate images, images ascending) that
+    carries [a] into [b] — the profile pruning never changes which one.
+    Runs on the owner's scratch. *)
+
+val key_words : t -> int
+(** Length of a row's pre-filter key: its level signature, then its
+    sorted out-degree and in-degree words (3 words for [n <= 9]). *)
+
+val key_guards : t -> int array
+(** The guard bits of each key word. Row [a] can subsume row [b] only
+    if their keys [ka], [kb] satisfy, for every word [w] with guard
+    [g], [((kb.(w) lor g) - ka.(w)) land g = g]: every packed count of
+    [a] is at most [b]'s. {!subsumes} checks exactly this after the
+    cardinalities. *)
+
+val blit_key : t -> int -> int array -> int -> unit
+(** [blit_key t idx dst off] copies signed row [idx]'s key into
+    [dst.(off) .. dst.(off + key_words t - 1)], so a caller can scan
+    its own candidate subsumers' keys contiguously.
+    @raise Invalid_argument if the row is not signed. *)
+
+val backtracks : scratch -> int
+(** How many {!subsumes_with} calls on this scratch reached the
+    permutation search, since the scratch was made. *)
+
+val leaves : scratch -> int
+(** How many full permutations those searches tested against the
+    whole row. *)
+
+val bytes : t -> int
+(** The memory {!record_metrics} reports as [arena.bytes]. *)
 
 val record_metrics : t -> unit
 (** Flush the arena's local counters into the global {!Metrics}
@@ -145,5 +185,7 @@ val record_metrics : t -> unit
     [arena.bytes]; [arena.states] / [arena.dups] are bumped live at
     commit) — call once per run, not per operation. [arena.bytes] is
     the memory of every per-state array the arena owns (rows,
-    cardinality, level, hash, signatures), its dedup table and its
-    per-[n] count patterns. *)
+    cardinality, level, hash, and the signature blocks: level and
+    per-channel ones signatures, degree words, and the packed profile
+    and its transpose), its dedup table and its per-[n] count
+    tables. *)

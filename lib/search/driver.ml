@@ -65,61 +65,149 @@ let filter_min_candidates = 1024
 let filter_batch = 4096
 let filter_chunk = 16
 
-(* Kept representatives as arena indices, sorted by ascending
-   cardinality: a rep can only subsume candidates of >= its card
-   (subsumption maps the reachable set injectively), so the scan for a
-   candidate cuts off at the first larger card. *)
-type kept = {
-  arena : Arena.t;
-  scratches : Arena.scratch array; (* one per domain *)
+(* One domain's filter state: its arena scratch, the key of the
+   candidate it is testing, and its share of the level's counters —
+   summed after the filter, so the scan loop touches no shared
+   counter. *)
+type fscratch = {
+  sc : Arena.scratch;
+  key : int array;
+  mutable scanned : int; (* reps looked at *)
+  mutable calls : int; (* full [Arena.subsumes_with] tests *)
+}
+
+(* Representatives as arena indices, sorted by ascending cardinality:
+   a rep can only subsume candidates of >= its card (subsumption maps
+   the reachable set injectively), so the scan for a candidate cuts off
+   at the first larger card. Each rep's pre-filter key
+   ([Arena.blit_key]: level signature and sorted degree words) sits
+   beside its card, [kw] words per rep in the same order, so the scan
+   reads contiguous memory and reaches the arena only for reps whose
+   key does not refute the candidate. *)
+type reps = {
   mutable idx : int array;
   mutable card : int array;
+  mutable keys : int array;
   mutable len : int;
 }
 
-let kept ~domains arena =
-  let domains = min Par.clamp_max (max 1 domains) in
-  { arena;
-    scratches = Array.init domains (fun _ -> Arena.scratch arena);
-    idx = Array.make 256 0;
+type kept = {
+  arena : Arena.t;
+  scratches : fscratch array; (* one per domain *)
+  kw : int;
+  guards : int array;
+  all : reps; (* every rep kept so far *)
+  batch_reps : reps; (* the reps kept in the current batch *)
+}
+
+let empty_reps kw =
+  { idx = Array.make 256 0;
     card = Array.make 256 0;
+    keys = Array.make (256 * kw) 0;
     len = 0 }
 
-let kept_insert k idx =
-  if k.len = Array.length k.idx then begin
+let kept ~domains arena =
+  let domains = min Par.clamp_max (max 1 domains) in
+  let kw = Arena.key_words arena in
+  { arena;
+    scratches =
+      Array.init domains (fun _ ->
+          { sc = Arena.scratch arena;
+            key = Array.make kw 0;
+            scanned = 0;
+            calls = 0 });
+    kw;
+    guards = Arena.key_guards arena;
+    all = empty_reps kw;
+    batch_reps = empty_reps kw }
+
+(* insert after every rep of the same or a smaller card *)
+let reps_insert k r idx =
+  if r.len = Array.length r.idx then begin
     let grow a =
       let a' = Array.make (2 * Array.length a) 0 in
       Array.blit a 0 a' 0 (Array.length a);
       a'
     in
-    k.idx <- grow k.idx;
-    k.card <- grow k.card
+    r.idx <- grow r.idx;
+    r.card <- grow r.card;
+    r.keys <- grow r.keys
   end;
   let c = Arena.card k.arena idx in
-  let lo = ref 0 and hi = ref k.len in
+  let lo = ref 0 and hi = ref r.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if k.card.(mid) <= c then lo := mid + 1 else hi := mid
+    if r.card.(mid) <= c then lo := mid + 1 else hi := mid
   done;
-  let pos = !lo in
-  Array.blit k.idx pos k.idx (pos + 1) (k.len - pos);
-  Array.blit k.card pos k.card (pos + 1) (k.len - pos);
-  k.idx.(pos) <- idx;
-  k.card.(pos) <- c;
-  k.len <- k.len + 1
+  let pos = !lo and kw = k.kw in
+  Array.blit r.idx pos r.idx (pos + 1) (r.len - pos);
+  Array.blit r.card pos r.card (pos + 1) (r.len - pos);
+  Array.blit r.keys (pos * kw) r.keys ((pos + 1) * kw) ((r.len - pos) * kw);
+  r.idx.(pos) <- idx;
+  r.card.(pos) <- c;
+  Arena.blit_key k.arena idx r.keys (pos * kw);
+  r.len <- r.len + 1
 
-(* does one of the first [upto] kept reps subsume [cand]? Read-only, so
-   any domain may run it with its own scratch while the kept arrays
-   hold still *)
-let kept_subsumes k sc ~upto cand =
-  let idx = k.idx and card = k.card in
-  let c = Arena.card k.arena cand in
-  let i = ref 0 and hit = ref false in
-  while (not !hit) && !i < upto && card.(!i) <= c do
-    if Arena.subsumes_with k.arena sc idx.(!i) cand then hit := true;
-    incr i
-  done;
+(* does one of the first [upto] reps of [r] subsume [cand]? Only a rep
+   whose card and key pass (the borrow test of [Arena.key_guards],
+   unrolled for the three-word key of n <= 9) costs a
+   [subsumes_with] call. Read-only on [r], so any domain may run it
+   with its own scratch while the rep arrays hold still. *)
+let subsumed_in k fs r ~upto cand =
+  let arena = k.arena and idx = r.idx and card = r.card and keys = r.keys in
+  let c = Arena.card arena cand in
+  let key = fs.key in
+  Arena.blit_key arena cand key 0;
+  let i = ref 0 and hit = ref false and calls = ref 0 in
+  (if k.kw = 3 then begin
+     let gl = k.guards.(0) and gd = k.guards.(1) in
+     let l = key.(0) lor gl and o = key.(1) lor gd and n = key.(2) lor gd in
+     while (not !hit) && !i < upto && Array.unsafe_get card !i <= c do
+       let b = 3 * !i in
+       if
+         (l - Array.unsafe_get keys b) land gl = gl
+         && (o - Array.unsafe_get keys (b + 1)) land gd = gd
+         && (n - Array.unsafe_get keys (b + 2)) land gd = gd
+       then begin
+         incr calls;
+         if Arena.subsumes_with arena fs.sc idx.(!i) cand then hit := true
+       end;
+       incr i
+     done
+   end
+   else begin
+     let kw = k.kw and g = k.guards in
+     for w = 0 to kw - 1 do
+       key.(w) <- key.(w) lor g.(w)
+     done;
+     while (not !hit) && !i < upto && Array.unsafe_get card !i <= c do
+       let b = kw * !i and w = ref 0 in
+       while !w < kw && (key.(!w) - keys.(b + !w)) land g.(!w) = g.(!w) do
+         incr w
+       done;
+       if !w = kw then begin
+         incr calls;
+         if Arena.subsumes_with arena fs.sc idx.(!i) cand then hit := true
+       end;
+       incr i
+     done
+   end);
+  fs.scanned <- fs.scanned + !i;
+  fs.calls <- fs.calls + !calls;
   !hit
+
+type filter_counts = { scanned : int; calls : int; backtracks : int; leaves : int }
+
+let no_filter_counts = { scanned = 0; calls = 0; backtracks = 0; leaves = 0 }
+
+let filter_counts k =
+  Array.fold_left
+    (fun acc (fs : fscratch) ->
+      { scanned = acc.scanned + fs.scanned;
+        calls = acc.calls + fs.calls;
+        backtracks = acc.backtracks + Arena.backtracks fs.sc;
+        leaves = acc.leaves + Arena.leaves fs.sc })
+    no_filter_counts k.scratches
 
 (* Greedy subsumption filter over the candidates in ascending card
    order, batch by batch (see [filter_batch]), each batch settled by an
@@ -128,9 +216,11 @@ let kept_subsumes k sc ~upto cand =
    one-at-a-time filter, so survivors, kept order and counts are the
    same at every batch size. Candidates are arena rows, each committed,
    signed and unequal to every row committed before it. Returns the
-   survivors in kept order and the number of domains used. *)
+   survivors in kept order, the number of domains used and the
+   filter's counters for these candidates. *)
 let subsume_filter k cands =
   let arena = k.arena and domains = Array.length k.scratches in
+  let before = filter_counts k in
   let cands =
     Array.of_list
       (List.stable_sort
@@ -142,37 +232,41 @@ let subsume_filter k cands =
     if domains = 1 || m < filter_min_candidates then 1 else filter_batch
   in
   let hit = Array.make (min batch m) false in
-  let fresh = Array.make (min batch m) 0 in
   let used = ref 1 and survivors = ref [] and b0 = ref 0 in
   while !b0 < m do
-    let lo = !b0 and upto = k.len in
+    let lo = !b0 and upto = k.all.len in
     let hi = min m (lo + batch) in
     let workers =
       Par.iter_chunks ~domains ~chunk:filter_chunk ~lo ~hi
         (fun ~worker ~lo:a ~hi:b ->
           for i = a to b - 1 do
-            hit.(i - lo) <- kept_subsumes k k.scratches.(worker) ~upto (fst cands.(i))
+            hit.(i - lo) <-
+              subsumed_in k k.scratches.(worker) k.all ~upto (fst cands.(i))
           done)
     in
     used := max !used workers;
-    let nfresh = ref 0 in
+    (* the tail runs on this domain once the workers are joined, so it
+       borrows worker 0's scratch *)
+    let tail = k.scratches.(0) and fresh = k.batch_reps in
+    fresh.len <- 0;
     for i = lo to hi - 1 do
       let ((idx, _) as cand) = cands.(i) in
-      let dropped = ref hit.(i - lo) and j = ref 0 in
-      while (not !dropped) && !j < !nfresh do
-        if Arena.subsumes arena fresh.(!j) idx then dropped := true;
-        incr j
-      done;
-      if not !dropped then begin
-        kept_insert k idx;
-        fresh.(!nfresh) <- idx;
-        incr nfresh;
+      if not (hit.(i - lo) || subsumed_in k tail fresh ~upto:fresh.len idx)
+      then begin
+        reps_insert k k.all idx;
+        reps_insert k fresh idx;
         survivors := cand :: !survivors
       end
     done;
     b0 := hi
   done;
-  (List.rev !survivors, !used)
+  let after = filter_counts k in
+  ( List.rev !survivors,
+    !used,
+    { scanned = after.scanned - before.scanned;
+      calls = after.calls - before.calls;
+      backtracks = after.backtracks - before.backtracks;
+      leaves = after.leaves - before.leaves } )
 
 (* --- checkpoint / resume --- *)
 
@@ -412,7 +506,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
           (fun key () -> ignore (commit_existing (State.of_key ~n:sys.n key)))
           s.s_seen;
         List.iter
-          (fun st -> kept_insert kept (commit_existing st))
+          (fun st -> reps_insert kept kept.all (commit_existing st))
           (List.rev s.s_kept);
         frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
     let result = ref None in
@@ -443,7 +537,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
           Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
         done;
         let s_kept =
-          List.init kept.len (fun k -> Arena.to_state arena kept.idx.(k))
+          List.init kept.all.len (fun k -> Arena.to_state arena kept.all.idx.(k))
         in
         let s_frontier =
           List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
@@ -546,6 +640,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
        with Exit -> ());
       let expand_s = clock () -. t_expand in
       let sign_s = ref 0. and filter_s = ref 0. and filter_domains = ref 0 in
+      let fc = ref no_filter_counts in
       let surviving =
         match !found with
         | Some rev_moves ->
@@ -578,14 +673,16 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
                 | Equal -> fresh
                 | Subsume ->
                     let t_sign = clock () in
-                    Arena.sign_pending arena kept.scratches;
+                    Arena.sign_pending arena
+                      (Array.map (fun fs -> fs.sc) kept.scratches);
                     let t_filter = clock () in
                     sign_s := t_filter -. t_sign;
-                    let survivors, used = subsume_filter kept fresh in
+                    let survivors, used, counts = subsume_filter kept fresh in
                     subsumed_total :=
                       !subsumed_total + List.length fresh - List.length survivors;
                     filter_s := clock () -. t_filter;
                     filter_domains := used;
+                    fc := counts;
                     survivors
               in
               let width = List.length survivors in
@@ -616,6 +713,14 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       Span.add sp "sign_s" (Sink.Float !sign_s);
       Span.add sp "filter_s" (Sink.Float !filter_s);
       Span.add sp "filter_domains" (Sink.Int !filter_domains);
+      (* the filter's work (0 when it did not run): kept reps scanned,
+         full subsumption tests, tests that reached the permutation
+         search, and permutations tested; then the arena's size *)
+      Span.add sp "filter_scanned" (Sink.Int !fc.scanned);
+      Span.add sp "filter_calls" (Sink.Int !fc.calls);
+      Span.add sp "filter_backtracks" (Sink.Int !fc.backtracks);
+      Span.add sp "filter_leaves" (Sink.Int !fc.leaves);
+      Span.add sp "arena_bytes" (Sink.Int (Arena.bytes arena));
       (match on_level with
       | Some f when !result = None ->
           (* level lvl fully expanded and deduplicated *)

@@ -624,6 +624,109 @@ let prop_arena_subsumes_perm =
              && witnessed sa (State.map_masks sa (permute_mask perm)) to_copy)
            (List.init 250 Fun.id))
 
+(* The arena's permutation search without its profile pruning (no
+   degree check, no forward checking): channel c may map to any channel
+   c' of [b] whose ones and zeros counts dominate c's at every level;
+   channels are taken by fewest candidates (ties by index), images in
+   ascending order, and every full permutation is tested on the whole
+   state. [None] when it finds no witness, [Some pi] with the first one
+   otherwise, and [Some identity] when [a] is a subset of [b]. The
+   pruning may only skip permutations that fail, so
+   [Arena.subsumes_perm] must return this very permutation. *)
+let reference_subsumes_perm a b =
+  let n = State.n a in
+  let counts st keep =
+    let k = Array.make (n + 1) 0 in
+    State.iter_masks
+      (fun m ->
+        let l = Bitops.popcount m in
+        if keep m then k.(l) <- k.(l) + 1)
+      st;
+    k
+  in
+  let le x y = Array.for_all2 ( <= ) x y in
+  let bit c v m = (m lsr c) land 1 = v in
+  let all _ = true in
+  if State.card a > State.card b || not (le (counts a all) (counts b all)) then None
+  else if State.subset a b then Some (Array.init n Fun.id)
+  else begin
+    let cand =
+      Array.init n (fun c ->
+          let m = ref 0 in
+          for c' = 0 to n - 1 do
+            if
+              le (counts a (bit c 1)) (counts b (bit c' 1))
+              && le (counts a (bit c 0)) (counts b (bit c' 0))
+            then m := !m lor (1 lsl c')
+          done;
+          !m)
+    in
+    if Array.exists (( = ) 0) cand || Array.fold_left ( lor ) 0 cand <> (1 lsl n) - 1
+    then None
+    else begin
+      let order =
+        List.stable_sort
+          (fun x y -> compare (Bitops.popcount cand.(x)) (Bitops.popcount cand.(y)))
+          (List.init n Fun.id)
+      in
+      let pi = Array.make n 0 in
+      let rec assign used = function
+        | [] -> State.for_all_masks (fun x -> State.mem b (permute_mask pi x)) a
+        | c :: rest ->
+            List.exists
+              (fun c' ->
+                (cand.(c) lsr c') land 1 = 1
+                && used land (1 lsl c') = 0
+                && begin
+                     pi.(c) <- c';
+                     assign (used lor (1 lsl c')) rest
+                   end)
+              (List.init n Fun.id)
+      in
+      if assign 0 order then Some (Array.copy pi) else None
+    end
+  end
+
+let prop_arena_witness_identity =
+  QCheck.Test.make
+    ~name:"Arena.subsumes_perm = the unpruned search's first witness (n=4..10)"
+    ~count:28
+    QCheck.(pair (int_range 0 1_000_000) (int_range 4 10))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~n () in
+      let ok, states = random_frontier rng arena n 60 in
+      let arr = Array.of_list states in
+      let m = Array.length arr in
+      let commit st =
+        Arena.stage_state arena st;
+        match Arena.commit arena ~level:1 with `Fresh i | `Dup i -> i
+      in
+      let agrees sa ia sb ib =
+        let want = reference_subsumes_perm sa sb in
+        Arena.subsumes_perm arena ia ib = want
+        && Arena.subsumes arena ia ib = (want <> None)
+      in
+      ok
+      && List.for_all
+           (fun _ ->
+             let sa, ia = arr.(Xoshiro.int rng ~bound:m)
+             and sb, ib = arr.(Xoshiro.int rng ~bound:m) in
+             (* and a relabeled copy of [sa] with a few masks added, which
+                [sa] subsumes, often through several permutations *)
+             let perm = Perm.to_array (Perm.random rng n) in
+             let extra =
+               List.init (Xoshiro.int rng ~bound:4) (fun _ ->
+                   Xoshiro.int rng ~bound:(1 lsl n))
+             in
+             let sc =
+               State.of_masks ~n (extra @ List.map (permute_mask perm) (State.masks sa))
+             in
+             let ic = commit sc in
+             agrees sa ia sb ib && agrees sa ia sc ic
+             && Arena.subsumes_perm arena ia ic <> None)
+           (List.init 60 Fun.id))
+
 (* Outcomes recorded when a second, boxed search engine still
    cross-checked this one decision for decision: the depth, every
    decision counter and the frontier sizes of [optimal_depth ~n] must
@@ -883,6 +986,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_arena_stage_directed;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_parity;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_perm;
+          QCheck_alcotest.to_alcotest prop_arena_witness_identity;
           Alcotest.test_case "pinned optima and counts n=4..8" `Quick
             test_pinned_optimal_depths;
           QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
