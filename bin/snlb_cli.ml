@@ -548,8 +548,8 @@ let lint_cmd =
     let doc =
       "Write proof-carrying certificates for the analyzer's verdicts \
        to $(docv): a sortedness certificate (reach, bounds, or a \
-       refutation witness) plus, when dead/redundant comparators were \
-       found in the exact domain, their reachable-set facts. Exits 1 \
+       refutation witness) plus, when dead comparators were found in \
+       the exact domain, their reachable-set facts. Exits 1 \
        if no certificate backs the verdict (bounds domain \
        undecided)."
     in
@@ -583,10 +583,9 @@ let lint_cmd =
             List.iter (fun d -> print_endline (Diag.to_text d)) r.diags;
             let f = r.facts in
             Printf.printf
-              "%s: %d wires, %d levels, %d comparators (%d dead, %d \
-               redundant), %s, %s, %s\n"
+              "%s: %d wires, %d levels, %d comparators (%d dead), %s, %s, \
+               %s\n"
               name f.wires f.levels f.comparators (List.length f.dead)
-              (List.length f.redundant)
               (opt_str "shuffle-based" f.shuffle_stages)
               (opt_str "iterated reverse delta" f.reverse_delta_blocks)
               (opt_str "delta" f.delta_blocks));
@@ -617,7 +616,7 @@ let lint_cmd =
   in
   let doc =
     "Statically analyse a comparator network: abstract-interpretation \
-     sortedness and dead/redundant-comparator proofs, structural lints, \
+     sortedness and dead-comparator proofs, structural lints, \
      and shuffle/delta topology conformance. Exits 1 when an \
      error-severity diagnostic is present (with --strict, warnings \
      too)."
@@ -1143,7 +1142,8 @@ let fuzz_cmd =
     "Differentially fuzz the verification stack on seeded random networks: \
      for every sampled genome the compiled bit-sliced engine, the \
      gate-by-gate interpreter, the exact static analyzer (sortedness and \
-     dead/redundant proofs), the naive adversary's fooling-pair \
+     dead-comparator proofs), the naive adversary's fooling-pair \
+     certificates, the independent checker on the analyzer's emitted \
      certificates, and the proved optimal-depth table must all agree. Any \
      disagreement is minimized into a reproducer and exits 1."
   in

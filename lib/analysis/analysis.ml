@@ -1,7 +1,6 @@
 let c_networks = Metrics.counter "analysis.networks"
 let c_comparators = Metrics.counter "analysis.comparators"
 let c_dead = Metrics.counter "analysis.dead"
-let c_redundant = Metrics.counter "analysis.redundant"
 let c_cross = Metrics.counter "analysis.cross_checks"
 
 type sortedness =
@@ -21,7 +20,6 @@ type facts = {
   exact : bool;
   sortedness : sortedness;
   dead : gate_ref list;
-  redundant : gate_ref list;
   shuffle_stages : int option;
   reverse_delta_blocks : int option;
   delta_blocks : int option;
@@ -32,42 +30,32 @@ type report = { facts : facts; diags : Diag.t list }
 let default_exact_max_wires = 12
 let exact_cap = 16
 
-(* Gate verdicts in walk order. [level_verdicts li level] gives each
-   gate of level [li] (0-based) its (dead, redundant) pair; [dead]
-   lists the redundant gates too. *)
+(* Dead gates in walk order. [level_verdicts li level] says which
+   gates of level [li] (0-based) are dead. *)
 let gate_verdicts nw level_verdicts =
-  let dead = ref [] and redundant = ref [] in
+  let dead = ref [] in
   List.iteri
     (fun li (level : Network.level) ->
       List.iteri
-        (fun gi (g, (is_dead, is_red)) ->
-          if is_dead || is_red then begin
-            let a, b =
-              match g with
-              | Gate.Compare { lo; hi } -> (lo, hi)
-              | Gate.Exchange { a; b } -> (a, b)
-            in
-            let r = { level = li + 1; gate = gi; a; b } in
-            dead := r :: !dead;
-            if is_red then redundant := r :: !redundant
-          end)
+        (fun gi (g, is_dead) ->
+          if is_dead then
+            let a, b = Gate.wires g in
+            dead := { level = li + 1; gate = gi; a; b } :: !dead)
         (List.combine level.gates (level_verdicts li level)))
     (Network.levels nw);
-  (List.rev !dead, List.rev !redundant)
+  List.rev !dead
 
-(* The exact domain is the kernel's sweep over all 2^n inputs. A
-   comparator is dead iff it never fires, an exchange iff its wires
-   never differ; any gate is redundant iff its wires never differ. *)
+(* The exact domain is the kernel's sweep over all 2^n inputs: a
+   comparator is dead iff it never fires. An exchange never is: two
+   distinct wires differ on some reachable vector (DESIGN.md). *)
 let exact_verdicts nw c =
-  let { Bitslice.fires; differs; least_unsorted } = Bitslice.gate_activity c in
-  let dead, redundant =
+  let { Bitslice.fires; least_unsorted } = Bitslice.gate_activity c in
+  let dead =
     gate_verdicts nw (fun li (level : Network.level) ->
         List.mapi
           (fun gi g ->
-            let i = c.Compiled.level_off.(li) + gi in
-            let never_differs = not differs.(i) in
-            ((if Gate.is_comparator g then not fires.(i) else never_differs),
-             never_differs))
+            Gate.is_comparator g
+            && not fires.(c.Compiled.level_off.(li) + gi))
           level.gates)
   in
   let sortedness =
@@ -75,27 +63,23 @@ let exact_verdicts nw c =
     | None -> Sorting_proved
     | Some m -> Sorting_refuted m
   in
-  (sortedness, dead, redundant)
+  (sortedness, dead)
 
 (* The one order-bounds walk. A level's gates are all queried against
    its entry state (they fire in parallel on disjoint wires), then
    transferred. *)
 let bounds_verdicts nw ~on_level =
   let b = Bounds.create (Network.wires nw) in
-  let dead, redundant =
+  let dead =
     gate_verdicts nw (fun _ (level : Network.level) ->
         Option.iter (Bounds.transfer_perm b) level.pre;
-        let verdicts =
-          List.map
-            (fun g -> (Bounds.gate_dead b g, Bounds.gate_redundant b g))
-            level.gates
-        in
+        let verdicts = List.map (Bounds.gate_dead b) level.gates in
         List.iter (Bounds.transfer_gate b) level.gates;
         on_level b;
         verdicts)
   in
   let sortedness = if Bounds.sorted_proved b then Sorted_by_bounds else Unknown in
-  (sortedness, dead, redundant)
+  (sortedness, dead)
 
 let mask_bits ~n m =
   String.init n (fun i -> if m land (1 lsl (n - 1 - i)) <> 0 then '1' else '0')
@@ -104,7 +88,7 @@ let analyze_gen ?(exact_max_wires = default_exact_max_wires)
     ?(cross_check = false) ~conformance nw =
   let n = Network.wires nw in
   let exact = n <= min exact_max_wires exact_cap in
-  let sortedness, dead, redundant =
+  let sortedness, dead =
     if exact then exact_verdicts nw (Compiled.of_network nw)
     else bounds_verdicts nw ~on_level:ignore
   in
@@ -119,7 +103,6 @@ let analyze_gen ?(exact_max_wires = default_exact_max_wires)
   Metrics.incr c_networks;
   Metrics.add c_comparators comparators;
   Metrics.add c_dead (List.length dead);
-  Metrics.add c_redundant (List.length redundant);
   let shuffle_stages, reverse_delta_blocks, delta_blocks =
     if conformance then
       ( Conform.shuffle_stages nw,
@@ -137,7 +120,6 @@ let analyze_gen ?(exact_max_wires = default_exact_max_wires)
       exact;
       sortedness;
       dead;
-      redundant;
       shuffle_stages;
       reverse_delta_blocks;
       delta_blocks;
@@ -153,24 +135,16 @@ let analyze_gen ?(exact_max_wires = default_exact_max_wires)
              and gate verdicts use the approximate bounds domain"
             n
             (min exact_max_wires exact_cap)));
-  let red_set = List.map (fun r -> (r.level, r.gate)) redundant in
   List.iter
     (fun r ->
-      let span = { Diag.level = r.level; gate = Some r.gate } in
-      if List.mem (r.level, r.gate) red_set then
-        add
-          (Diag.make ~span ~code:"SNL202" ~severity:Diag.Info
-             (Printf.sprintf
-                "redundant comparator (%d,%d): wires provably equal, \
-                 orientation immaterial"
-                r.a r.b))
-      else
-        add
-          (Diag.make ~span ~code:"SNL201" ~severity:Diag.Warning
-             (Printf.sprintf
-                "dead comparator (%d,%d): never exchanges on any reachable \
-                 input; removable"
-                r.a r.b)))
+      add
+        (Diag.make
+           ~span:{ Diag.level = r.level; gate = Some r.gate }
+           ~code:"SNL201" ~severity:Diag.Warning
+           (Printf.sprintf
+              "dead comparator (%d,%d): never exchanges on any reachable \
+               input; removable"
+              r.a r.b)))
     dead;
   (match sortedness with
   | Sorting_proved ->
@@ -243,26 +217,6 @@ let remove_dead nw facts =
       (fun li (level : Network.level) ->
         let gates =
           List.filteri (fun gi _ -> not (List.mem (li + 1, gi) dead)) level.gates
-        in
-        { level with Network.gates })
-      (Network.levels nw)
-  in
-  Network.create ~wires:(Network.wires nw) levels
-
-let flip_redundant nw facts =
-  let red = List.map (fun r -> (r.level, r.gate)) facts.redundant in
-  let levels =
-    List.mapi
-      (fun li (level : Network.level) ->
-        let gates =
-          List.mapi
-            (fun gi g ->
-              if List.mem (li + 1, gi) red then
-                match g with
-                | Gate.Compare { lo; hi } -> Gate.Compare { lo = hi; hi = lo }
-                | Gate.Exchange _ as g -> g
-              else g)
-            level.gates
         in
         { level with Network.gates })
       (Network.levels nw)

@@ -6,22 +6,18 @@
     (default {!default_exact_max_wires}, never above {!exact_cap}) use
     the exact 0-1 domain: the compiled kernel's sweep over all [2^n]
     zero-one inputs ({!Bitslice.gate_activity}) — sortedness is then
-    decided (proved {e or} refuted), and dead/redundant
-    classifications are exact on 0-1 behaviour. Wider networks use the
-    polynomial order-bounds domain ({!Bounds}) — sortedness can only
-    be proved, never refuted, and dead/redundant are sound
-    under-approximations (every flagged gate really is dead/redundant;
-    unflagged gates are unclassified).
+    decided (proved {e or} refuted), and the dead classification is
+    exact on 0-1 behaviour. Wider networks use the polynomial
+    order-bounds domain ({!Bounds}) — sortedness can only be proved,
+    never refuted, and dead is a sound under-approximation (every
+    flagged gate really is dead; unflagged gates are unclassified).
 
     Definitions (see DESIGN.md for the soundness argument):
     - a comparator is {b dead} when it never exchanges on any
       reachable input — removing it leaves the network's function
-      unchanged (diagnostics: SNL201, warning);
-    - a comparator is {b redundant} when its two wires provably carry
-      equal values — flipping its orientation changes nothing
-      (SNL202, info). Redundant implies dead; each gate gets one
-      diagnostic, the strongest that applies, while {!facts} lists
-      every dead gate (redundant included) in [dead]. *)
+      unchanged (diagnostics: SNL201, warning). An exchange is never
+      dead: on any network prefix two distinct wires differ on some
+      reachable input. *)
 
 type sortedness =
   | Sorting_proved  (** exact domain: all reachable 0-1 outputs sorted *)
@@ -42,8 +38,7 @@ type facts = {
   exchanges : int;
   exact : bool;  (** exact 0-1 domain used *)
   sortedness : sortedness;
-  dead : gate_ref list;  (** every dead comparator, redundant included *)
-  redundant : gate_ref list;
+  dead : gate_ref list;  (** every dead comparator, in walk order *)
   shuffle_stages : int option;
   reverse_delta_blocks : int option;
   delta_blocks : int option;
@@ -69,28 +64,19 @@ val remove_dead : Network.t -> facts -> Network.t
 (** The network with every comparator in [facts.dead] removed
     (extensionally equal by soundness of the dead classification). *)
 
-val flip_redundant : Network.t -> facts -> Network.t
-(** The network with every comparator in [facts.redundant]
-    orientation-flipped (ditto). *)
-
 (** {1 Domain passes}
 
     The two passes behind {!analyze}'s verdicts, shared with the
     {!Analysis_cert} emitters. Each returns the sortedness verdict and
-    the [dead] and [redundant] lists of {!facts}. *)
+    the [dead] list of {!facts}. *)
 
-val exact_verdicts :
-  Network.t -> Compiled.t -> sortedness * gate_ref list * gate_ref list
+val exact_verdicts : Network.t -> Compiled.t -> sortedness * gate_ref list
 (** [exact_verdicts nw c], with [c] compiled from [nw]: one
     {!Bitslice.gate_activity} sweep. A comparator is dead iff it never
-    fires, an exchange iff its wires never differ; any gate is
-    redundant iff its wires never differ. [Sorting_refuted] carries
-    the least unsorted output mask. *)
+    fires. [Sorting_refuted] carries the least unsorted output mask. *)
 
 val bounds_verdicts :
-  Network.t ->
-  on_level:(Bounds.t -> unit) ->
-  sortedness * gate_ref list * gate_ref list
+  Network.t -> on_level:(Bounds.t -> unit) -> sortedness * gate_ref list
 (** The order-bounds walk: each level's gates are judged against its
     entry state, then transferred, and [on_level] sees the state after
     each level. Sortedness is [Sorted_by_bounds] or [Unknown]. *)

@@ -39,7 +39,7 @@ let sortedness ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
   end
   else begin
     let lvls = ref [] in
-    let verdict, _, _ =
+    let verdict, _ =
       Analysis.bounds_verdicts nw ~on_level:(fun b ->
           lvls := bounds_claims b :: !lvls)
     in
@@ -61,16 +61,13 @@ let dead_gates ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
   if Network.wires nw > min exact_max_wires Analysis.exact_cap then Ok None
   else begin
     let c = Compiled.of_network nw in
-    let _, dead, redundant = Analysis.exact_verdicts nw c in
-    match dead with
-    | [] -> Ok None
-    | dead ->
+    match Analysis.exact_verdicts nw c with
+    | _, [] -> Ok None
+    | _, dead ->
         let claims =
           List.map
             (fun (r : Analysis.gate_ref) ->
-              if List.mem r redundant then
-                Cert.Redundant { level = r.level; gate = r.gate }
-              else Cert.Dead { level = r.level; gate = r.gate })
+              Cert.Dead { level = r.level; gate = r.gate })
             dead
         in
         Result.map Option.some

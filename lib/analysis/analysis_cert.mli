@@ -21,7 +21,6 @@ val sortedness :
 
 val dead_gates :
   ?exact_max_wires:int -> Network.t -> (Cert.t option, string) result
-(** The reachable sets justifying every [SNL201]/[SNL202]
-    dead/redundant-comparator diagnostic, as one {!Cert.Dead_gates}
-    certificate. [Ok None] when the network is outside the exact
-    domain or has no dead gates. *)
+(** The reachable sets justifying every [SNL201] dead-comparator
+    diagnostic, as one {!Cert.Dead_gates} certificate. [Ok None] when
+    the network is outside the exact domain or has no dead gates. *)

@@ -101,12 +101,6 @@ let sorted_proved t =
   done;
   !ok
 
-let equal_proved t a b = get t a b && get t b a
-
 let gate_dead t = function
   | Gate.Compare { lo; hi } -> get t lo hi || t.hi.(lo) <= t.lo.(hi)
-  | Gate.Exchange { a; b } -> equal_proved t a b
-
-let gate_redundant t = function
-  | Gate.Compare { lo; hi } -> equal_proved t lo hi
-  | Gate.Exchange { a; b } -> equal_proved t a b
+  | Gate.Exchange _ -> false

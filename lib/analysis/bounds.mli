@@ -14,8 +14,8 @@
     with monotone maps (min/max do, exchanges and rewirings trivially
     do), so a proved [v_i <= v_j] holds for all inputs — in particular
     all 0-1 inputs, which makes the derived verdicts (sortedness,
-    dead, redundant) agree soundly with the exact domain: the bounds
-    domain may answer "don't know", never wrongly "yes".
+    dead) agree soundly with the exact domain: the bounds domain may
+    answer "don't know", never wrongly "yes".
 
     Transfer functions: a comparator [a <- min, b <- max] sets
     [R(a, b)], keeps [R(b, a)] only if both old directions held (the
@@ -54,8 +54,6 @@ val sorted_proved : t -> bool
 
 val gate_dead : t -> Gate.t -> bool
 (** For a comparator [lo <- min, hi <- max]: proved to never exchange,
-    i.e. [leq lo hi] or the intervals are disjoint in that order. For
-    an exchange: dead only if the wires are provably equal. *)
-
-val gate_redundant : t -> Gate.t -> bool
-(** Both directions proved: the wires carry equal values always. *)
+    i.e. [leq lo hi] or the intervals are disjoint in that order. An
+    exchange is never dead: distinct wires never carry equal values on
+    a permutation input. *)

@@ -25,30 +25,15 @@ let to_text d =
   Printf.sprintf "%s[%s] %s%s" (severity_name d.severity) d.code
     (span_text d.span) d.message
 
-(* Minimal JSON string escaping: codes and messages are ASCII, but a
-   file path can reach a message, so escape everything the grammar
-   requires. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Codes and messages are ASCII, but a file path can reach a message,
+   so both go through the full RFC 8259 escaper. *)
 let to_json d =
   let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\"" (json_escape d.code)
-       (severity_name d.severity));
+  Buffer.add_string b "{\"code\":\"";
+  Sink.add_escaped b d.code;
+  Buffer.add_string b "\",\"severity\":\"";
+  Buffer.add_string b (severity_name d.severity);
+  Buffer.add_char b '"';
   (match d.span with
   | None -> ()
   | Some { level; gate } -> (
@@ -56,8 +41,9 @@ let to_json d =
       match gate with
       | None -> ()
       | Some g -> Buffer.add_string b (Printf.sprintf ",\"gate\":%d" g)));
-  Buffer.add_string b
-    (Printf.sprintf ",\"message\":\"%s\"}" (json_escape d.message));
+  Buffer.add_string b ",\"message\":\"";
+  Sink.add_escaped b d.message;
+  Buffer.add_string b "\"}";
   Buffer.contents b
 
 let count ds sev = List.length (List.filter (fun d -> d.severity = sev) ds)
@@ -71,7 +57,8 @@ let codes =
     ("SNL103", "channel untouched by any gate");
     ("SNL104", "gate-free level (pure routing or padding)");
     ("SNL201", "dead comparator: never exchanges on any reachable 0-1 input");
-    ("SNL202", "redundant comparator: its wires provably carry equal values");
+    (* SNL202 (redundant comparator) is retired and never reused: on
+       any network prefix two distinct wires differ on some input. *)
     ("SNL203", "sortedness refuted (exact 0-1 domain, witness input)");
     ("SNL204", "sortedness proved (exact 0-1 domain)");
     ("SNL205", "sortedness proved (order-bounds domain)");

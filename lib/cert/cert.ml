@@ -5,9 +5,7 @@ type domain =
   | Reach_sets of int list array
   | Bounds_leq of (int * int) list array
 
-type claim =
-  | Dead of { level : int; gate : int }
-  | Redundant of { level : int; gate : int }
+type claim = Dead of { level : int; gate : int }
 
 type t =
   | Sortedness of { network : Network.t; domain : domain }
@@ -37,7 +35,7 @@ type t =
 
 type error = { code : string; where : string; reason : string }
 
-(* stable error codes (append-only, mirrored in README) *)
+(* stable error codes (append-only, mirrored in DESIGN.md) *)
 let codes =
   [
     ("CRT001", "certificate text cannot be parsed");
@@ -48,7 +46,7 @@ let codes =
     ("CRT202", "final annotation does not prove sortedness");
     ("CRT203", "order fact not derivable by the bounds inference rules");
     ("CRT211", "refutation witness evaluates to a sorted output");
-    ("CRT221", "dead/redundant claim not justified by the annotated set");
+    ("CRT221", "dead claim not justified by the annotated set");
     ("CRT231", "lower-bound transcript structurally illegal");
     ("CRT232", "lower-bound witness values were compared");
     ("CRT233", "twin outputs differ beyond the witness swap");
@@ -201,12 +199,8 @@ let to_string c =
       add_network b network;
       add_sets b sets;
       List.iter
-        (function
-          | Dead { level; gate } ->
-              Buffer.add_string b (Printf.sprintf "dead %d %d\n" level gate)
-          | Redundant { level; gate } ->
-              Buffer.add_string b
-                (Printf.sprintf "redundant %d %d\n" level gate))
+        (fun (Dead { level; gate }) ->
+          Buffer.add_string b (Printf.sprintf "dead %d %d\n" level gate))
         claims
   | Lower_bound { n; stages; input; twin; wire0; wire1; value0; value1; m_set }
     ->
@@ -398,12 +392,9 @@ let parse text =
             | "set" :: l :: ms ->
                 expect_seq lineno "set" (List.length !sets + 1) (int_of lineno l);
                 sets := List.map (int_of lineno) ms :: !sets
-            | [ ("dead" | "redundant" as kw); l; g ] ->
+            | [ "dead"; l; g ] ->
                 let level = int_of lineno l and gate = int_of lineno g in
-                claims :=
-                  (if kw = "dead" then Dead { level; gate }
-                   else Redundant { level; gate })
-                  :: !claims
+                claims := Dead { level; gate } :: !claims
             | tok :: _ -> unknown lineno tok
             | [] -> ())
           dirs;
@@ -816,8 +807,7 @@ let check_dead network sets claims =
   in
   let* () =
     first_error
-      (fun cl ->
-        let level = match cl with Dead { level; _ } | Redundant { level; _ } -> level in
+      (fun (Dead { level; _ }) ->
         if level < 1 || level > nlevels then
           err "CRT102" "claim" "claim level %d outside [1, %d]" level nlevels
         else Ok ())
@@ -843,41 +833,26 @@ let check_dead network sets claims =
       let gates = Array.of_list lvl.Network.gates in
       let* () =
         first_error
-          (fun cl ->
-            let level, gate, red =
-              match cl with
-              | Dead { level; gate } -> (level, gate, false)
-              | Redundant { level; gate } -> (level, gate, true)
-            in
+          (fun (Dead { level; gate }) ->
             if level <> l then Ok ()
             else if gate < 0 || gate >= Array.length gates then
               err "CRT102" "claim" "level %d has no gate %d" l gate
             else
-              let g = gates.(gate) in
-              let a, b = Gate.wires g in
-              let agree = List.for_all (fun m -> bit m a = bit m b) entry in
-              if red then
-                if agree then Ok ()
-                else
-                  err "CRT221" "claim"
-                    "redundant claim at level %d gate %d: wires %d and %d \
-                     differ on a reachable vector"
-                    l gate a b
+              let dead =
+                match gates.(gate) with
+                | Gate.Compare { lo; hi } ->
+                    List.for_all
+                      (fun m -> not (bit m lo = 1 && bit m hi = 0))
+                      entry
+                | Gate.Exchange { a; b } ->
+                    List.for_all (fun m -> bit m a = bit m b) entry
+              in
+              if dead then Ok ()
               else
-                let dead =
-                  match g with
-                  | Gate.Compare { lo; hi } ->
-                      List.for_all
-                        (fun m -> not (bit m lo = 1 && bit m hi = 0))
-                        entry
-                  | Gate.Exchange _ -> agree
-                in
-                if dead then Ok ()
-                else
-                  err "CRT221" "claim"
-                    "dead claim at level %d gate %d: the gate exchanges a \
-                     reachable vector"
-                    l gate)
+                err "CRT221" "claim"
+                  "dead claim at level %d gate %d: the gate exchanges a \
+                   reachable vector"
+                  l gate)
           claims
       in
       let tbl = Bytes.make total '\000' in

@@ -20,8 +20,8 @@
       with the pure min/max inference rules.
     - {e refutation}: a concrete 0-1 witness input, replayed through a
       ~15-line reference interpreter.
-    - {e dead}: reachable-set facts justifying each dead/redundant
-      comparator diagnostic (the [SNL201]/[SNL202] pruning claims).
+    - {e dead}: reachable-set facts justifying each dead-comparator
+      diagnostic (the [SNL201] pruning claims).
     - {e lower-bound}: an adversary transcript in the paper's register
       model [(Pi_i, x_i)]; the checker replays both runs of the
       fooling pair and confirms the witness values were never compared.
@@ -64,8 +64,6 @@ type domain =
 type claim =
   | Dead of { level : int; gate : int }
       (** 1-based level, 0-based gate index: the gate never exchanges *)
-  | Redundant of { level : int; gate : int }
-      (** the gate's wires provably carry equal bits *)
 
 type t =
   | Sortedness of { network : Network.t; domain : domain }

@@ -271,11 +271,7 @@ let is_sorting_network ?domains c = find_unsorted ?domains c = None
    [2^wires] (when [wires < 6]) repeat inputs below it, so they may
    join any union over inputs. *)
 
-type activity = {
-  fires : bool array;
-  differs : bool array;
-  least_unsorted : int option;
-}
+type activity = { fires : bool array; least_unsorted : int option }
 
 (* The least output mask among the lanes of [v] (nonzero): from the top
    register down, keep the lanes holding 0 there whenever any do; the
@@ -296,15 +292,14 @@ let least_output outs (rows : block) v =
     outs;
   !m
 
-(* [run] with two per-gate predicates read before the gate acts: some
-   lane with 1 on [ga] and 0 on [gb], some lane where the two differ.
-   [run] itself stays free of them, so verify sweeps do not pay for
-   this. *)
+(* [run] with one per-gate predicate read before the gate acts: some
+   lane with 1 on [ga] and 0 on [gb]. [run] itself stays free of it,
+   so verify sweeps do not pay for this. *)
 let gate_activity c =
   let n = check_wires "gate_activity" c in
   let kinds = c.Compiled.kinds and ga = c.Compiled.ga and gb = c.Compiled.gb in
   let gates = Bytes.length kinds in
-  let fires = Array.make gates false and differs = Array.make gates false in
+  let fires = Array.make gates false in
   let outs = outputs c and rows = block () in
   let hi = 1 lsl n in
   let least = ref None in
@@ -316,7 +311,6 @@ let gate_activity c =
       let x = A.unsafe_get rows a and y = A.unsafe_get rows b in
       if Int64.logand x (Int64.lognot y) <> 0L then
         Array.unsafe_set fires i true;
-      if Int64.logxor x y <> 0L then Array.unsafe_set differs i true;
       if Bytes.unsafe_get kinds i = '\000' then begin
         A.unsafe_set rows a (Int64.logand x y);
         A.unsafe_set rows b (Int64.logor x y)
@@ -334,7 +328,7 @@ let gate_activity c =
        | _ -> least := Some m);
     base := !base + lanes
   done;
-  { fires; differs; least_unsorted = !least }
+  { fires; least_unsorted = !least }
 
 (* After each level, route the rows into register order through that
    level's slot map, transpose them into one mask per lane and mark the

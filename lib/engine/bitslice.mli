@@ -94,16 +94,13 @@ type activity = {
   fires : bool array;
       (** per gate of the instruction stream: some input reaches it
           with 1 on [ga] and 0 on [gb] (a comparator exchanges) *)
-  differs : bool array;
-      (** per gate: some input reaches it with unequal bits on its two
-          wires *)
   least_unsorted : int option;
       (** the least unsorted output mask in register coordinates (bit
           [r] = output register [r]), or [None] when [c] sorts *)
 }
 
 val gate_activity : Compiled.t -> activity
-(** Both per-gate bits are read before the gate acts. A gate's index
+(** The per-gate bit is read before the gate acts. A gate's index
     is its position in the stream; gate [g] of source level [l] is
     [level_off.(l) + g]. *)
 

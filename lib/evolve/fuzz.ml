@@ -100,12 +100,9 @@ let check_analyzer nw c =
         fail "analyzer-not-exact"
           "exact domain expected at %d wires" (Network.wires nw)
   in
-  (* dead/redundant classifications are extensional claims; hold the
-     analyzer to them bit for bit *)
-  let* () =
-    equal_tables "analyzer-dead-removal" nw (Analysis.remove_dead nw facts)
-  in
-  equal_tables "analyzer-redundant-flip" nw (Analysis.flip_redundant nw facts)
+  (* the dead classification is an extensional claim; hold the
+     analyzer to it bit for bit *)
+  equal_tables "analyzer-dead-removal" nw (Analysis.remove_dead nw facts)
 
 let check_adversary nw c =
   let res = Naive.run nw in

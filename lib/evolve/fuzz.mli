@@ -12,8 +12,7 @@
       sortedness verdict ({!Analysis.Sorting_proved} /
       [Sorting_refuted]) must match the engine, a refutation mask must
       be a genuinely unsorted, genuinely reachable output, and
-      removing analyzer-proved dead gates
-      (or flipping redundant ones) must leave the network's 0-1
+      removing analyzer-proved dead gates must leave the network's 0-1
       behaviour bit-identical;
     - {b adversary vs engine}: a fooling-pair certificate extracted
       from the {!Naive} adversary's final pattern must validate and

@@ -1,8 +1,8 @@
-(* Static analysis of every library sorter: dead/redundant comparator
-   counts and topology-conformance verdicts. The classics are expected
-   to be fully live (zero dead gates) — every comparator earns its
-   keep — and only the shuffle-based bitonic form should conform to
-   the iterated-reverse-delta topology of Theorem 4.1. *)
+(* Static analysis of every library sorter: dead comparator counts
+   and topology-conformance verdicts. The classics are expected to be
+   fully live (zero dead gates) — every comparator earns its keep — and
+   only the shuffle-based bitonic form should conform to the
+   iterated-reverse-delta topology of Theorem 4.1. *)
 
 let verdict (f : Analysis.facts) =
   match f.Analysis.sortedness with
@@ -24,7 +24,6 @@ let run ~quick =
           ("n", Ascii_table.Right);
           ("comparators", Ascii_table.Right);
           ("dead", Ascii_table.Right);
-          ("redundant", Ascii_table.Right);
           ("sortedness", Ascii_table.Left);
           ("shuffle", Ascii_table.Left);
           ("rev-delta", Ascii_table.Left);
@@ -43,7 +42,6 @@ let run ~quick =
                 string_of_int n;
                 string_of_int facts.Analysis.comparators;
                 string_of_int (List.length facts.Analysis.dead);
-                string_of_int (List.length facts.Analysis.redundant);
                 verdict facts;
                 opt facts.Analysis.shuffle_stages;
                 opt facts.Analysis.reverse_delta_blocks;
@@ -53,7 +51,7 @@ let run ~quick =
     ns;
   Ascii_table.print tbl;
   Exp_util.footnote
-    "dead/redundant by the exact 0-1 reachable-set domain for n <= 12, the \
+    "dead gates by the exact 0-1 reachable-set domain for n <= 12, the \
      sound order-bounds domain above; 'unknown' at n = 16 is the bounds \
      domain declining to decide, not a refutation. The merge-based classics \
      (bitonic, odd-even merge, Pratt, transposition) are fully live — no \

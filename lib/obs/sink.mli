@@ -39,6 +39,11 @@ val enabled : t -> bool
 val emit : t -> ev:string -> name:string -> (string * value) list -> unit
 (** Stamp with {!Clock.wall} and deliver. No-op on {!null}. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** Append a string's JSON escaping per RFC 8259, without the
+    quotes: the one escaper of trace events, lint diagnostics and
+    serve replies. *)
+
 val to_json : event -> string
 (** One-line JSON object: keys [ts], [ev], [name], then the fields
     (strings escaped per RFC 8259; non-finite floats serialise as 0). *)

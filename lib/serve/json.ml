@@ -1,5 +1,5 @@
 (* Minimal JSON: just enough for the serve wire protocol (RFC 8259
-   subset), dependency-free so lib/serve stays stdlib-only. *)
+   subset). *)
 
 type t =
   | Null
@@ -14,18 +14,7 @@ type t =
 
 let escape b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  Sink.add_escaped b s;
   Buffer.add_char b '"'
 
 let rec write b = function

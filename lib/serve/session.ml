@@ -150,7 +150,6 @@ let dispatch config req nw =
            ("exact", Json.Bool f.Analysis.exact);
            ("sortedness", sortedness_json f.Analysis.sortedness);
            ("dead", Json.Int (List.length f.Analysis.dead));
-           ("redundant", Json.Int (List.length f.Analysis.redundant));
            ("diags", Json.List (List.map diag_json r.Analysis.diags));
          ]
         @ cert_fields ~dead:true req.Wire.want_cert nw)

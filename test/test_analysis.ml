@@ -1,5 +1,5 @@
 (* Tests for the static analyzer (lib/analysis): exact and approximate
-   abstract domains against exhaustive engine evaluation, dead/redundant
+   abstract domains against exhaustive engine evaluation, dead
    classification soundness on random networks, the standard-form
    rewrite, topology conformance certificates, and the load gate. *)
 
@@ -62,23 +62,22 @@ let test_random_agreement () =
       (List.exists (fun (d : Diag.t) -> d.code = "SNL999") r.diags);
     (* removing dead comparators preserves the 0-1 function *)
     check_bool "dead removal preserves function" true
-      (same_zero_one_function nw (Analysis.remove_dead nw r.facts));
-    (* flipping redundant comparators preserves the 0-1 function *)
-    check_bool "redundant flip preserves function" true
-      (same_zero_one_function nw (Analysis.flip_redundant nw r.facts))
+      (same_zero_one_function nw (Analysis.remove_dead nw r.facts))
   done
 
 (* The exact domain against a reference that steps every 0-1 input
-   through each level on its own: a gate is dead iff NO input makes it
-   act (comparator seeing lo=1/hi=0, exchange seeing unequal bits),
-   redundant iff its wires never differ, the refuted mask is the least
-   unsorted output, and each level's reached set is the set of masks
-   the inputs reach after it. Checked against [Analysis.analyze], the
-   kernel's [level_images] and both [Analysis_cert] emitters, on
-   networks with pre permutations, exchanges and descending
-   comparators, some of them completed to sorters. (Note: "live" does
-   not mean "removal changes the function" — a live comparator's
-   effect can be masked downstream; dead => removable only.) *)
+   through each level on its own: a comparator is dead iff NO input
+   makes it act (lo=1/hi=0), an exchange never is because every gate's
+   two wires differ on some reachable vector (the reason the analyzer
+   has no equal-wires class; checked here too), the refuted mask is
+   the least unsorted output, and each level's reached set is the set
+   of masks the inputs reach after it. Checked against
+   [Analysis.analyze], the kernel's [level_images] and both
+   [Analysis_cert] emitters, on networks with pre permutations,
+   exchanges and descending comparators, some of them completed to
+   sorters. (Note: "live" does not mean "removal changes the
+   function" — a live comparator's effect can be masked downstream;
+   dead => removable only.) *)
 let random_level rng n =
   let pre =
     if Xoshiro.int rng ~bound:3 = 0 then Some (Perm.random rng n) else None
@@ -159,38 +158,29 @@ let prop_exact_domain_reference =
             least := Some o
         end
       done;
-      let dead = ref [] and redundant = ref [] in
+      let dead = ref [] in
       Array.iteri
         (fun li (level : Network.level) ->
           List.iteri
             (fun gi g ->
-              let never_differs = not differs.(li).(gi) in
-              if Gate.is_comparator g then begin
-                if not fires.(li).(gi) then dead := (li + 1, gi) :: !dead
-              end
-              else if never_differs then dead := (li + 1, gi) :: !dead;
-              if never_differs then redundant := (li + 1, gi) :: !redundant)
+              if Gate.is_comparator g && not fires.(li).(gi) then
+                dead := (li + 1, gi) :: !dead)
             level.gates)
         levels;
-      let dead = List.rev !dead and redundant = List.rev !redundant in
+      let dead = List.rev !dead in
       let sets =
         Array.map
           (fun r -> List.filter (fun m -> r.(m)) (List.init size Fun.id))
           reached
       in
       let claims =
-        List.map
-          (fun (level, gate) ->
-            if List.mem (level, gate) redundant then
-              Cert.Redundant { level; gate }
-            else Cert.Dead { level; gate })
-          dead
+        List.map (fun (level, gate) -> Cert.Dead { level; gate }) dead
       in
       let key (g : Analysis.gate_ref) = (g.level, g.gate) in
       let facts = (Analysis.analyze nw).Analysis.facts in
-      facts.exact
+      Array.for_all (Array.for_all Fun.id) differs
+      && facts.exact
       && List.map key facts.dead = dead
-      && List.map key facts.redundant = redundant
       && (match (facts.sortedness, !least) with
          | Analysis.Sorting_proved, None -> true
          | Analysis.Sorting_refuted m, Some m' -> m = m'
@@ -222,15 +212,13 @@ let test_bounds_sound () =
     if approx.facts.sortedness = Analysis.Sorted_by_bounds then
       check_bool "bounds sortedness is sound" true
         (Zero_one.is_sorting_network nw);
-    (* every bounds-dead gate is exactly dead, ditto redundant *)
+    (* every bounds-dead gate is exactly dead *)
     let key g = (g.Analysis.level, g.Analysis.gate) in
     let sub a b =
       List.for_all (fun g -> List.mem (key g) (List.map key b)) a
     in
     check_bool "bounds dead subset of exact dead" true
-      (sub approx.facts.dead exact.facts.dead);
-    check_bool "bounds redundant subset of exact redundant" true
-      (sub approx.facts.redundant exact.facts.redundant)
+      (sub approx.facts.dead exact.facts.dead)
   done;
   (* the bounds domain does prove bitonic sorts (it is complete enough
      for comparator chains? no — it is not; just assert soundness on a
@@ -251,7 +239,7 @@ let test_bounds_large () =
   check_bool "large transposition proved" true
     (r.facts.sortedness = Analysis.Sorted_by_bounds)
 
-(* --- dead/redundant detection on crafted networks --- *)
+(* --- dead detection on crafted networks --- *)
 
 let test_injected_dead () =
   (* sort 4 wires, then re-compare (0,1): provably dead *)
@@ -278,23 +266,16 @@ let test_injected_dead () =
   let r' = Analysis.analyze ~exact_max_wires:0 nw in
   check_int "bounds sees it too" 1 (List.length r'.Analysis.facts.dead)
 
-let test_redundant_flip () =
-  (* compare (0,1) twice in a row: the second is redundant (wires
-     already ordered — flipping it would break nothing only if the
-     wires were EQUAL, so it is dead but not redundant); force true
-     redundancy with an exchange of provably equal wires instead *)
+let test_repeated_comparator_dead () =
+  (* compare (0,1) twice in a row: the wires are already ordered, so
+     the second comparator is dead *)
   let nw =
     Network.of_gate_levels ~wires:2
       [ [ Gate.compare_up 0 1 ]; [ Gate.compare_up 0 1 ] ]
   in
   let r = Analysis.analyze nw in
   check_int "second comparator dead" 1 (List.length r.facts.dead);
-  check_int "but not redundant" 0 (List.length r.facts.redundant);
-  (* constant wires: after comparing a wire with itself via two
-     comparators against sorted extremes, min and max wires of a
-     sorted pair compared again are equal only in degenerate nets;
-     instead: a 1-wire-pair exchanged twice makes the second exchange
-     dead *)
+  (* after a full sort of 3 wires, a final (0,2) is dead too *)
   let nw2 =
     Network.of_gate_levels ~wires:3
       [
@@ -305,7 +286,6 @@ let test_redundant_flip () =
       ]
   in
   let r2 = Analysis.analyze nw2 in
-  (* (0,2) after full sort of 3 wires is dead *)
   check_bool "final (0,2) dead" true
     (List.exists (fun g -> g.Analysis.level = 4) r2.facts.dead)
 
@@ -491,7 +471,8 @@ let () =
           Alcotest.test_case "bounds-sound" `Quick test_bounds_sound;
           Alcotest.test_case "bounds-large" `Quick test_bounds_large;
           Alcotest.test_case "injected-dead" `Quick test_injected_dead;
-          Alcotest.test_case "redundant-flip" `Quick test_redundant_flip;
+          Alcotest.test_case "repeated-comparator-dead" `Quick
+            test_repeated_comparator_dead;
           Alcotest.test_case "standardize" `Quick test_standardize;
         ] );
       ( "conformance",
