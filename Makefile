@@ -21,8 +21,9 @@ bench:
 # Engine microbenchmarks only; writes name -> ns/op to BENCH_engine.json
 # so successive PRs have a perf trajectory to compare against (plus the
 # eval-many row: 8192 masks through one compiled network, and the
-# paper's adversary-to-checker pipeline by layer at n=16384, with
-# ceilings on its flattening and its lower-bound check). The same
+# paper's adversary-to-checker pipeline by layer at n=16384, including
+# the certificate's printing and parsing, with ceilings on its
+# flattening and its lower-bound check). The same
 # run times the exact-bounds search (pruned vs reference, 1 vs K
 # domains, checkpointing, and the n=9 depth-5 refutation by phase
 # at 1 and 2 domains) into BENCH_search.json, the static
@@ -48,6 +49,8 @@ bench-json:
 	grep -q '"adversary/n=16384/to_network_ms"' BENCH_engine.json
 	grep -q '"adversary/n=16384/validate_ms"' BENCH_engine.json
 	grep -q '"cert/lower-bound/n=16384/check_ms"' BENCH_engine.json
+	grep -q '"cert/lower-bound/n=16384/print_ms"' BENCH_engine.json
+	grep -q '"cert/lower-bound/n=16384/parse_ms"' BENCH_engine.json
 	awk -F': ' '/"adversary\/n=16384\/to_network_ms"/ { exit !($$2 + 0 <= 250.0) }' BENCH_engine.json
 	awk -F': ' '/"cert\/lower-bound\/n=16384\/check_ms"/ { exit !($$2 + 0 <= 150.0) }' BENCH_engine.json
 	grep -q '"search/n=6/pruned/domains=1/subsumed"' BENCH_search.json

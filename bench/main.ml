@@ -301,8 +301,8 @@ let eval_many_rows () =
 (* The paper's pipeline by layer, on the seed-1 2-block random shuffle
    program of 16384 wires (snbench's prove input): its reverse delta
    decomposition, the flattened circuit, the fooling pair's validation,
-   and the independent checker on the emitted certificate. Each row is
-   the median of 5 runs after one warm-up. *)
+   and the emitted certificate's printing, parsing and independent
+   check. Each row is the median of 5 runs after one warm-up. *)
 let adversary_rows () =
   let n = 16384 in
   let prog =
@@ -335,6 +335,10 @@ let adversary_rows () =
     ("adversary/n=16384/to_network_ms", median_ms (fun () -> Iterated.to_network it));
     ( "adversary/n=16384/validate_ms",
       median_ms (fun () -> assert (Certificate.validate nw cert = Ok ())) );
+    ("cert/lower-bound/n=16384/print_ms", median_ms (fun () -> Cert.to_string lb));
+    ( "cert/lower-bound/n=16384/parse_ms",
+      let text = Cert.to_string lb in
+      median_ms (fun () -> assert (Result.is_ok (Cert.parse text))) );
     ("cert/lower-bound/n=16384/check_ms", median_ms (fun () -> assert (Cert.check lb = Ok ()))) ]
 
 (* Search-engine throughput: wall-clock rows for the exact-bounds BFS,
@@ -429,17 +433,26 @@ let search_json_rows () =
    networks, reported as networks/sec and comparators/sec so analyzer
    perf regressions show up in the same trajectory as engine ns/op.
    n = 16/32 sit above the exact-domain cutoff, so these rows time the
-   order-bounds domain — the one that scales with network size. *)
+   order-bounds domain — the one that scales with network size. One
+   analysis takes tens of microseconds, so the repetition count doubles
+   until a batch takes 0.2 s, and each row reports the median of 5 such
+   batches. *)
 let analysis_json_rows () =
   let time_net ~name nw =
     let comparators = Network.size nw in
-    let reps = 100 in
-    ignore (Analysis.analyze nw) (* warm-up *);
-    let t0 = Clock.wall () in
-    for _ = 1 to reps do
-      ignore (Analysis.analyze nw)
-    done;
-    let per = (Clock.wall () -. t0) /. float_of_int reps in
+    let batch reps =
+      let t0 = Clock.wall () in
+      for _ = 1 to reps do
+        ignore (Analysis.analyze nw)
+      done;
+      Clock.wall () -. t0
+    in
+    let rec size reps = if batch reps >= 0.2 then reps else size (2 * reps) in
+    let reps = size 100 in
+    let per =
+      List.nth (List.sort compare (List.init 5 (fun _ -> batch reps))) 2
+      /. float_of_int reps
+    in
     let prefix = "analysis/" ^ name in
     [ (prefix ^ "/wall_ms", per *. 1e3);
       (prefix ^ "/networks_per_s", if per > 0. then 1. /. per else 0.);

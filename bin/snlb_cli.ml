@@ -42,9 +42,12 @@ let pp_array a =
    returning it, so a written file is already known to pass
    [snlb check]. *)
 let write_certs path certs =
-  let text = String.concat "\n" (List.map Cert.to_string certs) in
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc text);
+      List.iteri
+        (fun i c ->
+          if i > 0 then Out_channel.output_char oc '\n';
+          Cert.output oc c)
+        certs);
   Printf.printf "%d certificate%s written to %s\n" (List.length certs)
     (if List.length certs = 1 then "" else "s")
     path

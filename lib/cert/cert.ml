@@ -152,10 +152,35 @@ let is_permutation a =
       end)
     a
 
-(* --- printing --- *)
+(* --- printing: one buffer, integers written digit by digit --- *)
 
-let add_ints b l =
-  List.iter (fun v -> Buffer.add_string b (" " ^ string_of_int v)) l
+(* the decimal digits of [-v] for [v <= 0]: counting on the negative
+   side reaches [min_int] too *)
+let rec add_digits b v =
+  if v <= -10 then add_digits b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (v mod 10)))
+
+let add_int b v =
+  if v < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b v
+  end
+  else add_digits b (-v)
+
+let add_arg b v =
+  Buffer.add_char b ' ';
+  add_int b v
+
+(* "word v1 v2 ...\n" *)
+let add_line b word vs =
+  Buffer.add_string b word;
+  List.iter (add_arg b) vs;
+  Buffer.add_char b '\n'
+
+let add_array_line b word a =
+  Buffer.add_string b word;
+  Array.iter (add_arg b) a;
+  Buffer.add_char b '\n'
 
 let add_network b nw =
   Buffer.add_string b "network\n";
@@ -163,17 +188,12 @@ let add_network b nw =
   Buffer.add_string b "end-network\n"
 
 let add_sets b sets =
-  Array.iteri
-    (fun l ms ->
-      Buffer.add_string b (Printf.sprintf "set %d" (l + 1));
-      add_ints b ms;
-      Buffer.add_char b '\n')
-    sets
+  Array.iteri (fun l ms -> add_line b "set" ((l + 1) :: ms)) sets
 
-let to_string c =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "snlb-cert 1\n";
-  Buffer.add_string b ("kind " ^ kind_name c ^ "\n");
+let add_cert b c =
+  Buffer.add_string b "snlb-cert 1\nkind ";
+  Buffer.add_string b (kind_name c);
+  Buffer.add_char b '\n';
   (match c with
   | Sortedness { network; domain } -> (
       add_network b network;
@@ -185,67 +205,98 @@ let to_string c =
           Buffer.add_string b "domain bounds\n";
           Array.iteri
             (fun l pairs ->
-              Buffer.add_string b (Printf.sprintf "leq %d" (l + 1));
-              List.iter
-                (fun (i, j) ->
-                  Buffer.add_string b (Printf.sprintf " %d %d" i j))
-                pairs;
-              Buffer.add_char b '\n')
+              add_line b "leq"
+                ((l + 1) :: List.concat_map (fun (i, j) -> [ i; j ]) pairs))
             lvls)
   | Refutation { network; witness } ->
       add_network b network;
-      Buffer.add_string b (Printf.sprintf "witness %d\n" witness)
+      add_line b "witness" [ witness ]
   | Dead_gates { network; sets; claims } ->
       add_network b network;
       add_sets b sets;
       List.iter
-        (fun (Dead { level; gate }) ->
-          Buffer.add_string b (Printf.sprintf "dead %d %d\n" level gate))
+        (fun (Dead { level; gate }) -> add_line b "dead" [ level; gate ])
         claims
   | Lower_bound { n; stages; input; twin; wire0; wire1; value0; value1; m_set }
     ->
-      Buffer.add_string b (Printf.sprintf "n %d\n" n);
+      add_line b "n" [ n ];
       List.iter
         (fun st ->
           Buffer.add_string b "stage";
-          add_ints b (Array.to_list st.perm);
-          Buffer.add_string b (" " ^ st.ops ^ "\n"))
+          Array.iter (add_arg b) st.perm;
+          Buffer.add_char b ' ';
+          Buffer.add_string b st.ops;
+          Buffer.add_char b '\n')
         stages;
-      Buffer.add_string b "input";
-      add_ints b (Array.to_list input);
-      Buffer.add_char b '\n';
-      Buffer.add_string b "twin";
-      add_ints b (Array.to_list twin);
-      Buffer.add_char b '\n';
-      Buffer.add_string b (Printf.sprintf "wires %d %d\n" wire0 wire1);
-      Buffer.add_string b
-        (Printf.sprintf "values %d %d\n" value0 value1);
-      Buffer.add_string b "mset";
-      add_ints b m_set;
-      Buffer.add_char b '\n'
+      add_array_line b "input" input;
+      add_array_line b "twin" twin;
+      add_line b "wires" [ wire0; wire1 ];
+      add_line b "values" [ value0; value1 ];
+      add_line b "mset" m_set
   | Exhaustion { n; max_depth; frontiers; covers } ->
-      Buffer.add_string b (Printf.sprintf "n %d\n" n);
-      Buffer.add_string b (Printf.sprintf "max-depth %d\n" max_depth);
+      add_line b "n" [ n ];
+      add_line b "max-depth" [ max_depth ];
       Array.iteri
         (fun l states ->
-          Buffer.add_string b (Printf.sprintf "level %d\n" (l + 1));
-          List.iter
-            (fun ms ->
-              Buffer.add_string b "state";
-              add_ints b ms;
-              Buffer.add_char b '\n')
-            states;
+          add_line b "level" [ l + 1 ];
+          List.iter (add_line b "state") states;
           List.iter
             (fun cv ->
-              Buffer.add_string b (Printf.sprintf "cover %d" cv.cite);
-              add_ints b (Array.to_list cv.pi);
-              Buffer.add_char b '\n')
+              Buffer.add_string b "cover";
+              add_arg b cv.cite;
+              add_array_line b "" cv.pi)
             covers.(l))
         frontiers);
-  Buffer.add_string b "end-cert\n";
+  Buffer.add_string b "end-cert\n"
+
+let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
+
+(* An upper bound on the printed size of a well-formed certificate,
+   read off its array and list lengths, so that the buffer is allocated
+   once instead of doubling up to twice the text: writing the n = 7
+   depth-5 exhaustion certificate (83 MB) peaked at 558 MB with a
+   doubling buffer and at 470 MB with this. A low bound only costs a
+   resize. *)
+let size_hint = function
+  | Lower_bound { stages; input; _ } ->
+      let ints k = 16 + (k * (1 + digits (Array.length input))) in
+      List.fold_left
+        (fun acc st -> acc + ints (Array.length st.perm) + String.length st.ops)
+        (256 + (3 * ints (Array.length input)))
+        stages
+  | Exhaustion { n; frontiers; covers; _ } ->
+      let count f = Array.fold_left (List.fold_left f) 0 in
+      let mask = 1 + digits ((1 lsl max 0 (min n 62)) - 1) in
+      let cite = digits (1 + count (fun k _ -> k + 1) frontiers) in
+      256
+      + count (fun k ms -> k + 8 + (List.length ms * mask)) frontiers
+      + count
+          (fun k cv ->
+            let w = Array.length cv.pi in
+            k + 8 + cite + (w * (1 + digits w)))
+          covers
+  | Sortedness _ | Refutation _ | Dead_gates _ -> 4096
+
+let to_string c =
+  let b = Buffer.create (size_hint c) in
+  add_cert b c;
   Buffer.contents b
 
-(* --- parsing --- *)
+let output oc c =
+  let b = Buffer.create (size_hint c) in
+  add_cert b c;
+  Buffer.output_buffer oc b
+
+(* --- parsing ---
+
+   The text is read in place. A line is an index range trimmed with
+   [String.trim]'s character set; its tokens are the non-empty slices
+   between single spaces, so a tab inside a line stays part of its
+   token. A token of 1 to 18 decimal digits is read where it lies, and
+   any other goes through [int_of_string_opt] on a copy. Each
+   certificate's body is walked twice: once over line boundaries to find
+   its end-cert line and network block, whose errors come first, then
+   once more to read its directives straight into their values. *)
 
 exception Fail of error
 
@@ -255,330 +306,517 @@ let fail code lineno fmt =
       raise (Fail { code; where = Printf.sprintf "line %d" lineno; reason }))
     fmt
 
-let parse text =
-  let lines = Array.of_list (String.split_on_char '\n' text) in
-  let nlines = Array.length lines in
-  let int_of lineno s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> fail "CRT001" lineno "expected integer, got %S" s
-  in
-  let tokens_of line =
-    String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-  in
-  let i = ref 0 in
-  let skippable line = line = "" || line.[0] = '#' in
-  let skip_blanks () =
-    while !i < nlines && skippable (String.trim lines.(!i)) do
-      incr i
-    done
-  in
-  (* collect one certificate's directives: (lineno, tokens) in order,
-     with at most one verbatim network block *)
-  let read_body () =
-    let dirs = ref [] in
-    let net : (int * string) option ref = ref None in
-    let closed = ref false in
-    while not !closed do
-      if !i >= nlines then
-        fail "CRT001" nlines "unterminated certificate (missing end-cert)";
-      let lineno = !i + 1 in
-      let line = String.trim lines.(!i) in
-      incr i;
-      if skippable line then ()
-      else if line = "end-cert" then closed := true
-      else if line = "network" then begin
-        if !net <> None then fail "CRT101" lineno "duplicate network block";
-        let b = Buffer.create 256 in
-        let net_done = ref false in
-        while not !net_done do
-          if !i >= nlines then
-            fail "CRT001" lineno "unterminated network block";
-          let raw = lines.(!i) in
-          incr i;
-          if String.trim raw = "end-network" then net_done := true
-          else begin
-            Buffer.add_string b raw;
-            Buffer.add_char b '\n'
-          end
-        done;
-        net := Some (lineno, Buffer.contents b)
-      end
-      else dirs := (lineno, tokens_of line) :: !dirs
+type cursor = {
+  text : string;
+  mutable pos : int;  (** start of the next line; past the text's end after the last *)
+  mutable line : int;  (** the next line's number, from 1 *)
+  mutable ls : int;  (** the line last read, trimmed: [ls, le) *)
+  mutable le : int;
+  mutable ts : int;  (** the token last read: [ts, te); [te] is the token cursor *)
+  mutable te : int;
+  mutable bs : int;  (** a token set aside as not an integer, [bs, be); -1 if none *)
+  mutable be : int;
+}
+
+let has_line c = c.pos <= String.length c.text
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* Reads the line at [c.pos], puts the token cursor at its start and
+   returns its number. *)
+let read_line c =
+  let text = c.text in
+  let len = String.length text in
+  let e = ref c.pos in
+  while !e < len && String.unsafe_get text !e <> '\n' do
+    incr e
+  done;
+  let s = ref c.pos and t = ref !e in
+  while !s < !t && is_blank (String.unsafe_get text !s) do
+    incr s
+  done;
+  while !t > !s && is_blank (String.unsafe_get text (!t - 1)) do
+    decr t
+  done;
+  c.ls <- !s;
+  c.le <- !t;
+  c.te <- !s;
+  c.pos <- !e + 1;
+  let l = c.line in
+  c.line <- l + 1;
+  l
+
+let skippable c = c.ls = c.le || String.unsafe_get c.text c.ls = '#'
+
+let rec same_from text s word i =
+  i = String.length word
+  || String.unsafe_get text (s + i) = String.unsafe_get word i
+     && same_from text s word (i + 1)
+
+let range_is text s e word = e - s = String.length word && same_from text s word 0
+
+let line_is c word = range_is c.text c.ls c.le word
+let token_is c word = range_is c.text c.ts c.te word
+let token c = String.sub c.text c.ts (c.te - c.ts)
+
+(* Moves to the line's next token; false at its end. *)
+let next_token c =
+  let text = c.text and le = c.le in
+  let p = ref c.te in
+  while !p < le && String.unsafe_get text !p = ' ' do
+    incr p
+  done;
+  if !p = le then false
+  else begin
+    c.ts <- !p;
+    while !p < le && String.unsafe_get text !p <> ' ' do
+      incr p
     done;
-    (List.rev !dirs, !net)
+    c.te <- !p;
+    true
+  end
+
+(* the number of tokens after the cursor, which stays put *)
+let tokens_left c =
+  let ts = c.ts and te = c.te in
+  let k = ref 0 in
+  while next_token c do
+    incr k
+  done;
+  c.ts <- ts;
+  c.te <- te;
+  !k
+
+(* an upper bound on the tokens after the cursor, capped at [n] *)
+let room c n = max 0 (min n ((c.le - c.te + 1) / 2))
+
+exception Not_int
+
+(* the value of the decimal digits [i, e) after [acc]; -1 at any other
+   character *)
+let rec digits text i e acc =
+  if i = e then acc
+  else
+    let d = Char.code (String.unsafe_get text i) - 48 in
+    if d < 0 || d > 9 then -1 else digits text (i + 1) e ((10 * acc) + d)
+
+(* the token's value as [int_of_string] reads it *)
+let token_int c =
+  let v = if c.te - c.ts <= 18 then digits c.text c.ts c.te 0 else -1 in
+  if v >= 0 then v
+  else match int_of_string_opt (token c) with Some v -> v | None -> raise Not_int
+
+let int_of c lineno =
+  match token_int c with
+  | v -> v
+  | exception Not_int ->
+      fail "CRT001" lineno "expected integer, got %S" (token c)
+
+(* the rest of the line as integers, in order *)
+let[@tail_mod_cons] rec int_list c lineno =
+  if next_token c then
+    let v = int_of c lineno in
+    v :: int_list c lineno
+  else []
+
+(* Counts the tokens after the cursor, reads the first [limit] of them
+   as integers and keeps those that fit in [a]. The first that is not an
+   integer is set aside in [c.bs, c.be) for the caller to report after
+   its own checks. *)
+let read_ints c a limit =
+  c.bs <- -1;
+  let k = ref 0 in
+  while next_token c do
+    if !k < limit then begin
+      match token_int c with
+      | v -> if !k < Array.length a then a.(!k) <- v
+      | exception Not_int ->
+          if c.bs < 0 then begin
+            c.bs <- c.ts;
+            c.be <- c.te
+          end
+    end;
+    incr k
+  done;
+  !k
+
+let report_deferred c lineno =
+  if c.bs >= 0 then
+    fail "CRT001" lineno "expected integer, got %S"
+      (String.sub c.text c.bs (c.be - c.bs))
+
+(* The rest of the line as [expected] integers: every token is read
+   before the count is checked. *)
+let int_array c lineno what expected =
+  let a = Array.make (room c expected) 0 in
+  let k = read_ints c a max_int in
+  report_deferred c lineno;
+  if k <> expected then
+    fail "CRT001" lineno "%s needs %d integers, got %d" what expected k;
+  a
+
+let skip_blanks c =
+  let rec go () =
+    if has_line c then begin
+      let pos = c.pos and line = c.line in
+      ignore (read_line c);
+      if skippable c then go ()
+      else begin
+        c.pos <- pos;
+        c.line <- line
+      end
+    end
   in
-  let parse_network kind_line net =
-    match net with
-    | None -> fail "CRT101" kind_line "missing network block"
-    | Some (lineno, text) -> (
-        match Network_io.of_string text with
-        | Ok nw -> nw
-        | Error e -> fail "CRT002" lineno "embedded network invalid: %s" e)
+  go ()
+
+(* Walks one certificate body from the cursor through its end-cert line,
+   skipping blank and comment lines. [network lineno s e] gets the
+   network line's number and the verbatim text [s, e) of its block,
+   [directive lineno] every other line, with its first token read. *)
+let walk_body c ~network ~directive =
+  let seen_network = ref false in
+  let rec go () =
+    if not (has_line c) then
+      fail "CRT001" (c.line - 1) "unterminated certificate (missing end-cert)";
+    let lineno = read_line c in
+    if skippable c then go ()
+    else if line_is c "end-cert" then ()
+    else if line_is c "network" then begin
+      if !seen_network then fail "CRT101" lineno "duplicate network block";
+      seen_network := true;
+      let s = c.pos in
+      let rec block () =
+        if not (has_line c) then
+          fail "CRT001" lineno "unterminated network block";
+        let e = c.pos in
+        ignore (read_line c);
+        if line_is c "end-network" then e else block ()
+      in
+      let e = block () in
+      network lineno s e;
+      go ()
+    end
+    else begin
+      ignore (next_token c);
+      directive lineno;
+      go ()
+    end
   in
-  (* sequential "set L ..." / "leq L ..." / "level L" numbering *)
-  let expect_seq lineno what expected l =
-    if l <> expected then
-      fail "CRT101" lineno "%s %d out of order (expected %s %d)" what l what
-        expected
+  go ()
+
+let parse_network c kind_line = function
+  | None -> fail "CRT101" kind_line "missing network block"
+  | Some (lineno, s, e) -> (
+      match Network_io.of_string (String.sub c.text s (e - s)) with
+      | Ok nw -> nw
+      | Error e -> fail "CRT002" lineno "embedded network invalid: %s" e)
+
+(* sequential "set L ..." / "leq L ..." / "level L" numbering *)
+let expect_seq lineno what expected l =
+  if l <> expected then
+    fail "CRT101" lineno "%s %d out of order (expected %s %d)" what l what
+      expected
+
+let unknown c kind lineno =
+  let e = ref c.ls in
+  while !e < c.le && String.unsafe_get c.text !e <> ' ' do
+    incr e
+  done;
+  fail "CRT001" lineno "unrecognised directive %S in a %s certificate"
+    (String.sub c.text c.ls (!e - c.ls))
+    kind
+
+(* "set L m..." after its keyword, into [sets] (newest first) *)
+let read_set c lineno sets nsets =
+  expect_seq lineno "set" (!nsets + 1) (int_of c lineno);
+  sets := int_list c lineno :: !sets;
+  incr nsets
+
+let sortedness c kind_line net each =
+  let network = parse_network c kind_line net in
+  let reach = ref None (* [Some true]: domain reach; [Some false]: bounds *) in
+  let sets = ref [] and nsets = ref 0 and leqs = ref [] and nleqs = ref 0 in
+  each (fun lineno ->
+      if token_is c "domain" && tokens_left c = 1 then begin
+        ignore (next_token c);
+        if not (token_is c "reach" || token_is c "bounds") then
+          fail "CRT001" lineno "unknown domain %S" (token c);
+        if !reach <> None then fail "CRT101" lineno "duplicate domain directive";
+        reach := Some (token_is c "reach")
+      end
+      else if token_is c "set" && next_token c then read_set c lineno sets nsets
+      else if token_is c "leq" && next_token c then begin
+        expect_seq lineno "leq" (!nleqs + 1) (int_of c lineno);
+        if tokens_left c mod 2 = 1 then
+          fail "CRT001" lineno "leq needs an even number of wires";
+        (* of several tokens that are not integers, the last is reported *)
+        c.bs <- -1;
+        let int () =
+          match token_int c with
+          | v -> v
+          | exception Not_int ->
+              c.bs <- c.ts;
+              c.be <- c.te;
+              0
+        in
+        let rec pairs acc =
+          if next_token c then begin
+            let i = int () in
+            ignore (next_token c);
+            let j = int () in
+            pairs ((i, j) :: acc)
+          end
+          else List.rev acc
+        in
+        let ps = pairs [] in
+        report_deferred c lineno;
+        leqs := ps :: !leqs;
+        incr nleqs
+      end
+      else unknown c "sortedness" lineno);
+  let domain =
+    match !reach with
+    | Some true ->
+        if !leqs <> [] then
+          fail "CRT101" kind_line "leq lines in a reach-domain certificate";
+        Reach_sets (Array.of_list (List.rev !sets))
+    | Some false ->
+        if !sets <> [] then
+          fail "CRT101" kind_line "set lines in a bounds-domain certificate";
+        Bounds_leq (Array.of_list (List.rev !leqs))
+    | None -> fail "CRT101" kind_line "missing domain directive"
   in
-  let assemble kind_line kind (dirs, net) =
-    let unknown lineno tok =
-      fail "CRT001" lineno "unrecognised directive %S in a %s certificate" tok
-        kind
-    in
-    match kind with
-    | "sortedness" ->
-        let network = parse_network kind_line net in
-        let dom = ref None in
-        let sets = ref [] and leqs = ref [] in
-        List.iter
-          (fun (lineno, toks) ->
-            match toks with
-            | [ "domain"; ("reach" | "bounds") ] when !dom <> None ->
-                fail "CRT101" lineno "duplicate domain directive"
-            | [ "domain"; ("reach" | "bounds" as d) ] -> dom := Some d
-            | [ "domain"; d ] -> fail "CRT001" lineno "unknown domain %S" d
-            | "set" :: l :: ms ->
-                expect_seq lineno "set" (List.length !sets + 1) (int_of lineno l);
-                sets := List.map (int_of lineno) ms :: !sets
-            | "leq" :: l :: ps ->
-                expect_seq lineno "leq" (List.length !leqs + 1) (int_of lineno l);
-                let rec pairs = function
-                  | [] -> []
-                  | [ _ ] ->
-                      fail "CRT001" lineno "leq needs an even number of wires"
-                  | a :: b :: rest ->
-                      (int_of lineno a, int_of lineno b) :: pairs rest
-                in
-                leqs := pairs ps :: !leqs
-            | tok :: _ -> unknown lineno tok
-            | [] -> ())
-          dirs;
-        let domain =
-          match !dom with
-          | Some "reach" ->
-              if !leqs <> [] then
-                fail "CRT101" kind_line "leq lines in a reach-domain certificate";
-              Reach_sets (Array.of_list (List.rev !sets))
-          | Some "bounds" ->
-              if !sets <> [] then
-                fail "CRT101" kind_line "set lines in a bounds-domain certificate";
-              Bounds_leq (Array.of_list (List.rev !leqs))
-          | _ -> fail "CRT101" kind_line "missing domain directive"
-        in
-        Sortedness { network; domain }
-    | "refutation" ->
-        let network = parse_network kind_line net in
-        let witness = ref None in
-        List.iter
-          (fun (lineno, toks) ->
-            match toks with
-            | [ "witness"; _ ] when !witness <> None ->
-                fail "CRT101" lineno "duplicate witness directive"
-            | [ "witness"; m ] -> witness := Some (int_of lineno m)
-            | tok :: _ -> unknown lineno tok
-            | [] -> ())
-          dirs;
-        (match !witness with
-        | Some witness -> Refutation { network; witness }
-        | None -> fail "CRT101" kind_line "missing witness directive")
-    | "dead" ->
-        let network = parse_network kind_line net in
-        let sets = ref [] and claims = ref [] in
-        List.iter
-          (fun (lineno, toks) ->
-            match toks with
-            | "set" :: l :: ms ->
-                expect_seq lineno "set" (List.length !sets + 1) (int_of lineno l);
-                sets := List.map (int_of lineno) ms :: !sets
-            | [ "dead"; l; g ] ->
-                let level = int_of lineno l and gate = int_of lineno g in
-                claims := Dead { level; gate } :: !claims
-            | tok :: _ -> unknown lineno tok
-            | [] -> ())
-          dirs;
-        if !claims = [] then
-          fail "CRT101" kind_line "a dead certificate needs at least one claim";
-        Dead_gates
-          { network;
-            sets = Array.of_list (List.rev !sets);
-            claims = List.rev !claims }
-    | "lower-bound" ->
-        if net <> None then
-          fail "CRT101" kind_line
-            "lower-bound certificates carry stages, not a network block";
-        let n = ref None in
-        let need_n lineno =
-          match !n with
-          | Some n -> n
-          | None -> fail "CRT101" lineno "n must be declared first"
-        in
-        let stages = ref [] in
-        let input = ref None and twin = ref None in
-        let wires = ref None and values = ref None and mset = ref None in
-        let ints lineno what expected toks =
-          let l = List.map (int_of lineno) toks in
-          if List.length l <> expected then
-            fail "CRT001" lineno "%s needs %d integers, got %d" what expected
-              (List.length l);
-          l
-        in
-        let once lineno what r v =
-          if !r <> None then fail "CRT101" lineno "duplicate %s directive" what;
-          r := Some v
-        in
-        List.iter
-          (fun (lineno, toks) ->
-            match toks with
-            | [ "n"; v ] -> once lineno "n" n (int_of lineno v)
-            | "stage" :: rest ->
-                let nn = need_n lineno in
-                if List.length rest <> nn + 1 then
-                  fail "CRT001" lineno
-                    "stage needs %d permutation images and an op string" nn;
-                let rec split k acc = function
-                  | rest when k = 0 -> (List.rev acc, rest)
-                  | x :: rest -> split (k - 1) (x :: acc) rest
-                  | [] -> assert false
-                in
-                let imgs, ops = split nn [] rest in
-                let ops =
-                  match ops with [ o ] -> o | _ -> assert false
-                in
-                String.iter
-                  (fun ch ->
-                    match ch with
-                    | '+' | '-' | '0' | '1' -> ()
-                    | _ -> fail "CRT001" lineno "bad op character %C" ch)
-                  ops;
-                stages :=
-                  { perm = Array.of_list (List.map (int_of lineno) imgs); ops }
-                  :: !stages
-            | "input" :: rest ->
-                once lineno "input" input
-                  (Array.of_list (ints lineno "input" (need_n lineno) rest))
-            | "twin" :: rest ->
-                once lineno "twin" twin
-                  (Array.of_list (ints lineno "twin" (need_n lineno) rest))
-            | "wires" :: rest ->
-                once lineno "wires" wires (ints lineno "wires" 2 rest)
-            | "values" :: rest ->
-                once lineno "values" values (ints lineno "values" 2 rest)
-            | "mset" :: rest -> once lineno "mset" mset (List.map (int_of lineno) rest)
-            | tok :: _ -> unknown lineno tok
-            | [] -> ())
-          dirs;
-        let req what = function
-          | Some v -> v
-          | None -> fail "CRT101" kind_line "missing %s directive" what
-        in
-        let w0, w1 =
-          match req "wires" !wires with [ a; b ] -> (a, b) | _ -> assert false
-        in
-        let v0, v1 =
-          match req "values" !values with [ a; b ] -> (a, b) | _ -> assert false
-        in
-        Lower_bound
-          { n = req "n" !n;
-            stages = List.rev !stages;
-            input = req "input" !input;
-            twin = req "twin" !twin;
-            wire0 = w0;
-            wire1 = w1;
-            value0 = v0;
-            value1 = v1;
-            m_set = req "mset" !mset }
-    | "exhaustion" ->
-        if net <> None then
-          fail "CRT101" kind_line
-            "exhaustion certificates carry frontiers, not a network block";
-        let n = ref None and depth = ref None in
-        let need lineno what = function
-          | Some v -> v
-          | None -> fail "CRT101" lineno "%s must be declared first" what
-        in
-        (* blocks built in reverse; the current block is the head *)
-        let fronts : int list list list ref = ref [] in
-        let covs : cover list list ref = ref [] in
-        List.iter
-          (fun (lineno, toks) ->
-            match toks with
-            | [ "n"; v ] ->
-                if !n <> None then fail "CRT101" lineno "duplicate n directive";
-                n := Some (int_of lineno v)
-            | [ "max-depth"; v ] ->
-                if !depth <> None then
-                  fail "CRT101" lineno "duplicate max-depth directive";
-                depth := Some (int_of lineno v)
-            | [ "level"; l ] ->
-                ignore (need lineno "max-depth" !depth);
-                expect_seq lineno "level" (List.length !fronts + 1)
-                  (int_of lineno l);
-                fronts := [] :: !fronts;
-                covs := [] :: !covs
-            | "state" :: ms -> (
-                match !fronts with
-                | [] -> fail "CRT101" lineno "state outside a level block"
-                | blk :: rest ->
-                    fronts := (List.map (int_of lineno) ms :: blk) :: rest)
-            | "cover" :: cite :: pi -> (
-                match !covs with
-                | [] -> fail "CRT101" lineno "cover outside a level block"
-                | blk :: rest ->
-                    let nn = need lineno "n" !n in
-                    if List.length pi <> nn then
-                      fail "CRT001" lineno
-                        "cover needs a %d-wire permutation, got %d entries" nn
-                        (List.length pi);
-                    let cv =
-                      { cite = int_of lineno cite;
-                        pi = Array.of_list (List.map (int_of lineno) pi) }
-                    in
-                    covs := (cv :: blk) :: rest)
-            | tok :: _ -> unknown lineno tok
-            | [] -> ())
-          dirs;
-        let req what = function
-          | Some v -> v
-          | None -> fail "CRT101" kind_line "missing %s directive" what
-        in
-        let max_depth = req "max-depth" !depth in
-        let blocks = List.length !fronts in
-        if max_depth >= 1 && blocks <> max_depth - 1 then
-          fail "CRT101" kind_line "max-depth %d needs %d level blocks, got %d"
-            max_depth (max_depth - 1) blocks;
-        Exhaustion
-          { n = req "n" !n;
-            max_depth;
-            frontiers =
-              Array.of_list (List.rev_map List.rev !fronts);
-            covers = Array.of_list (List.rev_map List.rev !covs) }
-    | k -> fail "CRT001" kind_line "unknown certificate kind %S" k
+  Sortedness { network; domain }
+
+let refutation c kind_line net each =
+  let network = parse_network c kind_line net in
+  let witness = ref None in
+  each (fun lineno ->
+      if token_is c "witness" && tokens_left c = 1 then begin
+        if !witness <> None then
+          fail "CRT101" lineno "duplicate witness directive";
+        ignore (next_token c);
+        witness := Some (int_of c lineno)
+      end
+      else unknown c "refutation" lineno);
+  match !witness with
+  | Some witness -> Refutation { network; witness }
+  | None -> fail "CRT101" kind_line "missing witness directive"
+
+let dead c kind_line net each =
+  let network = parse_network c kind_line net in
+  let sets = ref [] and nsets = ref 0 and claims = ref [] in
+  each (fun lineno ->
+      if token_is c "set" && next_token c then read_set c lineno sets nsets
+      else if token_is c "dead" && tokens_left c = 2 then begin
+        ignore (next_token c);
+        let level = int_of c lineno in
+        ignore (next_token c);
+        let gate = int_of c lineno in
+        claims := Dead { level; gate } :: !claims
+      end
+      else unknown c "dead" lineno);
+  if !claims = [] then
+    fail "CRT101" kind_line "a dead certificate needs at least one claim";
+  Dead_gates
+    { network;
+      sets = Array.of_list (List.rev !sets);
+      claims = List.rev !claims }
+
+(* "stage p_0 .. p_(n-1) ops" after its keyword: the token count, then
+   the op string, then the images are checked *)
+let read_stage c lineno nn =
+  let perm = Array.make (room c nn) 0 in
+  let k = read_ints c perm nn in
+  if k <> nn + 1 || k = 0 then
+    fail "CRT001" lineno "stage needs %d permutation images and an op string"
+      nn;
+  (* the cursor's token is the last one: the op string *)
+  for i = c.ts to c.te - 1 do
+    match String.unsafe_get c.text i with
+    | '+' | '-' | '0' | '1' -> ()
+    | ch -> fail "CRT001" lineno "bad op character %C" ch
+  done;
+  report_deferred c lineno;
+  { perm; ops = token c }
+
+let lower_bound c kind_line net each =
+  if net <> None then
+    fail "CRT101" kind_line
+      "lower-bound certificates carry stages, not a network block";
+  let n = ref None in
+  let need_n lineno =
+    match !n with
+    | Some n -> n
+    | None -> fail "CRT101" lineno "n must be declared first"
+  in
+  let stages = ref [] in
+  let input = ref None and twin = ref None in
+  let wires = ref None and values = ref None and mset = ref None in
+  (* a directive's value is read before it is found to be a duplicate *)
+  let once lineno what r v =
+    if !r <> None then fail "CRT101" lineno "duplicate %s directive" what;
+    r := Some v
+  in
+  each (fun lineno ->
+      if token_is c "n" && tokens_left c = 1 then begin
+        ignore (next_token c);
+        once lineno "n" n (int_of c lineno)
+      end
+      else if token_is c "stage" then
+        stages := read_stage c lineno (need_n lineno) :: !stages
+      else if token_is c "input" then begin
+        let nn = need_n lineno in
+        once lineno "input" input (int_array c lineno "input" nn)
+      end
+      else if token_is c "twin" then begin
+        let nn = need_n lineno in
+        once lineno "twin" twin (int_array c lineno "twin" nn)
+      end
+      else if token_is c "wires" then
+        once lineno "wires" wires (int_array c lineno "wires" 2)
+      else if token_is c "values" then
+        once lineno "values" values (int_array c lineno "values" 2)
+      else if token_is c "mset" then once lineno "mset" mset (int_list c lineno)
+      else unknown c "lower-bound" lineno);
+  let req what = function
+    | Some v -> v
+    | None -> fail "CRT101" kind_line "missing %s directive" what
+  in
+  (* missing directives are reported in this order *)
+  let wires = req "wires" !wires in
+  let values = req "values" !values in
+  let m_set = req "mset" !mset in
+  let twin = req "twin" !twin in
+  let input = req "input" !input in
+  let n = req "n" !n in
+  Lower_bound
+    { n;
+      stages = List.rev !stages;
+      input;
+      twin;
+      wire0 = wires.(0);
+      wire1 = wires.(1);
+      value0 = values.(0);
+      value1 = values.(1);
+      m_set }
+
+let exhaustion c kind_line net each =
+  if net <> None then
+    fail "CRT101" kind_line
+      "exhaustion certificates carry frontiers, not a network block";
+  let n = ref None and depth = ref None in
+  let need lineno what = function
+    | Some v -> v
+    | None -> fail "CRT101" lineno "%s must be declared first" what
+  in
+  (* level blocks newest first, each newest first *)
+  let fronts = ref [] and covs = ref [] and blocks = ref 0 in
+  (* a directive is found to be a duplicate before its value is read *)
+  let once lineno what r =
+    if !r <> None then fail "CRT101" lineno "duplicate %s directive" what;
+    ignore (next_token c);
+    r := Some (int_of c lineno)
+  in
+  each (fun lineno ->
+      if token_is c "n" && tokens_left c = 1 then once lineno "n" n
+      else if token_is c "max-depth" && tokens_left c = 1 then
+        once lineno "max-depth" depth
+      else if token_is c "level" && tokens_left c = 1 then begin
+        ignore (need lineno "max-depth" !depth);
+        ignore (next_token c);
+        expect_seq lineno "level" (!blocks + 1) (int_of c lineno);
+        fronts := [] :: !fronts;
+        covs := [] :: !covs;
+        incr blocks
+      end
+      else if token_is c "state" then begin
+        match !fronts with
+        | [] -> fail "CRT101" lineno "state outside a level block"
+        | blk :: rest -> fronts := (int_list c lineno :: blk) :: rest
+      end
+      else if token_is c "cover" && next_token c then begin
+        match !covs with
+        | [] -> fail "CRT101" lineno "cover outside a level block"
+        | blk :: rest ->
+            let nn = need lineno "n" !n in
+            let cs = c.ts and ce = c.te in
+            (* the permutation is checked before the cited index *)
+            let pi = Array.make (room c nn) 0 in
+            let k = read_ints c pi nn in
+            if k <> nn then
+              fail "CRT001" lineno
+                "cover needs a %d-wire permutation, got %d entries" nn k;
+            report_deferred c lineno;
+            c.ts <- cs;
+            c.te <- ce;
+            let cite = int_of c lineno in
+            covs := ({ cite; pi } :: blk) :: rest
+      end
+      else unknown c "exhaustion" lineno);
+  let req what = function
+    | Some v -> v
+    | None -> fail "CRT101" kind_line "missing %s directive" what
+  in
+  let max_depth = req "max-depth" !depth in
+  if max_depth >= 1 && !blocks <> max_depth - 1 then
+    fail "CRT101" kind_line "max-depth %d needs %d level blocks, got %d"
+      max_depth (max_depth - 1) !blocks;
+  Exhaustion
+    { n = req "n" !n;
+      max_depth;
+      frontiers = Array.of_list (List.rev_map List.rev !fronts);
+      covers = Array.of_list (List.rev_map List.rev !covs) }
+
+let parse text =
+  let c =
+    { text; pos = 0; line = 1; ls = 0; le = 0; ts = 0; te = 0; bs = -1; be = 0 }
+  in
+  (* the line just read has two tokens, the first [word] *)
+  let two_tokens word =
+    ignore (next_token c);
+    token_is c word && tokens_left c = 1
   in
   try
     let certs = ref [] in
-    skip_blanks ();
-    while !i < nlines do
-      let lineno = !i + 1 in
-      (match tokens_of (String.trim lines.(!i)) with
-      | [ "snlb-cert"; "1" ] -> incr i
-      | [ "snlb-cert"; v ] ->
-          fail "CRT001" lineno "unsupported certificate format version %S" v
-      | _ -> fail "CRT001" lineno "expected snlb-cert 1 header");
-      skip_blanks ();
-      let kind_line = !i + 1 in
-      let kind =
-        if !i >= nlines then fail "CRT001" kind_line "missing kind directive"
-        else
-          match tokens_of (String.trim lines.(!i)) with
-          | [ "kind"; k ] ->
-              incr i;
-              k
-          | _ -> fail "CRT001" kind_line "expected kind directive"
+    skip_blanks c;
+    while has_line c do
+      let lineno = read_line c in
+      if not (two_tokens "snlb-cert") then
+        fail "CRT001" lineno "expected snlb-cert 1 header";
+      ignore (next_token c);
+      if not (token_is c "1") then
+        fail "CRT001" lineno "unsupported certificate format version %S"
+          (token c);
+      skip_blanks c;
+      let kind_line = c.line in
+      if not (has_line c) then fail "CRT001" kind_line "missing kind directive";
+      ignore (read_line c);
+      if not (two_tokens "kind") then
+        fail "CRT001" kind_line "expected kind directive";
+      ignore (next_token c);
+      let kind = token c in
+      let start = c.pos and start_line = c.line in
+      let net = ref None in
+      walk_body c
+        ~network:(fun lineno s e -> net := Some (lineno, s, e))
+        ~directive:ignore;
+      let each directive =
+        c.pos <- start;
+        c.line <- start_line;
+        walk_body c ~network:(fun _ _ _ -> ()) ~directive
       in
-      certs := assemble kind_line kind (read_body ()) :: !certs;
-      skip_blanks ()
+      let assemble =
+        match kind with
+        | "sortedness" -> sortedness
+        | "refutation" -> refutation
+        | "dead" -> dead
+        | "lower-bound" -> lower_bound
+        | "exhaustion" -> exhaustion
+        | k -> fail "CRT001" kind_line "unknown certificate kind %S" k
+      in
+      certs := assemble c kind_line !net each :: !certs;
+      skip_blanks c
     done;
     if !certs = [] then
       Error

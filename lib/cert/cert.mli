@@ -113,9 +113,16 @@ val to_string : t -> string
 (** Canonical text form ([snlb-cert 1] header). Printing is
     deterministic: equal certificates render byte-identically. *)
 
+val output : out_channel -> t -> unit
+(** [output oc c] writes [to_string c] to [oc] without building the
+    string. *)
+
 val parse : string -> (t list, error) result
 (** Parse a file of one or more concatenated certificates. Blank lines
-    and [#] comments are ignored outside embedded network blocks. *)
+    and [#] comments are ignored outside embedded network blocks. A
+    line is trimmed of [String.trim]'s blanks and split into tokens at
+    single spaces, so any other blank inside a line belongs to its
+    token; integers are read as [int_of_string] reads them. *)
 
 val check : t -> (unit, error) result
 (** Validate one certificate from first principles (no engine, search

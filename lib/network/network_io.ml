@@ -26,11 +26,19 @@ let to_string nw =
 
 type parse_level = { mutable pre : Perm.t option; mutable gates : Gate.t list }
 
+(* the widest network a file may declare; nothing snlb builds comes
+   near it, and [Network.create] allocates a byte per wire *)
+let max_wires = 1 lsl 24
+
 let of_string text =
   let lines = String.split_on_char '\n' text in
   let wires = ref None in
   let levels : parse_level list ref = ref [] in
   let current : parse_level option ref = ref None in
+  (* [stamp.(w)] is the number of the last level with a gate on wire
+     [w], so a reused wire is found in constant time; the array grows
+     to the declared width at the first gate *)
+  let stamp = ref [||] and level_count = ref 0 in
   let header_seen = ref false in
   let exception Fail of string in
   let fail line msg =
@@ -54,12 +62,17 @@ let of_string text =
               fail lineno ("unsupported format version: " ^ String.concat " " v)
           | [ "wires"; w ] ->
               if not !header_seen then fail lineno "missing snlb-network header";
-              wires := Some (int_of lineno w)
+              let w = int_of lineno w in
+              if w > max_wires then
+                fail lineno
+                  (Printf.sprintf "wires %d exceeds the limit of %d" w max_wires);
+              wires := Some w
           | [ "level" ] ->
               if !wires = None then fail lineno "level before wires";
               let lvl = { pre = None; gates = [] } in
               levels := lvl :: !levels;
-              current := Some lvl
+              current := Some lvl;
+              incr level_count
           | "perm" :: images -> (
               match !current with
               | None -> fail lineno "perm outside a level"
@@ -101,16 +114,20 @@ let of_string text =
                              w))
                     [ a; b ];
                   if a = b then fail lineno "gate wires must be distinct";
-                  List.iter
-                    (fun g ->
-                      let x, y = Gate.wires g in
-                      if x = a || y = a || x = b || y = b then
-                        fail lineno
-                          (Printf.sprintf
-                             "%s (%d, %d) reuses a wire already touched in \
-                              this level"
-                             kw a b))
-                    lvl.gates;
+                  if Array.length !stamp < w then begin
+                    let grown = Array.make w 0 in
+                    Array.blit !stamp 0 grown 0 (Array.length !stamp);
+                    stamp := grown
+                  end;
+                  let st = !stamp and l = !level_count in
+                  if st.(a) = l || st.(b) = l then
+                    fail lineno
+                      (Printf.sprintf
+                         "%s (%d, %d) reuses a wire already touched in this \
+                          level"
+                         kw a b);
+                  st.(a) <- l;
+                  st.(b) <- l;
                   let gate =
                     if kw = "cmp" then Gate.Compare { lo = a; hi = b }
                     else Gate.Exchange { a; b }

@@ -26,7 +26,9 @@ val to_string : Network.t -> string
 
 val of_string : string -> (Network.t, string) result
 (** Round-trip guarantee: [of_string (to_string nw)] succeeds and the
-    result evaluates identically to [nw] (tested). *)
+    result evaluates identically to [nw] (tested). Linear in the text,
+    and never raises: a [wires] line above [2^24] is a parse error on
+    its line, not an allocation. *)
 
 val save : string -> Network.t -> (unit, string) result
 (** [save path nw] writes the textual form to [path] atomically

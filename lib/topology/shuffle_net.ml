@@ -12,11 +12,13 @@ let kind_of_op = function
   | Register_model.One -> Some Reverse_delta.Swap
   | Register_model.Zero -> None
 
-(* Builds the forest for one chunk of [f] shuffle stages on [n = 2^d]
-   wires.  Crosses are bucketed by [(j, key)] where [j] is the
-   recursion depth of the owning node and [key] the node's fixed low
-   bits (bits [0, d-f+j) of its wires). *)
-let forest_of_ops ~n opss =
+(* The trees of one chunk of [f] shuffle stages on [n = 2^d] wires, one
+   per class of the low [d - f] index bits, not yet validated. A cross
+   of the node at recursion depth [j] goes to the bucket of that node's
+   fixed low bits (bits [0, d-f+j) of its wires): depth [j] has
+   2^(d-f+j) buckets, fewer than [n] over all depths. Each bucket lists
+   its crosses newest first. *)
+let trees_of_ops ~n opss =
   if not (Bitops.is_power_of_two n) || n < 2 then
     invalid_arg "Shuffle_net: n must be a power of two >= 2";
   let d = Bitops.log2_exact n in
@@ -28,19 +30,14 @@ let forest_of_ops ~n opss =
       if Array.length ops <> n / 2 then
         invalid_arg "Shuffle_net: op vector length mismatch")
     opss;
-  let crosses : (int * int, Reverse_delta.cross list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let add_cross j key c =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt crosses (j, key)) in
-    Hashtbl.replace crosses (j, key) (c :: cur)
-  in
+  let buckets = Array.init f (fun j -> Array.make (1 lsl (d - f + j)) []) in
   List.iteri
     (fun k0 ops ->
       let k = k0 + 1 in
       let j = f - k in
       let split_bit = d - k in
       let key_mask = (1 lsl (d - f + j)) - 1 in
+      let bucket = buckets.(j) in
       Array.iteri
         (fun m op ->
           match kind_of_op op with
@@ -49,8 +46,9 @@ let forest_of_ops ~n opss =
               let o_even = rotr ~width:d ~count:k (2 * m) in
               let o_odd = rotr ~width:d ~count:k ((2 * m) + 1) in
               assert (o_odd = o_even lxor (1 lsl split_bit));
-              add_cross j (o_even land key_mask)
-                { Reverse_delta.left = o_even; right = o_odd; kind })
+              let key = o_even land key_mask in
+              bucket.(key) <-
+                { Reverse_delta.left = o_even; right = o_odd; kind } :: bucket.(key))
         ops)
     opss;
   let rec build j key =
@@ -59,17 +57,13 @@ let forest_of_ops ~n opss =
       let bit = d - f + j in
       let sub0 = build (j + 1) key in
       let sub1 = build (j + 1) (key lor (1 lsl bit)) in
-      let cross =
-        Option.value ~default:[] (Hashtbl.find_opt crosses (j, key))
-      in
-      Reverse_delta.Node { sub0; sub1; cross }
+      Reverse_delta.Node { sub0; sub1; cross = buckets.(j).(key) }
   in
-  let trees =
-    List.init (1 lsl (d - f)) (fun c ->
-        let rd = build 0 c in
-        Reverse_delta.validate rd;
-        rd)
-  in
+  List.init (1 lsl (d - f)) (build 0)
+
+let forest_of_ops ~n opss =
+  let trees = trees_of_ops ~n opss in
+  List.iter Reverse_delta.validate trees;
   trees
 
 let block_of_ops ~n opss =
@@ -114,11 +108,17 @@ let inter_chunk_perm ~n ~f =
   let d = Bitops.log2_exact n in
   Perm.of_array (Array.init n (fun o -> rotl ~width:d ~count:f o))
 
+(* [Iterated.uniform] validates each block, so the trees are built
+   unvalidated *)
 let to_iterated prog =
   let n = Register_model.n prog in
   let d = Bitops.log2_exact n in
   let chunks = chunk_ops prog ~f:d in
-  Iterated.uniform (List.map (fun opss -> block_of_ops ~n opss) chunks)
+  Iterated.uniform
+    (List.map
+       (fun opss ->
+         match trees_of_ops ~n opss with [ rd ] -> rd | _ -> assert false)
+       chunks)
 
 let random_program rng ~n ~stages =
   Register_model.shuffle_program ~n

@@ -62,7 +62,14 @@ let test_parse_errors () =
     "line 4: perm entry 9 out of range";
   expect_error "snlb-network 1\nwires 4\nlevel\nperm 0 1 2 -1\n" "out of range";
   expect_error "snlb-network 1\nwires 4\nlevel\nperm 0 0 1 2\n"
-    "line 4: duplicate perm entry 0"
+    "line 4: duplicate perm entry 0";
+  (* a width past 2^24 wires is refused on its line, before anything
+     is allocated for it *)
+  expect_error "snlb-network 1\nwires 1000000000000\n"
+    "line 2: wires 1000000000000 exceeds the limit of 16777216";
+  (* the first reuse is reported, also after a level's wire count grows *)
+  expect_error "snlb-network 1\nwires 4\nlevel\ncmp 0 1\nwires 8\ncmp 5 1\ncmp 6 0\n"
+    "line 6: cmp (5, 1) reuses a wire"
 
 let test_comments_and_blank_lines () =
   let text = "# a comment\nsnlb-network 1\n\nwires 2\nlevel\n# inner\ncmp 0 1\n" in

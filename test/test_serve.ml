@@ -337,6 +337,29 @@ let test_session_verbs () =
   let r = send_recv fd reader {|{"id":6,"verb":"verify","algo":"bitonic","n":4}|} in
   check_bool "session still alive" true (jmember "ok" r = Json.Bool true)
 
+(* a network wider than any server could hold is refused by the parse
+   with an error reply naming its line, and the session goes on
+   answering *)
+let test_session_huge_width () =
+  with_session @@ fun fd reader ->
+  let r =
+    send_recv fd reader
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Int 7);
+              ("verb", Json.Str "verify");
+              ("network", Json.Str "snlb-network 1\nwires 1000000000000\n") ]))
+  in
+  check_bool "huge width -> error" true (jmember "ok" r = Json.Bool false);
+  check_bool "huge width code" true
+    (Json.member "code" (jmember "error" r) = Some (Json.Str Wire.e_bad_network));
+  check_bool "names the line" true
+    (match Json.member "message" (jmember "error" r) with
+    | Some (Json.Str m) -> String.length m >= 7 && String.sub m 0 7 = "line 2:"
+    | _ -> false);
+  let r = send_recv fd reader {|{"id":8,"verb":"verify","algo":"bitonic","n":4}|} in
+  check_bool "session still alive" true (jmember "ok" r = Json.Bool true)
+
 let test_session_framing_errors () =
   (* a malformed frame gets a typed response, then the connection is
      closed (the stream position can't be trusted) *)
@@ -509,6 +532,8 @@ let () =
             test_verify_coalescing_and_cache ] );
       ( "session",
         [ Alcotest.test_case "verbs over a socketpair" `Quick test_session_verbs;
+          Alcotest.test_case "huge width is a typed error" `Quick
+            test_session_huge_width;
           Alcotest.test_case "idle reaper" `Quick test_session_idle_reaper;
           Alcotest.test_case "request deadline" `Quick test_session_deadline;
           Alcotest.test_case "framing errors are typed" `Quick

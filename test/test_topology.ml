@@ -157,6 +157,94 @@ let test_forest_of_ops_partition () =
         forest)
     [ 1; 2; 3; 6 ]
 
+(* [reference_forest] is the forest builder [Shuffle_net] used before
+   it bucketed crosses in per-depth arrays, kept verbatim (with its
+   helpers) as the oracle: it buckets them in a [Hashtbl] keyed by
+   [(j, key)] tuples. *)
+let reference_forest ~n opss =
+  let rotr ~width ~count x =
+    let d = width in
+    let k = count mod d in
+    if k = 0 then x
+    else ((x lsr k) lor (x lsl (d - k))) land ((1 lsl d) - 1)
+  in
+  let kind_of_op = function
+    | Register_model.Plus -> Some Reverse_delta.Min_left
+    | Register_model.Minus -> Some Reverse_delta.Min_right
+    | Register_model.One -> Some Reverse_delta.Swap
+    | Register_model.Zero -> None
+  in
+  let d = Bitops.log2_exact n in
+  let f = List.length opss in
+  let crosses : (int * int, Reverse_delta.cross list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let add_cross j key c =
+    let cur = Option.value ~default:[] (Hashtbl.find_opt crosses (j, key)) in
+    Hashtbl.replace crosses (j, key) (c :: cur)
+  in
+  List.iteri
+    (fun k0 ops ->
+      let k = k0 + 1 in
+      let j = f - k in
+      let split_bit = d - k in
+      let key_mask = (1 lsl (d - f + j)) - 1 in
+      Array.iteri
+        (fun m op ->
+          match kind_of_op op with
+          | None -> ()
+          | Some kind ->
+              let o_even = rotr ~width:d ~count:k (2 * m) in
+              let o_odd = rotr ~width:d ~count:k ((2 * m) + 1) in
+              assert (o_odd = o_even lxor (1 lsl split_bit));
+              add_cross j (o_even land key_mask)
+                { Reverse_delta.left = o_even; right = o_odd; kind })
+        ops)
+    opss;
+  let rec build j key =
+    if j = f then Reverse_delta.Wire key
+    else
+      let bit = d - f + j in
+      let sub0 = build (j + 1) key in
+      let sub1 = build (j + 1) (key lor (1 lsl bit)) in
+      let cross =
+        Option.value ~default:[] (Hashtbl.find_opt crosses (j, key))
+      in
+      Reverse_delta.Node { sub0; sub1; cross }
+  in
+  let trees =
+    List.init (1 lsl (d - f)) (fun c ->
+        let rd = build 0 c in
+        Reverse_delta.validate rd;
+        rd)
+  in
+  trees
+
+(* the same trees, cross lists in the same order, for every chunk
+   length at n = 2^2..2^12; and [to_iterated]'s blocks are the
+   reference's whole-block trees *)
+let test_forest_matches_reference () =
+  let rng = Xoshiro.of_seed 51 in
+  for d = 2 to 12 do
+    let n = 1 lsl d in
+    for f = 1 to d do
+      let prog = Shuffle_net.random_program rng ~n ~stages:f in
+      let opss =
+        List.map (fun st -> st.Register_model.ops) (Register_model.stages prog)
+      in
+      check_bool
+        (Printf.sprintf "n=%d f=%d" n f)
+        true
+        (Shuffle_net.forest_of_ops ~n opss = reference_forest ~n opss)
+    done;
+    let prog = Shuffle_net.random_program rng ~n ~stages:(2 * d) in
+    check_bool
+      (Printf.sprintf "to_iterated n=%d" n)
+      true
+      (List.map (fun b -> b.Iterated.body) (Iterated.blocks (Shuffle_net.to_iterated prog))
+      = List.concat_map (reference_forest ~n) (Shuffle_net.chunk_ops prog ~f:d))
+  done
+
 let test_forest_chunk_evaluation () =
   (* Gluing the chunk circuits with the inter-chunk permutation must
      reproduce the register program exactly. *)
@@ -495,6 +583,7 @@ let () =
       ( "shuffle decomposition",
         [ Alcotest.test_case "block_of_ops roundtrip" `Quick test_block_of_ops_roundtrip;
           Alcotest.test_case "forest partitions wires" `Quick test_forest_of_ops_partition;
+          Alcotest.test_case "forest = Hashtbl reference" `Quick test_forest_matches_reference;
           Alcotest.test_case "chunk evaluation with glue" `Quick test_forest_chunk_evaluation;
           Alcotest.test_case "chunk_ops validation" `Quick test_chunk_ops_validation;
           Alcotest.test_case "full-block glue is identity" `Quick
