@@ -758,17 +758,6 @@ let search_cmd =
          with --resume"
     else begin
       let checkpoint = Option.map (fun path -> (path, interval)) ckpt in
-      let resume_state =
-        if not resume then None
-        else
-          match Driver.resume ~path:(Option.get ckpt) with
-          | Ok rs ->
-              Printf.eprintf "snlb: resuming %s\n%!" (Driver.describe rs);
-              Some rs
-          | Error e ->
-              Printf.eprintf "snlb: cannot resume (%s); starting fresh\n%!" e;
-              None
-      in
       if shuffle then begin
         if not (Bitops.is_power_of_two n) || n < 2 || n > 16 then
           usage_error "search: --shuffle needs n a power of two in [2,16]"
@@ -779,7 +768,7 @@ let search_cmd =
           | Some depth -> (
               match
                 Min_depth.search ~n ~depth ~budget ~domains ~sink ~cancel
-                  ?checkpoint ?resume:resume_state ()
+                  ?checkpoint ~resume ()
               with
               | Min_depth.Sorter prog ->
                   Printf.printf "depth-%d shuffle-based sorter EXISTS for n=%d " depth n;
@@ -805,7 +794,7 @@ let search_cmd =
               let max_depth = Option.value max_depth ~default:6 in
               match
                 Min_depth.minimal_depth ~n ~max_depth ~budget ~domains ~sink
-                  ~cancel ?checkpoint ?resume:resume_state ()
+                  ~cancel ?checkpoint ~resume ()
               with
               | Min_depth.Minimal (depth, _) ->
                   Printf.printf
@@ -868,7 +857,7 @@ let search_cmd =
         | None ->
             report
               (Driver.optimal_depth ~domains ~budget ~sink ~cancel ?checkpoint
-                 ?resume:resume_state ~max_depth ~n ())
+                 ~resume ~max_depth ~n ())
         | Some path ->
             (* The exhaustion certificate replays every child of every
                frontier state, so the log must come from the

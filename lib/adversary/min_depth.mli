@@ -52,21 +52,21 @@ val system : n:int -> Register_model.op array Driver.system
 val search :
   n:int -> depth:int -> ?budget:Driver.budget -> ?domains:int ->
   ?sink:Sink.t -> ?cancel:Cancel.t -> ?checkpoint:string * float ->
-  ?resume:Driver.resume_state -> unit -> outcome
+  ?resume:bool -> unit -> outcome
 (** [search ~n ~depth ()] decides whether some shuffle-based network of
     at most [depth] stages sorts all inputs (a [Sorter] witness may be
     shorter than [depth]). [budget] (default {!Driver.default_budget})
     bounds move applications as in {!Driver.run}; [sink] receives the
     driver's per-level span events; [cancel] / [checkpoint] / [resume]
-    behave exactly as in {!Driver.run} (snapshots carry the
-    ["shuffle-ops"] tag, so they cannot be resumed into the free-layer
-    search or vice versa).
+    behave exactly as in {!Driver.run}: the snapshots carry the
+    ["shuffle-ops"] tag among the driver's keys, so {!Checkpoint.resume}
+    refuses them in the free-layer search and vice versa.
     @raise Invalid_argument unless [n] is a power of two in [2, 16]. *)
 
 val minimal_depth :
   n:int -> max_depth:int -> ?budget:Driver.budget -> ?domains:int ->
   ?sink:Sink.t -> ?cancel:Cancel.t -> ?checkpoint:string * float ->
-  ?resume:Driver.resume_state -> unit -> minimal
+  ?resume:bool -> unit -> minimal
 (** The least [D <= max_depth] admitting a sorter, with a verified
     witness ([Minimal]); [No_sorter] if every depth up to [max_depth]
     is refuted; [Unknown k] if the budget ran out after exhaustively

@@ -46,62 +46,28 @@ type snapshot = {
   s_survived : int;
 }
 
-let write_checkpoint ~path ~n ~k ~blocks snap =
-  match
-    Checkpoint.write ~path
-      { Checkpoint.kind = checkpoint_kind;
-        meta =
-          [ ("n", string_of_int n);
-            ("k", string_of_int k);
-            ("blocks", string_of_int blocks);
-            ("next", string_of_int snap.s_next) ];
-        payload = Marshal.to_string snap [] }
-  with
-  | Ok () -> ()
-  | Error e ->
-      Printf.eprintf "snlb: adversary checkpoint write failed (%s); run continues\n%!" e
-
-let load_checkpoint ~path ~n ~k ~blocks =
-  match Checkpoint.load ~path with
-  | Error e ->
-      Printf.eprintf "snlb: cannot resume adversary run (%s); starting fresh\n%!" e;
-      None
-  | Ok (ck, source) ->
-      (match source with
-      | `Primary -> ()
-      | `Backup reason ->
-          Printf.eprintf "snlb: falling back to checkpoint backup %s (%s)\n%!"
-            (Atomic_file.backup_path path) reason);
-      let meta_int key =
-        Option.bind (List.assoc_opt key ck.Checkpoint.meta) int_of_string_opt
-      in
-      if
-        ck.Checkpoint.kind = checkpoint_kind
-        && meta_int "n" = Some n
-        && meta_int "k" = Some k
-        && meta_int "blocks" = Some blocks
-      then Some (Marshal.from_string ck.Checkpoint.payload 0 : snapshot)
-      else begin
-        Printf.eprintf
-          "snlb: checkpoint %s does not match this adversary run; starting fresh\n%!"
-          path;
-        None
-      end
-
 let run ?k ?policy ?(sink = Sink.null) ?cancel ?checkpoint ?(resume = false) it =
   let n = Iterated.n it in
   let k =
     match k with Some k -> k | None -> max 2 (Bitops.ceil_log2 n)
   in
   let blocks = Iterated.block_count it in
-  let snap =
-    match (resume, checkpoint) with
-    | true, Some path -> load_checkpoint ~path ~n ~k ~blocks
-    | true, None ->
-        Printf.eprintf "snlb: resume requested without a checkpoint path; starting fresh\n%!";
-        None
-    | false, _ -> None
+  let spec =
+    { Checkpoint.kind = checkpoint_kind;
+      keys =
+        [ ("n", string_of_int n);
+          ("k", string_of_int k);
+          ("blocks", string_of_int blocks) ];
+      step = "next" }
   in
+  let snap : snapshot option =
+    if not resume then None
+    else
+      Checkpoint.resume spec checkpoint ~decode:(fun ~step:_ payload ->
+          Ok (Marshal.from_string payload 0))
+  in
+  (* interval 0: block counts are tiny, so every boundary is written *)
+  let ckpt = Checkpoint.writer spec (Option.map (fun p -> (p, 0.)) checkpoint) in
   let st = match snap with Some s -> s.s_state | None -> Mset.create ~n ~k in
   let reports = ref (match snap with Some s -> s.s_reports | None -> []) in
   let survived = ref (match snap with Some s -> s.s_survived | None -> 0) in
@@ -147,15 +113,14 @@ let run ?k ?policy ?(sink = Sink.null) ?cancel ?checkpoint ?(resume = false) it 
              d_size
            in
            (* block boundary: persist progress before deciding to stop *)
-           (match checkpoint with
-           | Some path ->
-               write_checkpoint ~path ~n ~k ~blocks
+           Checkpoint.boundary ckpt ~step:(index + 1) (fun () ->
+               Marshal.to_string
                  { s_next = index + 1;
                    s_state = st;
                    s_reports = !reports;
                    s_survived =
                      (if d_size >= 2 then !survived + 1 else !survived) }
-           | None -> ());
+                 []);
            if d_size >= 2 then incr survived
            else begin
              exhausted := false;

@@ -49,17 +49,19 @@ val run :
     [b_size] / [sets] / [d_size]) nesting the {!Lemma41} span, plus a
     closing ["adversary"] event.
 
-    Crash safety: with [~checkpoint:path] the run publishes a snapshot
-    of the adversary state through {!Checkpoint.write} after {e every}
-    block (blocks are the only consistent boundaries, and block counts
-    are tiny — [O(lg n / lglg n)] — so no interval throttle is needed);
-    [cancel] is polled between blocks. [~resume:true] restores the
-    snapshot at [checkpoint] and continues with the next unprocessed
-    block, so an interrupted-and-resumed run reports exactly the
-    [reports] / [survived] / final pattern of an uninterrupted one. A
-    missing, corrupt or mismatched (different [n], [k] or block
-    structure) snapshot degrades to a fresh run with a [stderr]
-    warning. *)
+    Crash safety: with [~checkpoint:path] the run hands a snapshot of
+    the adversary state to a {!Checkpoint.writer} after {e every}
+    block, and the writer writes each one (blocks are the only
+    consistent boundaries, and block counts are tiny —
+    [O(lg n / lglg n)] — so there is no interval); [cancel] is polled
+    between blocks. [~resume:true] reads the snapshot at [checkpoint]
+    back through {!Checkpoint.resume}, checking its kind
+    (["snlb-adversary"]) and its keys [n], [k] and [blocks], and
+    continues with the next unprocessed block, so an
+    interrupted-and-resumed run reports exactly the [reports] /
+    [survived] / final pattern of an uninterrupted one. Any other
+    snapshot degrades to a fresh run with the contract's one
+    [snlb: cannot resume (<reason>); starting fresh] line. *)
 
 val paper_bound : n:int -> blocks:int -> float
 (** [n / (lg n)^(4 d)] — the explicit bound of Theorem 4.1. *)

@@ -36,8 +36,6 @@ type result = {
 }
 
 let c_generations = Metrics.counter "evolve.generations"
-let c_ckpt_failures = Metrics.counter "checkpoint.failures"
-let c_resumes = Metrics.counter "checkpoint.resumes"
 
 (* Proved minimal depths for n = 2..16: Knuth 5.3.4 exercise 51 for
    n <= 10, Bundala & Zavodny (LATA 2014) for n <= 16. *)
@@ -85,13 +83,17 @@ let validate cfg =
 
 let checkpoint_kind = "snlb-evolve-1"
 
-let snapshot_meta cfg ~next_gen =
-  [ ("n", string_of_int cfg.wires);
-    ("depth", string_of_int cfg.depth);
-    ("pop", string_of_int cfg.pop);
-    ("gens", string_of_int cfg.gens);
-    ("seed", string_of_int cfg.seed);
-    ("generation", string_of_int next_gen) ]
+(* A snapshot only resumes into the run that cut it: every draw is
+   keyed by the seed and the shape, and [gens] bounds the loop. *)
+let checkpoint_spec cfg =
+  { Checkpoint.kind = checkpoint_kind;
+    keys =
+      [ ("n", string_of_int cfg.wires);
+        ("depth", string_of_int cfg.depth);
+        ("pop", string_of_int cfg.pop);
+        ("gens", string_of_int cfg.gens);
+        ("seed", string_of_int cfg.seed) ];
+    step = "generation" }
 
 let snapshot_payload pop =
   String.concat "" (Array.to_list (Array.map Genome.to_string pop))
@@ -123,41 +125,6 @@ let parse_payload cfg payload =
   in
   go 0 [] lines
 
-let load_resume cfg ~path =
-  match Checkpoint.load ~path with
-  | Error e -> Error e
-  | Ok (ck, provenance) -> (
-      (match provenance with
-      | `Primary -> ()
-      | `Backup reason ->
-          Printf.eprintf "snlb: falling back to checkpoint backup %s.bak (%s)\n%!"
-            path reason);
-      if ck.Checkpoint.kind <> checkpoint_kind then
-        Error
-          (Printf.sprintf "checkpoint %s holds a %S snapshot, not an evolution"
-             path ck.Checkpoint.kind)
-      else
-        let meta k = List.assoc_opt k ck.Checkpoint.meta in
-        let want k v =
-          match meta k with
-          | Some m when m = string_of_int v -> Ok ()
-          | Some m -> Error (Printf.sprintf "checkpoint %s=%s, this run %d" k m v)
-          | None -> Error (Printf.sprintf "checkpoint lacks %s" k)
-        in
-        let ( let* ) = Result.bind in
-        let* () = want "n" cfg.wires in
-        let* () = want "depth" cfg.depth in
-        let* () = want "pop" cfg.pop in
-        let* () = want "gens" cfg.gens in
-        let* () = want "seed" cfg.seed in
-        let* gen =
-          match Option.bind (meta "generation") int_of_string_opt with
-          | Some g when g >= 0 -> Ok g
-          | _ -> Error "checkpoint lacks a valid generation"
-        in
-        let* pop = parse_payload cfg ck.Checkpoint.payload in
-        Ok (gen, pop))
-
 (* --- selection --- *)
 
 (* Deterministic total order on (fitness, genome size, slot): fitter
@@ -185,10 +152,10 @@ let initial_population cfg =
         ())
 
 (* One generation: evaluate, pick the generation's champion, and
-   (unless it already sorts) breed the successor population. Shared by
-   [run] and [run_segment], so the single-population driver and the
-   island model make byte-identical decisions — every draw
-   comes from [rng_at] keyed by the {e absolute} generation index. *)
+   (unless it already sorts) breed the successor population. Every
+   draw comes from [rng_at] keyed by the {e absolute} generation
+   index, so [run]'s one-generation segments and the island model's
+   epochs make byte-identical decisions. *)
 let generation ~sink cfg ~max_fit ~gen pop =
   Span.run ~sink ~name:"evolve/gen" (fun sp ->
       let fits = Fitness.population ~domains:cfg.domains pop in
@@ -283,107 +250,58 @@ let run_segment ?(sink = Sink.null) ?cancel cfg ~start_gen ~gens population =
     seg_generations = !evaluated;
   }
 
+(* [run_segment] one generation at a time: the generation boundaries
+   between calls are where a snapshot is cut and where a cancel or an
+   injected ["kill-gen"] stops the run. *)
 let run ?(sink = Sink.null) ?cancel ?checkpoint ?(resume = false) cfg =
   validate cfg;
-  let max_fit = Fitness.max_fitness ~wires:cfg.wires in
+  let spec = checkpoint_spec cfg in
+  let resumed =
+    if not resume then None
+    else
+      Checkpoint.resume spec (Option.map fst checkpoint) ~decode:(fun ~step payload ->
+          Result.map (fun pop -> (step, pop)) (parse_payload cfg payload))
+  in
+  let start_gen, population =
+    match resumed with
+    | Some (gen, pop) ->
+        Printf.eprintf
+          "snlb: resuming evolution n=%d depth=%d pop=%d seed=%d at generation %d\n%!"
+          cfg.wires cfg.depth cfg.pop cfg.seed gen;
+        (gen, pop)
+    | None -> (0, initial_population cfg)
+  in
+  let ckpt = Checkpoint.writer spec checkpoint in
   let cancelled () =
     match cancel with None -> false | Some c -> Cancel.cancelled c
   in
-  let start =
-    if not resume then None
-    else
-      match checkpoint with
-      | None -> None
-      | Some (path, _) -> (
-          match load_resume cfg ~path with
-          | Ok (gen, pop) ->
-              Metrics.incr c_resumes;
-              Printf.eprintf
-                "snlb: resuming evolution n=%d depth=%d pop=%d seed=%d at generation %d\n%!"
-                cfg.wires cfg.depth cfg.pop cfg.seed gen;
-              Some (gen, pop)
-          | Error e ->
-              Printf.eprintf "snlb: cannot resume (%s); starting fresh\n%!" e;
-              None)
-  in
-  let start_gen, population =
-    match start with
-    | Some (gen, pop) -> (gen, pop)
-    | None -> (0, initial_population cfg)
-  in
-  (* checkpoint cadence: remember the newest boundary, write when
-     [interval] seconds have passed since the last write (or the start
-     of the run); an interruption flushes the pending boundary. *)
-  let last_write = ref (Clock.wall ()) in
-  let pending = ref None in
-  let note_boundary ~next_gen pop =
-    if checkpoint <> None then pending := Some (next_gen, pop)
-  in
-  let flush () =
-    match (checkpoint, !pending) with
-    | Some (path, _), Some (next_gen, pop) ->
-        pending := None;
-        last_write := Clock.wall ();
-        (match
-           Checkpoint.write ~path
-             { Checkpoint.kind = checkpoint_kind;
-               meta = snapshot_meta cfg ~next_gen;
-               payload = snapshot_payload pop;
-             }
-         with
-        | Ok () -> ()
-        | Error e ->
-            Metrics.incr c_ckpt_failures;
-            Printf.eprintf
-              "snlb: checkpoint write failed (%s); evolution continues\n%!" e)
-    | _ -> ()
-    | exception _ -> ()
-  in
-  let flush_if_due () =
-    match checkpoint with
-    | Some (_, interval) when !pending <> None ->
-        if Clock.wall () -. !last_write >= interval then flush ()
-    | _ -> ()
-  in
-  let population = ref population in
-  let best = ref None in
-  let found_at = ref None in
-  let generations = ref start_gen in
-  let interrupted = ref false in
-  (try
-     let gen = ref start_gen in
-     while !gen < cfg.gens && !found_at = None && not !interrupted do
-       let g = !gen in
-       let pop = !population in
-       let bf, bsize, bgenome, next = generation ~sink cfg ~max_fit ~gen:g pop in
-       (match !best with
-       | Some (f, s, _) when not (better (bf, bsize, 0) (f, s, 0)) -> ()
-       | _ -> best := Some (bf, bsize, bgenome));
-       generations := g + 1;
-       (match next with
-       | None -> found_at := Some g
-       | Some next ->
-           population := next;
-           (* generation boundary: the next generation's start state
-              is consistent — snapshot it on the cadence *)
-           note_boundary ~next_gen:(g + 1) next;
-           flush_if_due ();
-           if cancelled () || Fault.fire "kill-gen" then interrupted := true);
-       incr gen
-     done
-   with e ->
-     flush ();
-     raise e);
-  if !interrupted then flush ();
+  let pop = ref population and best = ref None and found_at = ref None in
+  let gen = ref start_gen and interrupted = ref false in
+  while !gen < cfg.gens && !found_at = None && not !interrupted do
+    let seg = run_segment ~sink cfg ~start_gen:!gen ~gens:1 !pop in
+    let champion = (seg.seg_best_fitness, seg.seg_best_size, 0) in
+    (match !best with
+    | Some (f, s, _) when not (better champion (f, s, 0)) -> ()
+    | _ -> best := Some (seg.seg_best_fitness, seg.seg_best_size, seg.seg_best));
+    pop := seg.seg_population;
+    found_at := seg.seg_found_at;
+    incr gen;
+    if !found_at = None then begin
+      (* generation boundary: the next generation's start state is
+         consistent *)
+      let next = !pop in
+      Checkpoint.boundary ckpt ~step:!gen (fun () -> snapshot_payload next);
+      if cancelled () || Fault.fire "kill-gen" then interrupted := true
+    end
+  done;
+  if !interrupted then Checkpoint.flush ckpt;
   let best_fitness, best_genome =
-    match !best with
-    | Some (f, _, g) -> (f, g)
-    | None -> (0, !population.(0))
+    match !best with Some (f, _, g) -> (f, g) | None -> (0, !pop.(0))
   in
   { best = best_genome;
     best_fitness;
     found_at = !found_at;
-    generations = !generations;
-    population = !population;
+    generations = !gen;
+    population = !pop;
     interrupted = !interrupted;
   }

@@ -13,12 +13,15 @@
     never-interrupted run ({!population_digest} makes that testable
     from the CLI).
 
-    Crash safety rides the PR-4 envelope: at every generation boundary
-    the population is a consistent snapshot; [checkpoint:(path,
-    interval)] publishes it through {!Checkpoint.write} on the given
-    cadence, an interruption (cancel token or the ["kill-gen"] fault)
-    flushes the newest boundary before returning, and [resume] reads
-    it back, rejecting snapshots from an incompatible configuration.
+    Crash safety: {!run} drives {!run_segment} one generation at a
+    time, and every boundary between two calls is a consistent
+    snapshot (the next generation's population). With
+    [checkpoint:(path, interval)] it goes to a {!Checkpoint.writer},
+    which writes it on that cadence; an interruption (cancel token or
+    the ["kill-gen"] fault) writes the newest boundary before
+    returning. [resume] reads it back through {!Checkpoint.resume},
+    which checks the kind (["snlb-evolve-1"]) and the keys [n],
+    [depth], [pop], [gens] and [seed].
 
     The run stops at the first generation whose best genome reaches
     {!Fitness.max_fitness} (a perfect sorter — for a depth shape set
@@ -68,8 +71,10 @@ val run :
   config ->
   result
 (** [resume] (default false) restarts from the snapshot at the
-    checkpoint path; a missing, damaged or incompatible snapshot
-    degrades to a fresh run with a [stderr] warning.
+    checkpoint path, printing [snlb: resuming evolution n=<n>
+    depth=<d> pop=<p> seed=<s> at generation <g>] to [stderr]; any
+    snapshot {!Checkpoint.resume} refuses degrades to a fresh run with
+    its one [snlb: cannot resume (<reason>); starting fresh] line.
     @raise Invalid_argument on a nonsensical config. *)
 
 val population_digest : Genome.t array -> string
@@ -116,10 +121,10 @@ val run_segment :
   Genome.t array ->
   segment
 (** [run_segment cfg ~start_gen ~gens pop] evaluates and breeds
-    generations [start_gen .. start_gen + gens - 1] from [pop] —
-    {!run}'s inner loop with no checkpointing or fault hooks (the
-    caller owns those), stopping early at a perfect sorter exactly as
-    {!run} does. When [cancel] trips, the segment stops after the
+    generations [start_gen .. start_gen + gens - 1] from [pop] with no
+    checkpointing or fault hooks (the caller owns those — {!run} calls
+    it with [~gens:1] and checkpoints between calls), stopping early at
+    a perfect sorter. When [cancel] trips, the segment stops after the
     current generation; the caller tells such a cut-short segment
     from a complete one by the token.
     @raise Invalid_argument on a nonsensical config, [gens < 1],

@@ -130,3 +130,98 @@ let load ~path =
       match read ~path:(Atomic_file.backup_path path) with
       | Ok t -> Ok (t, `Backup primary)
       | Error backup -> Error (Printf.sprintf "%s; fallback also failed: %s" primary backup))
+
+(* --- the resume contract --- *)
+
+type spec = {
+  kind : string;
+  keys : (string * string) list;
+  step : string;
+}
+
+let c_failures = Metrics.counter "checkpoint.failures"
+let c_resumes = Metrics.counter "checkpoint.resumes"
+
+(* The snapshot's boundary counter, once its kind and every key match
+   the run it is resumed into: a snapshot of another width, depth cap,
+   seed or move set describes a different run, and trusting it would
+   be less safe than rerunning. *)
+let check spec ~path (ck : t) =
+  let meta k = List.assoc_opt k ck.meta in
+  let rec keys = function
+    | [] -> (
+        match Option.bind (meta spec.step) int_of_string_opt with
+        | Some s when s >= 0 -> Ok s
+        | _ -> Error (Printf.sprintf "checkpoint %s lacks a valid %s" path spec.step))
+    | (k, v) :: rest -> (
+        match meta k with
+        | Some v' when v' = v -> keys rest
+        | Some v' ->
+            Error (Printf.sprintf "checkpoint %s has %s=%s, this run %s=%s" path k v' k v)
+        | None -> Error (Printf.sprintf "checkpoint %s lacks %s" path k))
+  in
+  if ck.kind <> spec.kind then
+    Error
+      (Printf.sprintf "checkpoint %s holds a %S snapshot, not %S" path ck.kind
+         spec.kind)
+  else keys spec.keys
+
+let resume spec path ~decode =
+  let decoded =
+    let ( let* ) = Result.bind in
+    let* path = Option.to_result ~none:"no checkpoint path" path in
+    let* ck, source = load ~path in
+    (match source with
+    | `Primary -> ()
+    | `Backup reason ->
+        Printf.eprintf "snlb: falling back to checkpoint backup %s (%s)\n%!"
+          (Atomic_file.backup_path path) reason);
+    let* step = check spec ~path ck in
+    match decode ~step ck.payload with
+    | Ok _ as ok -> ok
+    | Error why -> Error (Printf.sprintf "checkpoint %s: %s" path why)
+    | exception (Failure why | Invalid_argument why) ->
+        Error (Printf.sprintf "checkpoint %s: undecodable payload (%s)" path why)
+  in
+  match decoded with
+  | Ok v ->
+      Metrics.incr c_resumes;
+      Some v
+  | Error why ->
+      Printf.eprintf "snlb: cannot resume (%s); starting fresh\n%!" why;
+      None
+
+type writer = {
+  spec : spec;
+  target : (string * float) option;
+  mutable last : float; (* the cadence clock: creation, then each write *)
+  mutable pending : (int * (unit -> string)) option;
+}
+
+let writer spec target =
+  { spec; target; last = Clock.wall (); pending = None }
+
+let flush w =
+  match (w.target, w.pending) with
+  | Some (path, _), Some (step, payload) ->
+      w.pending <- None;
+      let spec = w.spec in
+      (match
+         write ~path
+           { kind = spec.kind;
+             meta = spec.keys @ [ (spec.step, string_of_int step) ];
+             payload = payload () }
+       with
+      | Ok () -> ()
+      | Error e ->
+          Metrics.incr c_failures;
+          Printf.eprintf "snlb: checkpoint write failed (%s); run continues\n%!" e);
+      w.last <- Clock.wall ()
+  | _ -> ()
+
+let boundary w ~step payload =
+  match w.target with
+  | None -> ()
+  | Some (_, interval) ->
+      w.pending <- Some (step, payload);
+      if Clock.wall () -. w.last >= interval then flush w

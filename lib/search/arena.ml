@@ -43,9 +43,8 @@ type layout = {
    write besides [t.sigs]. A domain holding its own scratch can run
    both against the committed rows while other domains do the same. *)
 type scratch = {
-  (* packed-count accumulators (n <= 10 fast path): index = popcount
-     of the byte position, 4 x 8-bit fields = counts by low-3-bit
-     popcount *)
+  (* packed-count accumulators: index = popcount of the byte
+     position, 4 x 8-bit fields = counts by low-3-bit popcount *)
   accl : int array;
   accc : int array array;
   lvl : int array;
@@ -98,11 +97,6 @@ type t = {
   intra : int64 array array; (* i, j < 6: positions with bit i set, bit j clear *)
   bitset : int64 array; (* i < 6: intra positions with bit i set *)
   sorted_row : int64 array;
-  (* row patterns for the signature counts: level k's masks at
-     [k * wpr], channel (c, k)'s at [(n + 1 + c * (n + 1) + k) * wpr] —
-     a count is one AND+popcount per row word instead of a loop over
-     the masks *)
-  count_pat : row;
   byte_pc : int array; (* popcount of each global byte index *)
   byte_hc : int array array; (* per byte position: its high channels 3+d *)
   own : scratch; (* the arena's domain: [commit] and [subsumes] *)
@@ -244,6 +238,8 @@ let scratch t = make_scratch ~n:t.n ~wpr:t.wpr
 
 let create ?(with_sigs = true) ~n () =
   check_n n;
+  if with_sigs && n > 10 then
+    invalid_arg "Arena.create: signatures need n <= 10";
   let wpr = max 1 ((1 lsl n) / 64) in
   let cap = 1024 in
   let lay = make_layout (Array.init (n + 1) (binomial n)) in
@@ -282,26 +278,6 @@ let create ?(with_sigs = true) ~n () =
     done;
     r
   in
-  let count_pat =
-    let p =
-      Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
-        ((n + 1 + (n * (n + 1))) * wpr)
-    in
-    Bigarray.Array1.fill p 0L;
-    let set slot m =
-      let w = (slot * wpr) + (m lsr 6) in
-      Bigarray.Array1.set p w
-        (Int64.logor (Bigarray.Array1.get p w) (Int64.shift_left 1L (m land 63)))
-    in
-    for m = 0 to (1 lsl n) - 1 do
-      let k = Bitops.popcount m in
-      set k m;
-      for c = 0 to n - 1 do
-        if (m lsr c) land 1 = 1 then set (n + 1 + (c * (n + 1)) + k) m
-      done
-    done;
-    p
-  in
   { n;
     wpr;
     cap;
@@ -326,7 +302,6 @@ let create ?(with_sigs = true) ~n () =
     intra;
     bitset;
     sorted_row;
-    count_pat;
     byte_pc = Array.init (wpr * 8) Bitops.popcount;
     byte_hc =
       Array.init (wpr * 8) (fun p ->
@@ -345,15 +320,14 @@ let length t = t.len
 let card t idx = t.card.(idx)
 let level t idx = t.level.(idx)
 
-(* every per-state array, the dedup table and the per-n count tables,
-   at 8 bytes per int or int64; the O(n^2)-word constants and the
-   scratches are left out *)
+(* every per-state array, the dedup table and the per-byte-position
+   tables, at 8 bytes per int or int64; the O(n^2)-word constants and
+   the scratches are left out *)
 let bytes t =
   let ints a = Array.length a in
   8
   * (Bigarray.Array1.dim t.words + ints t.card + ints t.level + ints t.hash
-    + ints t.sigs + ints t.table + Bigarray.Array1.dim t.count_pat
-    + ints t.byte_pc
+    + ints t.sigs + ints t.table + ints t.byte_pc
     + Array.fold_left (fun acc a -> acc + ints a) 0 t.byte_hc)
 
 let record_metrics t =
@@ -702,38 +676,11 @@ let iter_row_masks t base f =
     done
   done
 
-(* count = popcount (row AND pattern), one word op pair per row word *)
-let pat_count t rbase slot =
-  let c = ref 0 in
-  let pbase = slot * t.wpr in
-  for w = 0 to t.wpr - 1 do
-    c :=
-      !c
-      + pop64
-          (Int64.logand
-             (Bigarray.Array1.unsafe_get t.words (rbase + w))
-             (Bigarray.Array1.unsafe_get t.count_pat (pbase + w)))
-  done;
-  !c
-
-(* reference path (n > 10): one masked popcount per (slot, row word) *)
-let compute_counts_pat t sc rbase =
-  let nn = t.n in
-  for k = 0 to nn do
-    sc.lvl.(k) <- pat_count t rbase k
-  done;
-  for c = 0 to nn - 1 do
-    let row = sc.chan.(c) in
-    for k = 0 to nn do
-      row.(k) <- pat_count t rbase (nn + 1 + (c * (nn + 1)) + k)
-    done
-  done
-
-(* fast path (n <= 10, so every count fits 8 bits): one [byte_t1] add
-   per nonzero row byte accumulates four level counts at once, keyed
-   by the byte position's popcount; in-byte channels use [byte_t2],
-   higher channels gate [byte_t1] on the position's bits *)
-let compute_counts_packed t sc rbase =
+(* A signed row has n <= 10, so every count fits 8 bits: one
+   [byte_t1] add per nonzero row byte accumulates four level counts at
+   once, keyed by the byte position's popcount; in-byte channels use
+   [byte_t2], higher channels gate [byte_t1] on the position's bits *)
+let compute_counts t sc rbase =
   let nn = t.n in
   let accl = sc.accl and accc = sc.accc in
   let asz = Array.length accl in
@@ -916,8 +863,7 @@ let unpack_profile t off dst =
 let compute_sigs t sc idx =
   let nn = t.n in
   let rbase = idx * t.wpr in
-  if nn <= 10 then compute_counts_packed t sc rbase
-  else compute_counts_pat t sc rbase;
+  compute_counts t sc rbase;
   compute_profile t sc rbase;
   let sigs = t.sigs and sw = t.lay.sig_words in
   let base = sig_base t idx in

@@ -35,7 +35,11 @@ val create : ?with_sigs:bool -> n:int -> unit -> t
 (** An empty arena for [n]-wire states ([2 <= n <= 16]; rows are [2^n]
     bits). [with_sigs] (default true) additionally computes, at commit
     time, the packed SWAR signatures that {!subsumes} needs; pass
-    [false] for equality-dedup-only runs to skip that work. *)
+    [false] for equality-dedup-only runs to skip that work.
+    @raise Invalid_argument outside [2 <= n <= 16], or with
+    [with_sigs] above [n = 10] (the subsumption search's own cap,
+    {!Driver.network_system}), where signature counts no longer fit
+    their 8-bit fields. *)
 
 val n : t -> int
 
@@ -187,5 +191,5 @@ val record_metrics : t -> unit
     the memory of every per-state array the arena owns (rows,
     cardinality, level, hash, and the signature blocks: level and
     per-channel ones signatures, degree words, and the packed profile
-    and its transpose), its dedup table and its per-[n] count
-    tables. *)
+    and its transpose), its dedup table and its two per-byte-position
+    tables (the popcount and the high channels of each row byte). *)

@@ -6,7 +6,7 @@
    function. *)
 
 let exhaustion ~n ~max_depth ~frontiers =
-  if n < 2 || n > 12 then Error "cert emission supports n in [2, 12]"
+  if n < 2 || n > 10 then Error "cert emission supports n in [2, 10]"
   else if max_depth < 1 then Error "max_depth must be >= 1"
   else if List.length frontiers < max_depth - 1 then
     Error

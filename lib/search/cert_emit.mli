@@ -23,6 +23,8 @@ val exhaustion :
 (** [exhaustion ~n ~max_depth ~frontiers] builds and self-checks the
     certificate; [frontiers] holds the logged levels in order (levels
     beyond [max_depth - 1] are ignored). [Error] carries the reason no
-    certificate exists: a sorted child (the claim is false), an
-    uncovered child (the log came from an incompatible search), or a
-    failed self-check. *)
+    certificate exists: a width outside [2 <= n <= 10] (the search's
+    own cap, {!Driver.network_system}; the checker's range in {!Cert}
+    is wider), a sorted child (the claim is false), an uncovered child
+    (the log came from an incompatible search), or a failed
+    self-check. *)

@@ -48,8 +48,6 @@ let c_levels = Metrics.counter "search.levels"
    namespace: these are redundancy facts (comparators that cannot fire
    on a state's reachable 0-1 set) consumed by the search. *)
 let c_redundant = Metrics.counter "analysis.redundant_moves"
-let c_ckpt_failures = Metrics.counter "checkpoint.failures"
-let c_resumes = Metrics.counter "checkpoint.resumes"
 
 (* The subsumption filter. At one domain it tests candidates one at a
    time against every representative kept so far — batches of one, no
@@ -298,88 +296,21 @@ type 'm snapshot = {
   s_elapsed_cpu : float;
 }
 
-type resume_state = {
-  rs_tag : string;
-  rs_n : int;
-  rs_max_depth : int;
-  rs_dedup : string;
-  rs_level : int;
-  rs_payload : string;
-}
-
 let dedup_name = function Equal -> "equal" | Subsume -> "subsume"
 
-let meta_int meta key =
-  match List.assoc_opt key meta with
-  | None -> Error (Printf.sprintf "missing meta key %S" key)
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "meta key %S is not an integer (%S)" key v))
-
-let resume ~path =
-  match Checkpoint.load ~path with
-  | Error _ as e -> e
-  | Ok (ck, source) -> (
-      (match source with
-      | `Primary -> ()
-      | `Backup reason ->
-          Printf.eprintf
-            "snlb: falling back to checkpoint backup %s (%s)\n%!"
-            (Atomic_file.backup_path path) reason);
-      if ck.Checkpoint.kind <> checkpoint_kind then
-        Error
-          (Printf.sprintf "checkpoint %s holds a %S snapshot, not a search"
-             path ck.Checkpoint.kind)
-      else
-        let meta = ck.Checkpoint.meta in
-        let ( let* ) = Result.bind in
-        let* n = meta_int meta "n" in
-        let* max_depth = meta_int meta "max_depth" in
-        let* level = meta_int meta "level" in
-        let* tag =
-          match List.assoc_opt "tag" meta with
-          | Some t -> Ok t
-          | None -> Error "missing meta key \"tag\""
-        in
-        let* dedup =
-          match List.assoc_opt "dedup" meta with
-          | Some d -> Ok d
-          | None -> Error "missing meta key \"dedup\""
-        in
-        Ok
-          { rs_tag = tag;
-            rs_n = n;
-            rs_max_depth = max_depth;
-            rs_dedup = dedup;
-            rs_level = level;
-            rs_payload = ck.Checkpoint.payload })
-
-let describe rs =
-  Printf.sprintf "%s search, n=%d, max_depth=%d, next level %d" rs.rs_tag
-    rs.rs_n rs.rs_max_depth rs.rs_level
-
-(* The snapshot is only trusted when every compatibility key matches
-   the run it is resumed into: the completed levels of a different
-   max_depth were explored under a different prune budget, a different
-   dedup mode keeps a different frontier, and a different move tag is
-   a different search entirely. On mismatch the run degrades to a
-   fresh start with a warning — resuming must never be less safe than
-   rerunning. *)
-let validate_resume ~max_depth sys rs =
-  if rs.rs_tag <> sys.tag then
-    Error (Printf.sprintf "move tag %S does not match this search (%S)" rs.rs_tag sys.tag)
-  else if rs.rs_n <> sys.n then
-    Error (Printf.sprintf "checkpoint is for n=%d, this search is n=%d" rs.rs_n sys.n)
-  else if rs.rs_max_depth <> max_depth then
-    Error
-      (Printf.sprintf "checkpoint max_depth=%d, this search max_depth=%d"
-         rs.rs_max_depth max_depth)
-  else if rs.rs_dedup <> dedup_name sys.dedup then
-    Error
-      (Printf.sprintf "checkpoint dedup=%s, this search dedup=%s" rs.rs_dedup
-         (dedup_name sys.dedup))
-  else Ok ()
+(* The snapshot is only trusted when every key matches the run it is
+   resumed into: the completed levels of a different max_depth were
+   explored under a different prune budget, a different dedup mode
+   keeps a different frontier, and a different move tag is a different
+   search entirely. *)
+let checkpoint_spec ~max_depth sys =
+  { Checkpoint.kind = checkpoint_kind;
+    keys =
+      [ ("tag", sys.tag);
+        ("n", string_of_int sys.n);
+        ("max_depth", string_of_int max_depth);
+        ("dedup", dedup_name sys.dedup) ];
+    step = "level" }
 
 (* The level loop. The whole dedup memory lives in one {!Arena} (flat
    int64 rows + open addressing, no boxed keys), a child is built on the
@@ -392,22 +323,21 @@ let validate_resume ~max_depth sys rs =
    [State.t] structures at flush time, so the checkpoint format does
    not depend on the arena's layout. *)
 let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
-    ?frontier_log ?cancel ?checkpoint ?resume:resume_from ~max_depth sys =
+    ?frontier_log ?cancel ?checkpoint ?(resume = false) ~max_depth sys =
   if max_depth < 0 then invalid_arg "Driver.run: max_depth must be >= 0";
-  (* a validated snapshot, or None for a fresh start *)
+  let spec = checkpoint_spec ~max_depth sys in
+  (* a snapshot that passed the checkpoint contract, or None for a
+     fresh start *)
   let snap : 'm snapshot option =
-    match resume_from with
-    | None -> None
-    | Some rs -> (
-        match validate_resume ~max_depth sys rs with
-        | Ok () ->
-            Metrics.incr c_resumes;
-            Some (Marshal.from_string rs.rs_payload 0 : 'm snapshot)
-        | Error why ->
-            Printf.eprintf
-              "snlb: ignoring incompatible checkpoint (%s); starting fresh\n%!"
-              why;
-            None)
+    if not resume then None
+    else
+      Checkpoint.resume spec (Option.map fst checkpoint)
+        ~decode:(fun ~step:_ payload -> Ok (Marshal.from_string payload 0))
+      |> Option.map (fun s ->
+             Printf.eprintf
+               "snlb: resuming %s search, n=%d, max_depth=%d, next level %d\n%!"
+               sys.tag sys.n max_depth s.s_level;
+             s)
   in
   let prior_elapsed, prior_cpu =
     match snap with
@@ -451,43 +381,8 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
     Metrics.add c_levels s.completed_levels
   in
   (* Checkpoints are cut at level boundaries — the only points where
-     the loop state is a consistent prefix of the search. [interval]
-     throttles the writes; the latest unwritten boundary payload is
-     retained so an interruption can flush it. *)
-  let ckpt_path, ckpt_interval =
-    match checkpoint with
-    | Some (p, i) -> (Some p, max 0. i)
-    | None -> (None, 0.)
-  in
-  (* the cadence clock starts now: the first on-cadence write falls
-     due one full interval into the run, so short runs don't pay for
-     a write they'll never need (an interruption flushes regardless) *)
-  let last_write = ref (Clock.wall ()) in
-  let pending : (unit -> string * int) option ref = ref None in
-  let flush_payload mk =
-    let payload, boundary_level = mk () in
-    match ckpt_path with
-    | None -> ()
-    | Some path -> (
-        match
-          Checkpoint.write ~path
-            { Checkpoint.kind = checkpoint_kind;
-              meta =
-                [ ("tag", sys.tag);
-                  ("n", string_of_int sys.n);
-                  ("max_depth", string_of_int max_depth);
-                  ("dedup", dedup_name sys.dedup);
-                  ("level", string_of_int boundary_level) ];
-              payload }
-        with
-        | Ok () ->
-            last_write := Clock.wall ();
-            pending := None
-        | Error e ->
-            Metrics.incr c_ckpt_failures;
-            Printf.eprintf
-              "snlb: checkpoint write failed (%s); search continues\n%!" e)
-  in
+     the loop state is a consistent prefix of the search. *)
+  let ckpt = Checkpoint.writer spec checkpoint in
   let levels () =
     let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
     let kept = kept ~domains arena in
@@ -511,17 +406,15 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
         frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
     let result = ref None in
     let level = ref (match snap with Some s -> s.s_level | None -> 1) in
-    (* last completed boundary's row count: an interrupted level's
-       commits are truncated back to it before the final flush *)
-    let boundary_len = ref (Arena.length arena) in
-    (* Capture the boundary NOW but serialize lazily, at flush time: the
-       scalars below are overwritten by the very next level, so they are
-       pinned eagerly, while the frontier and the committed rows up to
-       the boundary hold still until the next boundary installs a fresh
-       thunk (an interrupted level's rows are truncated away before its
-       flush). Skipped boundaries therefore cost a closure, not a
+    (* Capture the boundary NOW but serialize lazily, when the writer
+       writes it: the scalars below are overwritten by the very next
+       level, so they are pinned eagerly, while the frontier and the
+       committed rows up to the boundary hold still until the next
+       boundary replaces this thunk. An interrupted level's commits
+       are truncated back to the boundary's row count before its rows
+       are read. Skipped boundaries therefore cost a closure, not a
        Marshal of the whole search state. *)
-    let snapshot_payload () =
+    let cut_boundary () =
       let s_level = !level
       and s_nodes = !nodes
       and s_pruned = !pruned_total
@@ -530,33 +423,34 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       and s_redundant = !redundant_total
       and s_sizes = !sizes
       and s_elapsed = Clock.wall () -. w0
-      and s_elapsed_cpu = Clock.cpu () -. cpu0 in
-      fun () ->
-        let seen = Hashtbl.create (2 * Arena.length arena) in
-        for idx = 0 to Arena.length arena - 1 do
-          Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
-        done;
-        let s_kept =
-          List.init kept.all.len (fun k -> Arena.to_state arena kept.all.idx.(k))
-        in
-        let s_frontier =
-          List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
-        in
-        ( Marshal.to_string
-            { s_level;
-              s_frontier;
-              s_seen = seen;
-              s_kept;
-              s_nodes;
-              s_pruned;
-              s_deduped;
-              s_subsumed;
-              s_redundant;
-              s_sizes;
-              s_elapsed;
-              s_elapsed_cpu }
-            [],
-          s_level )
+      and s_elapsed_cpu = Clock.cpu () -. cpu0
+      and rows = Arena.length arena in
+      Checkpoint.boundary ckpt ~step:s_level @@ fun () ->
+      Arena.truncate arena rows;
+      let seen = Hashtbl.create (2 * rows) in
+      for idx = 0 to rows - 1 do
+        Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
+      done;
+      let s_kept =
+        List.init kept.all.len (fun k -> Arena.to_state arena kept.all.idx.(k))
+      in
+      let s_frontier =
+        List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
+      in
+      Marshal.to_string
+        { s_level;
+          s_frontier;
+          s_seen = seen;
+          s_kept;
+          s_nodes;
+          s_pruned;
+          s_deduped;
+          s_subsumed;
+          s_redundant;
+          s_sizes;
+          s_elapsed;
+          s_elapsed_cpu }
+        []
     in
     (* the per-phase clocks are read only when a trace is recorded *)
     let timed = Sink.enabled sink in
@@ -726,29 +620,19 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
           (* level lvl fully expanded and deduplicated *)
           f ~level:lvl ~frontier:surviving (mk_stats lvl)
       | Some _ | None -> ());
-      (* level boundary: cut a snapshot, flush on the cadence *)
+      (* level boundary: cut a snapshot, written on the cadence *)
       if !result = None then begin
-        boundary_len := Arena.length arena;
-        if ckpt_path <> None then begin
-          let payload = snapshot_payload () in
-          pending := Some payload;
-          if Clock.wall () -. !last_write >= ckpt_interval then
-            flush_payload payload
-        end;
-        (* simulated mid-run kill: fires after the boundary flush so
+        cut_boundary ();
+        (* simulated mid-run kill: fires after the boundary write so
            every incarnation makes progress (exactly one level) *)
         if Fault.fire "kill-level" then interrupted := true;
         if cancelled () then result := Some (Interrupted (mk_stats lvl))
       end
     done;
-    (* a final flush covers boundaries the cadence skipped, so an
-       interrupted run never loses more than the in-flight level *)
-    (match (!result, !pending) with
-    | Some (Interrupted _), Some payload ->
-        (* drop the in-flight level's commits so the lazily-built
-           snapshot matches the boundary it was cut at *)
-        Arena.truncate arena !boundary_len;
-        flush_payload payload
+    (* an interrupted run writes the newest boundary the cadence
+       skipped, so it never loses more than the in-flight level *)
+    (match !result with
+    | Some (Interrupted _) -> Checkpoint.flush ckpt
     | _ -> ());
     Arena.record_metrics arena;
     match !result with

@@ -46,23 +46,24 @@
 
     Crash safety: with [~checkpoint:(path, interval)] the driver cuts
     a snapshot of its whole loop state at every level boundary (the
-    only points where that state is a consistent prefix of the
-    search) and publishes it through {!Checkpoint.write} whenever
-    [interval] seconds have passed since the last write — or since the
-    start of the run, so the first write falls due one full interval
-    in ([0.] = every boundary); boundaries skipped by the cadence
-    cost a closure, not a serialization, so checkpointing is near-free
-    between writes; a run interrupted by a {!Cancel} token, a signal
-    handler tripping one, or an injected ["kill-level"] {!Fault}
-    returns [Interrupted] after flushing the newest unwritten
-    boundary. {!resume} reads a snapshot back; [run ~resume] then
-    continues from that boundary with identical frontier, dedup
-    memory, counters and already-spent budget, so the eventual
-    outcome, witness and cumulative node counts are exactly those of
-    a never-interrupted run. An incompatible or stale snapshot (other
-    width, [max_depth], dedup mode or move tag) degrades to a fresh
-    run with a [stderr] warning — resuming is never less safe than
-    rerunning. *)
+    only points where that state is a consistent prefix of the search)
+    and hands it to a {!Checkpoint.writer}, which writes it once
+    [interval] seconds have passed since the last write or the start
+    of the run ([0.] = every boundary). A boundary the cadence skips
+    costs a closure, not a serialization. A run interrupted by a
+    {!Cancel} token, a signal handler tripping one, or an injected
+    ["kill-level"] {!Fault} returns [Interrupted] after writing the
+    newest unwritten boundary. [~resume:true] reads the snapshot at
+    [path] back through {!Checkpoint.resume}, checking its kind
+    (["snlb-search-driver-3"]) and its keys: the move tag, [n],
+    [max_depth] and the dedup mode. A snapshot that passes prints
+    [snlb: resuming <tag> search, n=<n>, max_depth=<d>, next level
+    <l>] to [stderr], and the run continues from that boundary with
+    identical frontier, dedup memory, counters and already-spent
+    budget, so the eventual outcome, witness and cumulative node
+    counts are exactly those of a never-interrupted run. Any other
+    snapshot degrades to a fresh run with the contract's one
+    [snlb: cannot resume (<reason>); starting fresh] line. *)
 
 type budget = { max_nodes : int; max_seconds : float option }
 (** [max_nodes] bounds move applications (edges explored);
@@ -105,7 +106,7 @@ type 'm outcome =
       (** cancelled (token, signal, or injected kill) before a
           verdict; [completed_levels] depths are still exhaustively
           refuted, and a configured checkpoint holds the last
-          completed boundary for {!resume} *)
+          completed boundary for [~resume:true] *)
 
 type dedup = Equal | Subsume
 
@@ -141,19 +142,6 @@ type 'm system = {
 val no_prune : level:int -> remaining:int -> State.t -> bool
 val no_redundant : level:int -> State.t -> 'a -> bool
 
-type resume_state
-(** A validated checkpoint snapshot, ready to hand to {!run}. *)
-
-val resume : path:string -> (resume_state, string) result
-(** Read a search checkpoint back, falling back to the [.bak] copy
-    (with a [stderr] warning) when the primary is missing or corrupt.
-    [Error] if neither copy is a valid search checkpoint — a torn or
-    bit-flipped file is reported, never raised, and {e never} silently
-    accepted (the envelope CRC catches any single corrupted byte). *)
-
-val describe : resume_state -> string
-(** One line naming the snapshot: tag, width, depth cap, next level. *)
-
 val run :
   ?domains:int ->
   ?budget:budget ->
@@ -162,7 +150,7 @@ val run :
   ?frontier_log:(level:int -> State.t list -> unit) ->
   ?cancel:Cancel.t ->
   ?checkpoint:string * float ->
-  ?resume:resume_state ->
+  ?resume:bool ->
   max_depth:int ->
   'm system ->
   'm outcome
@@ -183,8 +171,8 @@ val run :
     frontier entry is expanded and at level boundaries; once tripped
     the run returns [Interrupted]. [checkpoint:(path, interval)]
     snapshots progress at level boundaries at most every [interval]
-    seconds (see the module preamble); [resume] continues from such a
-    snapshot. *)
+    seconds, and [resume] (default [false]) continues from such a
+    snapshot (see the module preamble). *)
 
 (** {1 Sorting-network instantiation} *)
 
@@ -209,7 +197,7 @@ val optimal_depth :
   ?domains:int -> ?budget:budget -> ?sink:Sink.t ->
   ?on_level:(level:int -> frontier:int -> stats -> unit) ->
   ?frontier_log:(level:int -> State.t list -> unit) ->
-  ?cancel:Cancel.t -> ?checkpoint:string * float -> ?resume:resume_state ->
+  ?cancel:Cancel.t -> ?checkpoint:string * float -> ?resume:bool ->
   ?restrict:bool -> ?max_depth:int ->
   n:int -> unit -> layer outcome
 (** [optimal_depth ~n ()] certifies the exact minimal depth of a

@@ -107,6 +107,11 @@ let parse_request payload =
 (* Resolve the network spec to a validated Network.t, enforcing the
    serve width cap (sweeps are 2^wires — the cap is the DoS guard). *)
 let resolve_network ~max_wires req =
+  let unsupported_width w =
+    Error
+      ( e_unsupported,
+        Printf.sprintf "network has %d wires; this server caps at %d" w max_wires )
+  in
   let built =
     match req.net with
     | Text text -> (
@@ -126,21 +131,15 @@ let resolve_network ~max_wires req =
               Error
                 ( e_bad_network,
                   Printf.sprintf "%s requires n to be a power of two" algo )
+            else if n > max_wires then unsupported_width n
             else
               match entry.build n with
               | nw -> Ok nw
               | exception Invalid_argument e -> Error (e_bad_network, e))
   in
   match built with
-  | Error _ as e -> e
-  | Ok nw ->
-      let w = Network.wires nw in
-      if w > max_wires then
-        Error
-          ( e_unsupported,
-            Printf.sprintf "network has %d wires; this server caps at %d" w
-              max_wires )
-      else Ok nw
+  | Ok nw when Network.wires nw > max_wires -> unsupported_width (Network.wires nw)
+  | r -> r
 
 (* --- responses --- *)
 

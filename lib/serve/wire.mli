@@ -54,9 +54,11 @@ val resolve_network :
   max_wires:int -> request -> (Network.t, string * string) result
 (** Build and validate the request's network: inline text through
     {!Network_io.of_string}, registry sorters through
-    {!Sorter_registry} (with the power-of-two check), then the serve
+    {!Sorter_registry} (with the power-of-two check), under the serve
     width cap — sweeps are [2^wires], so the cap is the denial-of-
-    service guard ({!e_unsupported} beyond it). *)
+    service guard ({!e_unsupported} beyond it). A registry width above
+    the cap is refused before its network is built: [transposition]
+    at a million wires would be half a trillion comparators. *)
 
 val ints_json : int array -> Json.t
 

@@ -117,6 +117,21 @@ let test_exhaustion_bytes_pinned () =
   | Error e -> Alcotest.failf "reparse rejected: %s" e.Cert.reason
   | Ok certs -> check_string "checks" "ok" (code_of (Cert.check_all certs))
 
+(* the emitter covers only the search's own widths; the checker's
+   wider range is not its to use *)
+let test_exhaustion_width_range () =
+  List.iter
+    (fun n ->
+      match Cert_emit.exhaustion ~n ~max_depth:1 ~frontiers:[] with
+      | Error e ->
+          check_string (Printf.sprintf "n=%d refused" n)
+            "cert emission supports n in [2, 10]" e
+      | Ok _ -> Alcotest.failf "n=%d emitted" n)
+    [ 1; 11; 12 ];
+  match Cert_emit.exhaustion ~n:10 ~max_depth:1 ~frontiers:[] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "n=10 depth 1 refused: %s" e
+
 (* --- refutation: a truncated sorter gets a witness-replay
    certificate; a corrupted (sorted) witness is rejected CRT211 --- *)
 
@@ -1085,6 +1100,8 @@ let () =
           Alcotest.test_case "registry-n8" `Quick test_registry_roundtrip;
           Alcotest.test_case "exhaustion-bytes-n6" `Quick
             test_exhaustion_bytes_pinned;
+          Alcotest.test_case "exhaustion-width-range" `Quick
+            test_exhaustion_width_range;
         ] );
       ( "kinds",
         [

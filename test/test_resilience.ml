@@ -32,6 +32,35 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
+(* [f ()] with everything it prints to stderr captured *)
+let capture_stderr f =
+  let path = Filename.temp_file "snlb" ".err" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let err = read_file path in
+  Sys.remove path;
+  (v, err)
+
+let c_resumes = Metrics.counter "checkpoint.resumes"
+let c_failures = Metrics.counter "checkpoint.failures"
+
+(* [f ()] and how far it moved counter [c] *)
+let counted c f =
+  let before = Metrics.value c in
+  let v = f () in
+  (v, Metrics.value c - before)
+
 (* --- Crc32 --- *)
 
 let test_crc_vectors () =
@@ -196,6 +225,119 @@ let test_checkpoint_write_retry () =
       | Error _ -> check_bool "nothing published" false (Sys.file_exists path)
       | Ok () -> Alcotest.fail "write claimed success under a permanent fault")
 
+(* --- the resume contract --- *)
+
+let sample_spec =
+  { Checkpoint.kind = "snlb-test"; keys = [ ("n", "6"); ("tag", "layers") ]; step = "level" }
+
+let write_sample path meta =
+  match Checkpoint.write ~path { sample_ckpt with meta } with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+let test_resume_accepts_matching_snapshot () =
+  with_temp @@ fun path ->
+  write_sample path [ ("n", "6"); ("tag", "layers"); ("level", "3") ];
+  let (got, err), resumes =
+    counted c_resumes @@ fun () ->
+    capture_stderr @@ fun () ->
+    Checkpoint.resume sample_spec (Some path) ~decode:(fun ~step p -> Ok (step, p))
+  in
+  check_bool "step and payload" true
+    (got = Some (3, sample_ckpt.Checkpoint.payload));
+  check_string "silent on success" "" err;
+  check_int "resume counted" 1 resumes
+
+let test_resume_refusals () =
+  with_temp @@ fun path ->
+  let refused ?(decode = fun ~step:_ p -> Ok p) ?(spec = sample_spec)
+      ?(target = Some path) meta want =
+    write_sample path meta;
+    let (got, err), resumes =
+      counted c_resumes @@ fun () ->
+      capture_stderr @@ fun () -> Checkpoint.resume spec target ~decode
+    in
+    check_bool (want ^ ": refused") true (got = None);
+    check_int (want ^ ": not counted") 0 resumes;
+    check_string want (Printf.sprintf "snlb: cannot resume (%s); starting fresh\n" want) err
+  in
+  let ok_meta = [ ("n", "6"); ("tag", "layers"); ("level", "3") ] in
+  refused ok_meta
+    ~spec:{ sample_spec with kind = "snlb-other" }
+    (Printf.sprintf "checkpoint %s holds a \"snlb-test\" snapshot, not \"snlb-other\"" path);
+  refused [ ("n", "5"); ("tag", "layers"); ("level", "3") ]
+    (Printf.sprintf "checkpoint %s has n=5, this run n=6" path);
+  refused [ ("n", "6"); ("level", "3") ] (Printf.sprintf "checkpoint %s lacks tag" path);
+  refused [ ("n", "6"); ("tag", "layers"); ("level", "x") ]
+    (Printf.sprintf "checkpoint %s lacks a valid level" path);
+  refused [ ("n", "6"); ("tag", "layers"); ("level", "-1") ]
+    (Printf.sprintf "checkpoint %s lacks a valid level" path);
+  refused ok_meta ~decode:(fun ~step:_ _ -> Error "short payload")
+    (Printf.sprintf "checkpoint %s: short payload" path);
+  refused ok_meta ~decode:(fun ~step:_ _ -> failwith "truncated object")
+    (Printf.sprintf "checkpoint %s: undecodable payload (truncated object)" path);
+  refused ok_meta ~target:None "no checkpoint path";
+  cleanup path;
+  (* a missing file is refused with the envelope's own reason *)
+  let (got, err), _ =
+    counted c_resumes @@ fun () ->
+    capture_stderr @@ fun () ->
+    Checkpoint.resume sample_spec (Some path) ~decode:(fun ~step:_ p -> Ok p)
+  in
+  check_bool "missing: refused" true (got = None);
+  check_bool "missing: one refusal line" true
+    (String.starts_with ~prefix:"snlb: cannot resume (cannot read checkpoint " err
+    && List.length (String.split_on_char '\n' err) = 2)
+
+let test_writer_cadence () =
+  with_temp @@ fun path ->
+  let read_step () =
+    match Checkpoint.read ~path with
+    | Ok ck -> List.assoc_opt "level" ck.Checkpoint.meta
+    | Error _ -> None
+  in
+  (* no target: boundaries never build a payload *)
+  let w = Checkpoint.writer sample_spec None in
+  Checkpoint.boundary w ~step:1 (fun () -> Alcotest.fail "payload built without a target");
+  Checkpoint.flush w;
+  (* interval 0: every boundary is written, keys then step *)
+  let w = Checkpoint.writer sample_spec (Some (path, 0.)) in
+  Checkpoint.boundary w ~step:1 (fun () -> "one");
+  (match Checkpoint.read ~path with
+  | Ok ck ->
+      check_bool "meta = keys @ step" true
+        (ck.Checkpoint.meta = [ ("n", "6"); ("tag", "layers"); ("level", "1") ]);
+      check_string "payload" "one" ck.Checkpoint.payload
+  | Error e -> Alcotest.fail e);
+  (* an interval that never falls due: only the flush writes, and only
+     the newest boundary's payload is built *)
+  let w = Checkpoint.writer sample_spec (Some (path, infinity)) in
+  Checkpoint.boundary w ~step:2 (fun () -> Alcotest.fail "replaced boundary built");
+  Checkpoint.boundary w ~step:3 (fun () -> "three");
+  check_bool "nothing written off cadence" true (read_step () = Some "1");
+  Checkpoint.flush w;
+  check_bool "flush writes the newest boundary" true (read_step () = Some "3");
+  Checkpoint.boundary w ~step:4 (fun () -> "four");
+  Checkpoint.flush w;
+  Checkpoint.flush w;
+  check_bool "a second flush has nothing to write" true (read_step () = Some "4");
+  (* a failed write is printed once, counted once and not retried *)
+  let ((), err), failures =
+    counted c_failures @@ fun () ->
+    capture_stderr @@ fun () ->
+    with_fault "ckpt-write-fail" @@ fun () ->
+    let w = Checkpoint.writer sample_spec (Some (path, infinity)) in
+    Checkpoint.boundary w ~step:5 (fun () -> "five");
+    Checkpoint.flush w;
+    Checkpoint.flush w
+  in
+  check_int "one failure counted" 1 failures;
+  check_int "one failure printed" 1
+    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' err)));
+  check_bool "failure line" true
+    (String.starts_with ~prefix:"snlb: checkpoint write failed (" err);
+  check_bool "previous snapshot kept" true (read_step () = Some "4")
+
 (* --- Fault --- *)
 
 let test_fault_parse_errors () =
@@ -323,17 +465,17 @@ let test_driver_kill_resume_equivalence () =
   with_temp @@ fun path ->
   let interrupted = ref 0 in
   let step ~resume () =
-    let outcome =
+    let outcome, resumes =
+      counted c_resumes @@ fun () ->
       with_fault "kill-level" @@ fun () ->
-      Driver.optimal_depth ?resume ~checkpoint:(path, 0.) ~n ()
+      Driver.optimal_depth ~resume:(resume <> None) ~checkpoint:(path, 0.) ~n ()
     in
+    if resume <> None then check_int "resume succeeded" 1 resumes;
     match outcome with
     | Driver.Sorted { depth; moves; stats } -> `Done (depth, moves, stats)
-    | Driver.Interrupted _ -> (
+    | Driver.Interrupted _ ->
         incr interrupted;
-        match Driver.resume ~path with
-        | Ok rs -> `Again rs
-        | Error e -> Alcotest.fail ("resume failed: " ^ e))
+        `Again ()
     | _ -> Alcotest.fail "unexpected outcome under kill-level"
   in
   let fresh_depth, fresh_moves, fresh_stats = fresh in
@@ -352,23 +494,29 @@ let test_driver_resume_describe_and_mismatch () =
    with
   | Driver.Interrupted _ -> ()
   | _ -> Alcotest.fail "kill-level must interrupt");
-  match Driver.resume ~path with
-  | Error e -> Alcotest.fail e
-  | Ok rs ->
-      check_bool "describe mentions the tag" true
-        (let d = Driver.describe rs in
-         String.length d > 0
-         &&
-         let rec contains i =
-           i + 6 <= String.length d
-           && (String.sub d i 6 = "layers" || contains (i + 1))
-         in
-         contains 0);
-      (* resuming into a different width degrades to a fresh run (and
-         still certifies) rather than trusting a stale snapshot *)
-      (match Driver.optimal_depth ~resume:rs ~n:4 () with
-      | Driver.Sorted { depth; _ } -> check_int "n=4 fresh despite rs" 3 depth
-      | _ -> Alcotest.fail "mismatched resume must fall back to fresh")
+  (* an interval that never falls due leaves the snapshot as cut *)
+  let resume_into ~n =
+    capture_stderr @@ fun () ->
+    Driver.optimal_depth ~checkpoint:(path, infinity) ~resume:true ~n ()
+  in
+  (* the snapshot resumes into its own run, which describes it *)
+  let outcome, err = resume_into ~n:5 in
+  check_string "describe mentions the tag"
+    "snlb: resuming layers search, n=5, max_depth=5, next level 2\n" err;
+  (match outcome with
+  | Driver.Sorted { depth; _ } -> check_int "n=5 resumed" 5 depth
+  | _ -> Alcotest.fail "n=5 resume must certify");
+  (* resuming into a different width degrades to a fresh run (and
+     still certifies) rather than trusting a stale snapshot *)
+  let outcome, err = resume_into ~n:4 in
+  check_string "the refusal names the width"
+    (Printf.sprintf
+       "snlb: cannot resume (checkpoint %s has n=5, this run n=4); starting fresh\n"
+       path)
+    err;
+  match outcome with
+  | Driver.Sorted { depth; _ } -> check_int "n=4 fresh despite rs" 3 depth
+  | _ -> Alcotest.fail "mismatched resume must fall back to fresh"
 
 let test_min_depth_kill_resume_equivalence () =
   let fresh =
@@ -378,16 +526,16 @@ let test_min_depth_kill_resume_equivalence () =
   in
   with_temp @@ fun path ->
   let step ~resume () =
-    let outcome =
+    let outcome, resumes =
+      counted c_resumes @@ fun () ->
       with_fault "kill-level" @@ fun () ->
-      Min_depth.minimal_depth ?resume ~checkpoint:(path, 0.) ~n:4 ~max_depth:3 ()
+      Min_depth.minimal_depth ~resume:(resume <> None) ~checkpoint:(path, 0.) ~n:4
+        ~max_depth:3 ()
     in
+    if resume <> None then check_int "resume succeeded" 1 resumes;
     match outcome with
     | Min_depth.Minimal (d, prog) -> `Done (d, prog)
-    | Min_depth.Stopped _ -> (
-        match Driver.resume ~path with
-        | Ok rs -> `Again rs
-        | Error e -> Alcotest.fail ("resume failed: " ^ e))
+    | Min_depth.Stopped _ -> `Again ()
     | _ -> Alcotest.fail "unexpected outcome under kill-level"
   in
   let resumed = resume_until_done ~bound:10 ~step None in
@@ -404,13 +552,26 @@ let test_tag_guard_between_searches () =
    with
   | Min_depth.Stopped _ -> ()
   | _ -> Alcotest.fail "kill-level must interrupt the shuffle search");
-  match Driver.resume ~path with
+  (match Checkpoint.read ~path with
   | Error e -> Alcotest.fail e
-  | Ok rs -> (
-      match Driver.optimal_depth ~resume:rs ~max_depth:4 ~n:4 () with
-      | Driver.Sorted { depth; _ } ->
-          check_int "fresh free-layer run despite foreign snapshot" 3 depth
-      | _ -> Alcotest.fail "foreign snapshot must degrade to a fresh run")
+  | Ok _ -> ());
+  let (outcome, err), resumes =
+    counted c_resumes @@ fun () ->
+    capture_stderr @@ fun () ->
+    Driver.optimal_depth ~checkpoint:(path, infinity) ~resume:true ~max_depth:4
+      ~n:4 ()
+  in
+  check_int "foreign snapshot not resumed" 0 resumes;
+  check_string "the refusal names the tag"
+    (Printf.sprintf
+       "snlb: cannot resume (checkpoint %s has tag=shuffle-ops, this run \
+        tag=layers); starting fresh\n"
+       path)
+    err;
+  match outcome with
+  | Driver.Sorted { depth; _ } ->
+      check_int "fresh free-layer run despite foreign snapshot" 3 depth
+  | _ -> Alcotest.fail "foreign snapshot must degrade to a fresh run"
 
 let test_adversary_kill_resume_equivalence () =
   let it = Shuffle_net.to_iterated (Bitonic.shuffle_program ~n:16) in
@@ -436,12 +597,43 @@ let test_adversary_kill_resume_equivalence () =
   check_bool "same exhausted" true
     (fresh.Theorem41.exhausted = resumed.Theorem41.exhausted)
 
+let test_adversary_counts_resumes () =
+  let it = Shuffle_net.to_iterated (Bitonic.shuffle_program ~n:16) in
+  with_temp @@ fun path ->
+  let r =
+    with_fault "kill-block" @@ fun () -> Theorem41.run ~checkpoint:path it
+  in
+  check_bool "kill-block interrupts" true r.Theorem41.interrupted;
+  let r, resumes =
+    counted c_resumes @@ fun () -> Theorem41.run ~checkpoint:path ~resume:true it
+  in
+  check_int "resume counted" 1 resumes;
+  check_bool "resumed run completes" false r.Theorem41.interrupted
+
+let test_adversary_counts_write_failures () =
+  (* bitonic n=16: four blocks, one write each *)
+  let it = Shuffle_net.to_iterated (Bitonic.shuffle_program ~n:16) in
+  with_temp @@ fun path ->
+  let (r, err), failures =
+    counted c_failures @@ fun () ->
+    capture_stderr @@ fun () ->
+    with_fault "ckpt-write-fail" @@ fun () -> Theorem41.run ~checkpoint:path it
+  in
+  check_int "every block's failed write counted" 4 failures;
+  check_int "and printed once" 4
+    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' err)));
+  check_bool "run unaffected" false r.Theorem41.interrupted;
+  check_bool "no checkpoint file left" false (Sys.file_exists path)
+
 let test_search_survives_failing_checkpoint_writes () =
   with_temp @@ fun path ->
-  let outcome =
+  let (outcome, _), failures =
+    counted c_failures @@ fun () ->
+    capture_stderr @@ fun () ->
     with_fault "ckpt-write-fail" @@ fun () ->
     Driver.optimal_depth ~checkpoint:(path, 0.) ~n:5 ()
   in
+  check_int "every level boundary's failed write counted" 4 failures;
   (match outcome with
   | Driver.Sorted { depth; _ } ->
       check_int "verdict unaffected by write failures" 5 depth
@@ -465,12 +657,21 @@ let test_search_recovers_from_torn_checkpoint () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  match Driver.resume ~path with
-  | Error e -> Alcotest.fail ("backup should have been used: " ^ e)
-  | Ok rs -> (
-      match Driver.optimal_depth ~resume:rs ~n:5 () with
-      | Driver.Sorted { depth; _ } -> check_int "resumed from backup" 5 depth
-      | _ -> Alcotest.fail "resume from backup must certify")
+  let (outcome, err), resumes =
+    counted c_resumes @@ fun () ->
+    capture_stderr @@ fun () ->
+    Driver.optimal_depth ~checkpoint:(path, infinity) ~resume:true ~n:5 ()
+  in
+  check_int "backup should have been used" 1 resumes;
+  check_bool "the fallback is announced" true
+    (String.starts_with
+       ~prefix:
+         (Printf.sprintf "snlb: falling back to checkpoint backup %s (invalid checkpoint"
+            (Atomic_file.backup_path path))
+       err);
+  match outcome with
+  | Driver.Sorted { depth; _ } -> check_int "resumed from backup" 5 depth
+  | _ -> Alcotest.fail "resume from backup must certify"
 
 let () =
   Alcotest.run "resilience"
@@ -495,7 +696,13 @@ let () =
           Alcotest.test_case "backup fallback" `Quick
             test_checkpoint_backup_fallback;
           Alcotest.test_case "bounded write retry" `Quick
-            test_checkpoint_write_retry ] );
+            test_checkpoint_write_retry;
+          Alcotest.test_case "resume accepts a matching snapshot" `Quick
+            test_resume_accepts_matching_snapshot;
+          Alcotest.test_case "resume refusals: one line each" `Quick
+            test_resume_refusals;
+          Alcotest.test_case "writer cadence and failures" `Quick
+            test_writer_cadence ] );
       ( "fault",
         [ Alcotest.test_case "parse errors" `Quick test_fault_parse_errors;
           Alcotest.test_case "probability boundaries" `Quick
@@ -520,6 +727,10 @@ let () =
             test_tag_guard_between_searches;
           Alcotest.test_case "adversary equivalence" `Quick
             test_adversary_kill_resume_equivalence;
+          Alcotest.test_case "adversary resume counted" `Quick
+            test_adversary_counts_resumes;
+          Alcotest.test_case "adversary write failures counted" `Quick
+            test_adversary_counts_write_failures;
           Alcotest.test_case "failing writes don't fail the run" `Quick
             test_search_survives_failing_checkpoint_writes;
           Alcotest.test_case "torn checkpoint falls back to backup" `Quick

@@ -829,6 +829,16 @@ let test_arena_unsigned_rows_refused () =
   check_bool "no signatures, no subsumption" true
     (refused (fun () -> Arena.subsumes plain 0 0))
 
+let test_arena_signatures_stop_at_10 () =
+  let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check_bool "n=11 with signatures refused" true
+    (refused (fun () -> Arena.create ~n:11 ()));
+  check_bool "n=16 with signatures refused" true
+    (refused (fun () -> Arena.create ~with_sigs:true ~n:16 ()));
+  check_bool "n=10 with signatures" false (refused (fun () -> Arena.create ~n:10 ()));
+  check_bool "n=16 without signatures" false
+    (refused (fun () -> Arena.create ~with_sigs:false ~n:16 ()))
+
 (* outcome, witness and stats without the elapsed times *)
 let outcome_key o =
   let key (s : Driver.stats) =
@@ -922,14 +932,16 @@ let test_arena_checkpoint_across_domains () =
   (match logged_run ~checkpoint:(path, 0.) ~cancel ~on_level ~domains:1 ~max_depth:n sys with
   | (`Interrupted, _), _, _ -> ()
   | _ -> Alcotest.fail "the cancelled run must stop at the level-3 boundary");
-  match Driver.resume ~path with
-  | Error e -> Alcotest.fail ("resume failed: " ^ e)
-  | Ok rs ->
-      let key, log, fd = logged_run ~resume:rs ~domains:2 ~max_depth:n sys in
-      check_bool "resumed at 2 domains: outcome and stats" true (key = key1);
-      check_bool "resumed at 2 domains: levels 4+ of the log" true
-        (log = List.filter (fun (l, _) -> l > 3) log1);
-      check_bool "resumed run filtered in parallel" true (fd > 1)
+  let resumes = Metrics.counter "checkpoint.resumes" in
+  let before = Metrics.value resumes in
+  let key, log, fd =
+    logged_run ~checkpoint:(path, 0.) ~resume:true ~domains:2 ~max_depth:n sys
+  in
+  check_int "resume succeeded" (before + 1) (Metrics.value resumes);
+  check_bool "resumed at 2 domains: outcome and stats" true (key = key1);
+  check_bool "resumed at 2 domains: levels 4+ of the log" true
+    (log = List.filter (fun (l, _) -> l > 3) log1);
+  check_bool "resumed run filtered in parallel" true (fd > 1)
 
 let test_domains2_no_regression () =
   (* The fan-out thresholds of the signature pass and the subsumption
@@ -992,6 +1004,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
           Alcotest.test_case "unsigned rows never reach subsumes" `Quick
             test_arena_unsigned_rows_refused;
+          Alcotest.test_case "arena signatures stop at n=10" `Quick
+            test_arena_signatures_stop_at_10;
           Alcotest.test_case "n=6,7,8 identical at 1, 2, 3 domains" `Quick
             test_arena_domain_identity;
           Alcotest.test_case "budget trip identical at 1, 2, 3 domains" `Quick

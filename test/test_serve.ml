@@ -113,6 +113,31 @@ let test_wire_requests () =
       | Error (c, _) -> check_string "width cap" Wire.e_unsupported c
       | Ok _ -> Alcotest.fail "width cap not enforced")
 
+let test_wire_width_before_build () =
+  (* a registry width above the cap is refused before the build: at
+     2^20 wires insertion sort is ~5.5e11 comparators, a build that
+     could never finish *)
+  let resolve algo n =
+    match
+      Wire.parse_request
+        (Printf.sprintf {|{"verb":"verify","algo":%S,"n":%d}|} algo n)
+    with
+    | Error (c, m) -> Alcotest.failf "request rejected: %s %s" c m
+    | Ok req -> Wire.resolve_network ~max_wires:16 req
+  in
+  (match resolve "insertion" (1 lsl 20) with
+  | Error (c, m) ->
+      check_string "code" Wire.e_unsupported c;
+      check_string "message" "network has 1048576 wires; this server caps at 16" m
+  | Ok _ -> Alcotest.fail "oversized width built");
+  (* the checks before it keep their order *)
+  (match resolve "insertion" 1 with
+  | Error (c, _) -> check_string "n < 2 first" Wire.e_bad_network c
+  | Ok _ -> Alcotest.fail "n = 1 accepted");
+  match resolve "bitonic" ((1 lsl 20) - 1) with
+  | Error (c, _) -> check_string "power of two first" Wire.e_bad_network c
+  | Ok _ -> Alcotest.fail "odd bitonic width accepted"
+
 (* --- Scache --- *)
 
 let cmp_net ~wires pairs =
@@ -521,7 +546,10 @@ let () =
       ( "frame",
         [ Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "malformed/oversized" `Quick test_frame_malformed ] );
-      ("wire", [ Alcotest.test_case "typed parsing" `Quick test_wire_requests ]);
+      ( "wire",
+        [ Alcotest.test_case "typed parsing" `Quick test_wire_requests;
+          Alcotest.test_case "width refused before the build" `Quick
+            test_wire_width_before_build ] );
       ( "scache",
         [ Alcotest.test_case "canonical keys" `Quick test_scache_keys;
           Alcotest.test_case "second-chance eviction" `Quick test_scache_eviction ] );
