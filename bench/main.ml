@@ -467,6 +467,8 @@ let analysis_json_rows () =
    concurrent workload, batched (gather window + shared engine passes)
    vs sequential one-request-per-pass (window 0, max_batch 1) — the
    same baseline mode the daemon degrades to with batching disabled.
+   Each client's call runs inside Batcher.request, as a session's
+   does, so a round closes once every client in flight has queued.
    Two workloads: 0-1 eval requests, which lane-pack up to 64 clients
    per bit-sliced pass (lane_fill_ratio = lanes used / 64 * passes),
    and verify requests on one network, which coalesce into a single
@@ -483,7 +485,7 @@ let serve_json_rows () =
           Thread.create
             (fun () ->
               for k = 1 to per_client do
-                job b c k
+                Batcher.request b (fun () -> job b c k)
               done)
             ())
     in

@@ -1195,9 +1195,11 @@ let serve_cmd =
   in
   let window_arg =
     let doc =
-      "Batch gather window in milliseconds: how long the scheduler \
+      "Batch gather window in milliseconds: the longest the scheduler \
        lingers after a request arrives so concurrent clients land in \
-       the same bit-sliced pass (0 = no gathering)."
+       the same bit-sliced pass. A round closes sooner, as soon as \
+       every request in flight has reached the scheduler (0 = no \
+       gathering)."
     in
     Arg.(value & opt float 2.0 & info [ "window-ms" ] ~docv:"MS" ~doc)
   in

@@ -1,9 +1,9 @@
 (* The request scheduler: gather / batch / scatter.
 
    Session threads block in [verify] / [eval01]; a single worker
-   thread drains the queue in rounds. Each round takes every pending
-   job (up to [max_batch]), after lingering [window] seconds from the
-   first arrival so concurrent clients land in the same round, then:
+   thread drains the queue in rounds. Each round lingers after its
+   first arrival so concurrent clients land in it, then takes every
+   pending job (up to [max_batch]) and runs them:
 
    - verify jobs are grouped by cache key: one bit-sliced 2^n sweep
      serves every request in the group (duplicates and isomorphic
@@ -16,6 +16,23 @@
      inputs per pass (one word-parallel execution of the compiled
      stream).
 
+   The linger ends as soon as every request in flight (every caller
+   inside [request]) has queued its job or finished, or after [window]
+   seconds, whichever comes first. A session has at most one request
+   in flight and each request queues at most one job, so once the
+   queue holds as many jobs as there are requests in flight, nothing
+   else can join the round until some client sends a new frame. A
+   request still in flight may yet queue, so the round never closes
+   before it does; the window bounds the wait for one that is slow to
+   get there. Jobs from callers outside [request] are unknown traffic:
+   with no request in flight a round waits out the whole window.
+   Drain never lingers.
+
+   Stdlib's Condition has no timed wait, so the worker lingers in
+   Unix.select on a non-blocking self-pipe, and whoever completes the
+   round (a submit, the exit of a request, a drain) writes the one
+   byte that wakes it.
+
    Sequential mode — window 0, max_batch 1, no cache — degrades to
    one-request-per-pass and is the baseline the bench compares
    against.
@@ -26,7 +43,7 @@
    releases the runtime lock per chunk). *)
 
 type config = {
-  window : float;  (* seconds to linger after the first job of a round *)
+  window : float;  (* longest a round lingers after its first job *)
   max_batch : int;  (* jobs per round; 1 = sequential mode *)
   domains : int;  (* domains per verify sweep *)
   cache : Scache.t option;
@@ -76,8 +93,12 @@ type t = {
   m : Mutex.t;
   c : Condition.t;
   queue : job Queue.t;
+  mutable active : int;  (* callers inside [request] *)
+  mutable lingering : bool;  (* the worker selects; no byte written yet *)
   mutable stopping : bool;
   mutable worker : Thread.t option;
+  wake_r : Unix.file_descr;  (* self-pipe, both ends non-blocking *)
+  wake_w : Unix.file_descr;
 }
 
 let c_requests = Metrics.counter "serve.batch.requests"
@@ -87,6 +108,8 @@ let c_sweeps = Metrics.counter "serve.verify.sweeps"
 let c_coalesced = Metrics.counter "serve.verify.coalesced"
 let c_eval_passes = Metrics.counter "serve.eval.passes"
 let c_eval_lanes = Metrics.counter "serve.eval.lanes"
+let c_early_closes = Metrics.counter "serve.batch.early_closes"
+let h_linger_ms = Metrics.histogram "serve.batch.linger_ms"
 
 let sweeps () = Metrics.value c_sweeps
 let eval_passes () = Metrics.value c_eval_passes
@@ -184,6 +207,57 @@ let run_round t jobs =
     (group_by (function Jeval { skey; _ } -> skey | Jverify _ -> assert false)
        evals)
 
+(* every request in flight has queued its job or finished *)
+let complete t = t.active > 0 && Queue.length t.queue >= t.active
+
+(* With [t.m] held: end the worker's select once the round is
+   complete or the batcher drains. [lingering] is set only while the
+   worker selects, and cleared by the one byte written, so the pipe
+   never fills; a failed write leaves the window to end the linger. *)
+let wake t =
+  if t.lingering && (t.stopping || complete t) then begin
+    t.lingering <- false;
+    try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
+  end
+
+(* With [t.m] held, when a round has its first job: wait until the
+   round is complete, the batcher drains, or [window] runs out.
+   Returns with [t.m] held and the pipe empty. *)
+let linger t =
+  let t0 = Clock.wall () in
+  let close_at = t0 +. t.config.window in
+  let rec wait () =
+    if complete t then true
+    else if t.stopping then false
+    else
+      let left = close_at -. Clock.wall () in
+      if left <= 0. then false
+      else begin
+        t.lingering <- true;
+        Mutex.unlock t.m;
+        (* EINTR comes back round and recomputes [left]; any other
+           failure ends the linger rather than the worker *)
+        let waited =
+          match Unix.select [ t.wake_r ] [] [] left with
+          | _ -> true
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+          | exception Unix.Unix_error _ -> false
+        in
+        Mutex.lock t.m;
+        if t.lingering then t.lingering <- false
+        else begin
+          (* [wake] wrote its byte: take it out, or a round that a new
+             request reopened would select on it in a busy loop *)
+          try ignore (Unix.read t.wake_r (Bytes.create 1) 0 1)
+          with Unix.Unix_error _ -> ()
+        end;
+        waited && wait ()
+      end
+  in
+  if wait () then Metrics.incr c_early_closes;
+  Metrics.observe h_linger_ms (1000. *. (Clock.wall () -. t0))
+
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.m;
@@ -192,13 +266,8 @@ let worker_loop t =
     done;
     if Queue.is_empty t.queue && t.stopping then Mutex.unlock t.m
     else begin
-      (* linger so concurrently arriving requests join this round; no
-         lingering during drain or in sequential mode *)
-      if t.config.window > 0. && not t.stopping then begin
-        Mutex.unlock t.m;
-        Thread.delay t.config.window;
-        Mutex.lock t.m
-      end;
+      (* no lingering during drain or in sequential mode *)
+      if t.config.window > 0. && not t.stopping then linger t;
       let jobs = ref [] in
       let k = ref 0 in
       while (not (Queue.is_empty t.queue)) && !k < t.config.max_batch do
@@ -216,13 +285,20 @@ let worker_loop t =
 let create config =
   if config.max_batch < 1 then invalid_arg "Batcher.create: max_batch < 1";
   if config.domains < 1 then invalid_arg "Batcher.create: domains < 1";
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     { config;
       m = Mutex.create ();
       c = Condition.create ();
       queue = Queue.create ();
+      active = 0;
+      lingering = false;
       stopping = false;
       worker = None;
+      wake_r;
+      wake_w;
     }
   in
   t.worker <- Some (Thread.create worker_loop t);
@@ -237,10 +313,21 @@ let submit t job =
   else begin
     Queue.push job t.queue;
     Condition.signal t.c;
+    wake t;
     Mutex.unlock t.m;
     Metrics.incr c_requests;
     Metrics.incr c_queue_depth
   end
+
+let request t f =
+  Mutex.lock t.m;
+  t.active <- t.active + 1;
+  Mutex.unlock t.m;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock t.m;
+      t.active <- t.active - 1;
+      wake t;
+      Mutex.unlock t.m)
 
 let verify t nw =
   let skey = Scache.structural_key nw in
@@ -268,9 +355,12 @@ let drain t =
   Mutex.lock t.m;
   t.stopping <- true;
   Condition.broadcast t.c;
+  wake t;
   Mutex.unlock t.m;
   match t.worker with
   | Some th ->
       Thread.join th;
-      t.worker <- None
+      t.worker <- None;
+      Unix.close t.wake_r;
+      Unix.close t.wake_w
   | None -> ()

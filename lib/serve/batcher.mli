@@ -1,9 +1,11 @@
 (** The request scheduler: gather / batch / scatter.
 
     Session threads block in {!verify} / {!eval01}; one worker thread
-    drains the queue in rounds, lingering {!type-config.window}
-    seconds after a round's first arrival so concurrent clients land
-    together. Verify requests group by cache key — one bit-sliced
+    drains the queue in rounds. A round lingers after its first
+    arrival so concurrent clients land together, and closes as soon
+    as every request in flight (see {!request}) has queued its job or
+    finished, or after {!type-config.window} seconds, whichever comes
+    first. Verify requests group by cache key — one bit-sliced
     [2^n] sweep serves every request in the group, and the verdict is
     published to the response cache — and 0-1 eval requests on the
     same network go to one {!Bitslice.eval_masks} call, up to
@@ -13,10 +15,17 @@
     baseline.
 
     Counters ([serve.batch.*], [serve.verify.*], [serve.eval.*],
-    [serve.queue.depth]) land in the global {!Obs.Metrics} registry. *)
+    [serve.queue.depth]) land in the global {!Obs.Metrics} registry;
+    [serve.batch.early_closes] counts rounds closed by the in-flight
+    rule rather than the window, and the [serve.batch.linger_ms]
+    histogram times each lingering round from the start of its linger
+    (its first arrival, when the worker was idle) to its close. *)
 
 type config = {
-  window : float;  (** seconds to linger after a round's first job *)
+  window : float;
+      (** longest a round lingers after its first job, in seconds; a
+          round whose requests in flight have all queued closes
+          sooner *)
   max_batch : int;  (** jobs per round; 1 = sequential mode *)
   domains : int;  (** domains per verify sweep *)
   cache : Scache.t option;  (** response cache; [None] = uncached *)
@@ -38,6 +47,15 @@ val create : config -> t
 (** Starts the worker thread.
     @raise Invalid_argument if [max_batch < 1] or [domains < 1]. *)
 
+val request : t -> (unit -> 'a) -> 'a
+(** [request t f] runs [f] counted as one request in flight, and
+    releases the count when [f] returns or raises. A caller that makes
+    at most one {!verify} or {!eval01} call inside [f], as a session
+    does per frame, lets a lingering round close once every request in
+    flight has queued or finished. Calls made outside any [request]
+    are unknown traffic: with nothing in flight, their rounds wait out
+    the whole window. *)
+
 val verify : t -> Network.t -> verify_result
 (** Blocking exact 0-1 verification. The caller's width guard is
     {!Wire.resolve_network}; the sweep is [2^wires]. Cache fast path
@@ -51,8 +69,8 @@ val eval01 : t -> Network.t -> int -> int
     routing). @raise Invalid_argument after {!drain}. *)
 
 val drain : t -> unit
-(** Stop accepting, finish every queued job, join the worker.
-    Idempotent. *)
+(** Stop accepting, end any linger, finish every queued job, join the
+    worker and close its self-pipe. Idempotent. *)
 
 val sweeps : unit -> int
 (** Current value of the [serve.verify.sweeps] counter (tests). *)

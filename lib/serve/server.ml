@@ -17,7 +17,7 @@ let addr_text = function
 type config = {
   addr : addr;
   domains : int;  (* per verify sweep *)
-  window : float;  (* batch gather window, seconds *)
+  window : float;  (* longest a batch round gathers, seconds *)
   cache_capacity : int;  (* 0 disables the response cache *)
   max_request : int;
   max_wires : int;

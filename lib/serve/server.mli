@@ -23,7 +23,10 @@ val addr_text : addr -> string
 type config = {
   addr : addr;
   domains : int;  (** domains per verify sweep *)
-  window : float;  (** batch gather window, seconds *)
+  window : float;
+      (** longest a batch round gathers, in seconds; a round closes
+          sooner once every request in flight has reached the
+          batcher *)
   cache_capacity : int;  (** response-cache entries; 0 disables *)
   max_request : int;  (** frame payload cap, bytes *)
   max_wires : int;  (** width cap — sweeps are [2^wires] *)

@@ -239,6 +239,9 @@ let handle config ~conn fd =
         Metrics.incr c_requests;
         let t_req = Unix.gettimeofday () in
         let response =
+          (* in flight until the response value exists, so a round
+             lingering on this session's job closes once it queued *)
+          Batcher.request config.batcher @@ fun () ->
           Span.run ~sink:config.sink ~name:"serve.request" @@ fun sp ->
           Span.add sp "trace" (Sink.Str trace);
           match Wire.parse_request payload with

@@ -3,10 +3,12 @@
     Reads frames, dispatches requests, writes responses — verify and
     0-1 eval through the {!Batcher} (so concurrent connections
     coalesce into shared engine passes), lint / certify / general
-    eval inline. Each request gets a server-assigned trace id
-    [c<conn>-r<seq>], present in the response and on the request's
-    {!Span} (so a [--trace] capture correlates with client-side
-    responses).
+    eval inline. Each request runs inside {!Batcher.request} from its
+    frame read until its response value exists, so a batch round
+    stops waiting once every session's request has reached it. Each
+    request gets a server-assigned trace id [c<conn>-r<seq>], present
+    in the response and on the request's {!Span} (so a [--trace]
+    capture correlates with client-side responses).
 
     Typed failures: protocol-level errors ([bad-json], [bad-request],
     [bad-network], [unsupported]) are answered and the connection

@@ -277,20 +277,19 @@ let send_recv fd reader payload =
 
 let jmember name j = Option.get (Json.member name j)
 
+let session_batcher ~window =
+  Batcher.create
+    { Batcher.window; max_batch = 256; domains = 1; cache = Some (Scache.create ()) }
+
 let with_session ?(max_request = 4096) ?(idle_timeout = 0.)
-    ?(request_deadline = 0.) ?(window = 0.001) f =
+    ?(request_deadline = 0.) ?(window = 0.001) ?batcher f =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
    with Invalid_argument _ -> ());
   let server_fd, client_fd =
     Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
   let batcher =
-    Batcher.create
-      { Batcher.window;
-        max_batch = 256;
-        domains = 1;
-        cache = Some (Scache.create ());
-      }
+    match batcher with Some b -> b | None -> session_batcher ~window
   in
   let config =
     { Session.batcher; max_request; max_wires = 16; idle_timeout;
@@ -458,9 +457,22 @@ let test_session_deadline () =
       | Error e -> Alcotest.failf "expected response, got %s" (Frame.error_text e));
       check_bool "connection closed after stalled frame" true
         (Frame.read ~max:(1 lsl 20) reader = Error Frame.Eof));
-  (* processing overrun: a batcher window longer than the deadline
-     turns a well-formed request into deadline-exceeded *)
-  with_session ~request_deadline:0.1 ~window:0.4 (fun fd reader ->
+  (* processing overrun: a second request in flight that never
+     queues holds the round open for the whole window, longer than
+     the deadline, which turns a well-formed request into
+     deadline-exceeded *)
+  let batcher = session_batcher ~window:0.4 in
+  let entered = Atomic.make false in
+  let holder =
+    Thread.create
+      (fun () ->
+        Batcher.request batcher (fun () ->
+            Atomic.set entered true;
+            Thread.delay 0.5))
+      ()
+  in
+  while not (Atomic.get entered) do Thread.yield () done;
+  with_session ~request_deadline:0.1 ~batcher (fun fd reader ->
       Frame.write fd {|{"id":1,"verb":"verify","algo":"bitonic","n":4}|};
       (match Frame.read ~max:(1 lsl 20) reader with
       | Ok payload ->
@@ -472,7 +484,155 @@ let test_session_deadline () =
             (jmember "trace" r = Json.Str "c1-r1")
       | Error e -> Alcotest.failf "expected response, got %s" (Frame.error_text e));
       check_bool "connection closed after overrun" true
-        (Frame.read ~max:(1 lsl 20) reader = Error Frame.Eof))
+        (Frame.read ~max:(1 lsl 20) reader = Error Frame.Eof));
+  Thread.join holder
+
+(* --- the gather window is an upper bound --- *)
+
+let early_closes () = Metrics.value (Metrics.counter "serve.batch.early_closes")
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* oem8's output on a 0-1 input, both as wire masks *)
+let oem8_out mask =
+  let out = Network.eval oem8 (Array.init 8 (fun w -> (mask lsr w) land 1)) in
+  let m = ref 0 in
+  Array.iteri (fun w v -> if v = 1 then m := !m lor (1 lsl w)) out;
+  !m
+
+let test_lone_session_answers_at_once () =
+  with_session ~window:0.4 @@ fun fd reader ->
+  let net_text = Network_io.to_string oem8 in
+  let r, dt =
+    timed (fun () ->
+        send_recv fd reader
+          (Json.to_string
+             (Json.Obj
+                [ ("id", Json.Int 1); ("verb", Json.Str "eval");
+                  ("network", Json.Str net_text);
+                  ("input", Json.List (List.map (fun v -> Json.Int v) [ 1; 0; 1; 0; 0; 1; 0; 1 ])) ])))
+  in
+  check_bool "eval output" true
+    (jmember "output" r = Json.List (List.map (fun v -> Json.Int v) [ 0; 0; 0; 0; 1; 1; 1; 1 ]));
+  check_bool "lone eval answers well inside the window" true (dt < 0.1);
+  let r, dt =
+    timed (fun () ->
+        send_recv fd reader
+          (Json.to_string
+             (Json.Obj
+                [ ("id", Json.Int 2); ("verb", Json.Str "verify");
+                  ("network", Json.Str net_text) ])))
+  in
+  check_bool "verify sorts" true (jmember "sorts" r = Json.Bool true);
+  check_bool "fresh verify" true (jmember "cached" r = Json.Bool false);
+  check_bool "lone verify answers well inside the window" true (dt < 0.1)
+
+let test_early_close_counter () =
+  let b = session_batcher ~window:0.05 in
+  let lingers = (Metrics.snapshot (Metrics.histogram "serve.batch.linger_ms")).Metrics.count in
+  let e0 = early_closes () in
+  check_int "unbracketed output" (oem8_out 0x5A) (Batcher.eval01 b oem8 0x5A);
+  check_int "an unbracketed caller waits out the window" 0 (early_closes () - e0);
+  check_int "bracketed output" (oem8_out 0xA5)
+    (Batcher.request b (fun () -> Batcher.eval01 b oem8 0xA5));
+  check_int "a lone bracketed request closes its round early" 1 (early_closes () - e0);
+  check_int "both rounds timed their linger" 2
+    ((Metrics.snapshot (Metrics.histogram "serve.batch.linger_ms")).Metrics.count - lingers);
+  Batcher.drain b
+
+let test_in_flight_pair_shares_a_pass () =
+  (* both requests are in flight before either queues: the first job's
+     round lingers on the second, whose submit closes it without the
+     window *)
+  let window = 2.0 in
+  let b = session_batcher ~window in
+  let masks = [| 0x0F; 0x96 |] and results = [| -1; -1 |] in
+  let entered = Atomic.make 0 and depth = Metrics.counter "serve.queue.depth" in
+  let p0 = Batcher.eval_passes () in
+  let (), dt =
+    timed (fun () ->
+        spawn_all
+          (List.init 2 (fun i () ->
+               results.(i) <-
+                 Batcher.request b (fun () ->
+                     Atomic.incr entered;
+                     while Atomic.get entered < 2 do Thread.yield () done;
+                     if i = 1 then begin
+                       (* let the worker start lingering on the first job *)
+                       while Metrics.value depth < 1 do Thread.yield () done;
+                       Thread.delay 0.02
+                     end;
+                     Batcher.eval01 b oem8 masks.(i)))))
+  in
+  Batcher.drain b;
+  Array.iteri (fun i m -> check_int "pair output" (oem8_out m) results.(i)) masks;
+  check_int "one pass for both" 1 (Batcher.eval_passes () - p0);
+  check_bool "returned before the window ended" true (dt < window /. 2.)
+
+let test_exit_releases_round () =
+  (* a request in flight that finishes without queueing (as lint does)
+     releases the round lingering on it *)
+  let window = 2.0 in
+  let b = session_batcher ~window in
+  let entered = Atomic.make false and release = Atomic.make false in
+  let quiet =
+    Thread.create
+      (fun () ->
+        Batcher.request b (fun () ->
+            Atomic.set entered true;
+            while not (Atomic.get release) do Thread.delay 0.001 done))
+      ()
+  in
+  while not (Atomic.get entered) do Thread.yield () done;
+  let depth = Metrics.counter "serve.queue.depth" in
+  let e0 = early_closes () in
+  let result = ref (-1) in
+  let (), dt =
+    timed (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let th =
+          Thread.create
+            (fun () -> result := Batcher.request b (fun () -> Batcher.eval01 b oem8 0x3C))
+            ()
+        in
+        (* the job is queued; its round lingers on the quiet request *)
+        while Metrics.value depth < 1 && Unix.gettimeofday () -. t0 < window do
+          Thread.yield ()
+        done;
+        Atomic.set release true;
+        Thread.join th)
+  in
+  Thread.join quiet;
+  Batcher.drain b;
+  check_int "released output" (oem8_out 0x3C) !result;
+  check_int "closed by the in-flight rule" 1 (early_closes () - e0);
+  check_bool "returned before the window ended" true (dt < window /. 2.)
+
+let test_request_releases_on_raise () =
+  let window = 2.0 in
+  let b = session_batcher ~window in
+  check_bool "the exception passes through" true
+    (match Batcher.request b (fun () -> failwith "boom") with
+    | () -> false
+    | exception Failure m -> m = "boom");
+  (* a leaked count would hold this lone request's round for the window *)
+  let out, dt = timed (fun () -> Batcher.request b (fun () -> Batcher.eval01 b oem8 0x81)) in
+  Batcher.drain b;
+  check_int "output" (oem8_out 0x81) out;
+  check_bool "count released: the next round closes early" true (dt < window /. 2.)
+
+let test_drain_closes_pipe () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  for _ = 1 to 200 do
+    let b = session_batcher ~window:0.001 in
+    Batcher.drain b;
+    Batcher.drain b
+  done;
+  check_int "descriptors after 200 batchers" before (fds ())
 
 (* --- full server: concurrent clients, drain --- *)
 
@@ -566,6 +726,17 @@ let () =
           Alcotest.test_case "request deadline" `Quick test_session_deadline;
           Alcotest.test_case "framing errors are typed" `Quick
             test_session_framing_errors ] );
+      ( "window",
+        [ Alcotest.test_case "lone session answers at once" `Quick
+            test_lone_session_answers_at_once;
+          Alcotest.test_case "early closes counted" `Quick test_early_close_counter;
+          Alcotest.test_case "in-flight pair shares a pass" `Quick
+            test_in_flight_pair_shares_a_pass;
+          Alcotest.test_case "exit without a job releases the round" `Quick
+            test_exit_releases_round;
+          Alcotest.test_case "request releases on raise" `Quick
+            test_request_releases_on_raise;
+          Alcotest.test_case "drain closes the self-pipe" `Quick test_drain_closes_pipe ] );
       ( "server",
         [ Alcotest.test_case "concurrent clients + SIGTERM-style drain" `Quick
             test_server_concurrent_clients ] ) ]
