@@ -26,7 +26,8 @@ bench:
 # flattening and its lower-bound check). The same
 # run times the exact-bounds search (pruned vs reference, 1 vs K
 # domains, checkpointing, and the n=9 depth-5 refutation by phase
-# at 1 and 2 domains) into BENCH_search.json, the static
+# at 1 and 2 domains, with its arena's peak size) into
+# BENCH_search.json, the static
 # analyzer's throughput (networks/sec, comparators/sec) into
 # BENCH_analysis.json, and the serve scheduler's 32-client
 # batched-vs-sequential throughput and lane-fill ratio into
@@ -61,10 +62,14 @@ bench-json:
 	grep -q '"search/n=9/depth=5/domains=1/expand_ms"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=1/sign_ms"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=1/filter_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/settle_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=1/arena_mb"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=2/wall_ms"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=2/expand_ms"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=2/sign_ms"' BENCH_search.json
 	grep -q '"search/n=9/depth=5/domains=2/filter_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/settle_ms"' BENCH_search.json
+	grep -q '"search/n=9/depth=5/domains=2/arena_mb"' BENCH_search.json
 	grep -q '"obs/checkpoint.writes"' BENCH_search.json
 	grep -q '"obs/checkpoint.bytes"' BENCH_search.json
 	grep -q '"obs/checkpoint.write_ms.mean"' BENCH_search.json

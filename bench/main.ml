@@ -395,7 +395,8 @@ let search_json_rows () =
   (* snbench's search-n9 (the n=9 depth-5 refutation) split by phase:
      the wall time is the run's "search" span and the phase times are
      summed over its "search/level" spans, so these rows and a --trace
-     of the same run read one clock *)
+     of the same run read one clock; the arena's peak size is the
+     largest [arena_bytes] its level and chunk events report *)
   let phased ~domains =
     let sink, events = Sink.memory () in
     let sys = Driver.network_system ~n:9 () in
@@ -410,11 +411,21 @@ let search_json_rows () =
           | _ -> acc)
         0. (events ())
     in
+    let arena_bytes =
+      List.fold_left
+        (fun acc (e : Sink.event) ->
+          match List.assoc_opt "arena_bytes" e.fields with
+          | Some (Sink.Int b) -> max acc b
+          | _ -> acc)
+        0 (events ())
+    in
     let prefix = Printf.sprintf "search/n=9/depth=5/domains=%d" domains in
     [ (prefix ^ "/wall_ms", sum "search" "wall_s" *. 1e3);
       (prefix ^ "/expand_ms", sum "search/level" "expand_s" *. 1e3);
       (prefix ^ "/sign_ms", sum "search/level" "sign_s" *. 1e3);
-      (prefix ^ "/filter_ms", sum "search/level" "filter_s" *. 1e3) ]
+      (prefix ^ "/filter_ms", sum "search/level" "filter_s" *. 1e3);
+      (prefix ^ "/settle_ms", sum "search/level" "settle_s" *. 1e3);
+      (prefix ^ "/arena_mb", float_of_int arena_bytes /. 1e6) ]
   in
   List.concat
     [ time_run ~tag:"pruned" ~restrict:true ~domains:1 6;

@@ -1273,11 +1273,9 @@ let serve_cmd =
               prerr_endline ("serve: " ^ e);
               exit_failure
           | Ok () ->
-              if Cancel.cancelled cancel then begin
-                if metrics then print_metrics ();
-                interrupted_exit "serve"
-              end
-              else 0
+              (* [with_obs] prints the metrics table, after the
+                 interruption is counted *)
+              if Cancel.cancelled cancel then interrupted_exit "serve" else 0
         end
   in
   let doc =

@@ -1,6 +1,6 @@
 (* GC-free state arena for the exact search.
 
-   Every state the BFS ever sees lives as a packed row of int64 words
+   Every state the search keeps lives as a packed row of int64 words
    in one flat Bigarray (64 masks per word — mask [m] is bit [m mod 64]
    of word [m / 64] of its row), with the per-state scalars the
    subsumption filters scan (cardinality, BFS level, hash, packed
@@ -996,22 +996,46 @@ let commit t ~level =
   sign_pending t [| t.own |];
   r
 
-(* truncate back to a previously observed length: the committed prefix
-   is immutable, so dropping a suffix only needs the table rebuilt *)
-let truncate t len =
-  if len < 0 || len > t.len then invalid_arg "Arena.truncate";
-  if len < t.len then begin
-    t.len <- len;
-    t.signed <- min t.signed len;
-    Array.fill t.table 0 (Array.length t.table) 0;
-    for idx = 0 to len - 1 do
-      let s = ref (t.hash.(idx) land t.mask) in
-      while t.table.(!s) <> 0 do
-        s := (!s + 1) land t.mask
-      done;
-      t.table.(!s) <- idx + 1
-    done
-  end
+(* Dropping rows: the kept rows slide down over the gaps in index
+   order (a destination never passes its source, so nothing is read
+   after it is overwritten), their signature blocks with them, and the
+   dedup table is rebuilt over what is left. *)
+let retain t ~prefix rows =
+  let m = Array.length rows in
+  if prefix < 0 || prefix > t.len then invalid_arg "Arena.retain: bad prefix";
+  Array.iteri
+    (fun k r ->
+      if r < prefix + k || r >= t.len || (k > 0 && r <= rows.(k - 1)) then
+        invalid_arg "Arena.retain: rows must ascend within [prefix, length)")
+    rows;
+  let signed = ref (min prefix t.signed) in
+  Array.iteri
+    (fun k src ->
+      let dst = prefix + k in
+      if src < t.signed then incr signed;
+      if src <> dst then begin
+        let wpr = t.wpr in
+        for w = 0 to wpr - 1 do
+          Bigarray.Array1.unsafe_set t.words ((dst * wpr) + w)
+            (Bigarray.Array1.unsafe_get t.words ((src * wpr) + w))
+        done;
+        t.card.(dst) <- t.card.(src);
+        t.level.(dst) <- t.level.(src);
+        t.hash.(dst) <- t.hash.(src);
+        if t.with_sigs then
+          Array.blit t.sigs (sig_base t src) t.sigs (sig_base t dst) t.sig_stride
+      end)
+    rows;
+  t.len <- prefix + m;
+  t.signed <- !signed;
+  Array.fill t.table 0 (Array.length t.table) 0;
+  for idx = 0 to t.len - 1 do
+    let s = ref (t.hash.(idx) land t.mask) in
+    while t.table.(!s) <> 0 do
+      s := (!s + 1) land t.mask
+    done;
+    t.table.(!s) <- idx + 1
+  done
 
 (* --- conversions --- *)
 

@@ -1,6 +1,6 @@
 (** GC-free packed-state arena for the exact search.
 
-    Every state the BFS ever sees is one flat row of int64 Bigarray
+    Every state the search keeps is one flat row of int64 Bigarray
     words (64 reachable masks per word), with the scalars the
     subsumption filters scan — cardinality, BFS level, row hash and
     the packed filter signatures — in parallel int arrays: a
@@ -17,11 +17,11 @@
     with {!stage_state} or {!stage_child}, interrogate it
     ({!staged_is_sorted}), then {!commit} it — which either dedups it
     against every row ever committed or freezes it as the next index.
-    Committed rows are immutable and indices are stable for the arena's
-    lifetime (until {!truncate}).
+    Committed rows are immutable and indices are stable until
+    {!retain} drops rows and moves later ones down.
 
     Domains: every call that mutates the arena — staging, committing,
-    {!sign_pending}, {!truncate}, {!record_metrics} — and every call
+    {!sign_pending}, {!retain}, {!record_metrics} — and every call
     that reads the staging row stays on one domain, the arena's owner.
     While the owner makes none of those calls, other domains may run
     {!subsumes_with}, {!card}, {!level}, {!length}, {!to_state} and
@@ -103,11 +103,20 @@ val staged_state : t -> State.t
     [State.t]-typed prune hooks that must see a child {e before} it
     enters the dedup memory. *)
 
-val truncate : t -> int -> unit
-(** [truncate t len] drops every row committed after the first [len]
-    (indices [>= len] become invalid; the dedup table is rebuilt).
-    How an interrupted run discards an in-flight level's commits so a
-    checkpoint cut at the previous boundary stays consistent. *)
+val retain : t -> prefix:int -> int array -> unit
+(** [retain t ~prefix rows] drops committed rows. Rows [0 .. prefix - 1]
+    stay where they are; the rows listed in [rows] (strictly ascending,
+    each in [\[prefix, length t)]) move down in order, [rows.(k)]
+    becoming index [prefix + k] with its words, card, level, hash and
+    signature block; every other row is gone and its index, once past
+    the new {!length}, is invalid. The dedup table is rebuilt over the
+    kept rows, so committing a dropped row's words again is [`Fresh].
+    [retain t ~prefix:len [||]] truncates to the first [len] rows: how
+    the search rolls back a level it abandons, and how its
+    subsumption filter drops the losing rows of each chunk of
+    children it commits.
+    @raise Invalid_argument if [prefix] or [rows] is out of range or
+    [rows] does not ascend. *)
 
 val card : t -> int -> int
 (** Reachable-set cardinality of a committed row (precomputed). *)

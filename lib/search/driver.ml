@@ -49,23 +49,33 @@ let c_levels = Metrics.counter "search.levels"
    on a state's reachable 0-1 set) consumed by the search. *)
 let c_redundant = Metrics.counter "analysis.redundant_moves"
 
-(* The subsumption filter. At one domain it tests candidates one at a
-   time against every representative kept so far — batches of one, no
-   fan-out. With more domains, a level of at least
-   [filter_min_candidates] candidates is cut into [filter_batch]-sized
-   batches, each tested on every domain against the representatives kept
-   before it began, in [filter_chunk]-candidate dynamic chunks: later
-   candidates of a card-sorted batch scan further, so contiguous halves
-   would leave one domain idle. A candidate whose subsumer is kept
-   inside its own batch pays a full miss scan first — the price of the
-   batch, worth paying only when another domain absorbs it. *)
+(* The subsumption filter works a level in chunks: once the level's
+   expansion has committed [chunk_candidates] fresh children, it
+   finishes the parent it is on, then filters that chunk against every
+   representative kept so far and drops the losing rows from the
+   arena, so the arena holds the representatives plus about one chunk
+   instead of every child the search ever made. A fixed count, never
+   tied to the domain count: where a chunk ends decides which children
+   meet the dedup table and which the filter, so [deduped] and
+   [subsumed] repeat at every domain count and across resumes. *)
+let chunk_candidates = 16_384
+
+(* A chunk of at least [filter_min_candidates] candidates is cut into
+   [filter_batch]-sized batches, each tested on every domain against
+   the representatives kept before it began, in [filter_grain]-candidate
+   dynamic pieces: later candidates of a card-sorted batch scan
+   further, so contiguous halves would leave one domain idle. A
+   candidate whose subsumer is kept inside its own batch pays a full
+   miss scan first — the price of the batch, which one domain pays too,
+   so that the filter's counters repeat at every domain count. A
+   smaller chunk is tested one candidate at a time. *)
 let filter_min_candidates = 1024
 let filter_batch = 4096
-let filter_chunk = 16
+let filter_grain = 16
 
 (* One domain's filter state: its arena scratch, the key of the
    candidate it is testing, and its share of the level's counters —
-   summed after the filter, so the scan loop touches no shared
+   summed after the level, so the scan loop touches no shared
    counter. *)
 type fscratch = {
   sc : Arena.scratch;
@@ -146,12 +156,29 @@ let reps_insert k r idx =
   Arena.blit_key k.arena idx r.keys (pos * kw);
   r.len <- r.len + 1
 
-(* does one of the first [upto] reps of [r] subsume [cand]? Only a rep
-   whose card and key pass (the borrow test of [Arena.key_guards],
-   unrolled for the three-word key of n <= 9) costs a
-   [subsumes_with] call. Read-only on [r], so any domain may run it
-   with its own scratch while the rep arrays hold still. *)
-let subsumed_in k fs r ~upto cand =
+(* renumber the reps' rows by [f] after the arena dropped rows, and
+   drop the reps [f] maps to -1, in place and in order *)
+let reps_remap k r f =
+  let kw = k.kw and j = ref 0 in
+  for i = 0 to r.len - 1 do
+    let idx = f r.idx.(i) in
+    if idx >= 0 then begin
+      if !j < i then begin
+        r.card.(!j) <- r.card.(i);
+        Array.blit r.keys (i * kw) r.keys (!j * kw) kw
+      end;
+      r.idx.(!j) <- idx;
+      incr j
+    end
+  done;
+  r.len <- !j
+
+(* does one of the first [upto] reps of [r] whose row is at least [lim]
+   subsume [cand]? Only a rep whose card and key pass (the borrow test
+   of [Arena.key_guards], unrolled for the three-word key of n <= 9)
+   costs a [subsumes_with] call. Read-only on [r], so any domain may
+   run it with its own scratch while the rep arrays hold still. *)
+let subsumed_in k fs r ~upto ~lim cand =
   let arena = k.arena and idx = r.idx and card = r.card and keys = r.keys in
   let c = Arena.card arena cand in
   let key = fs.key in
@@ -166,6 +193,7 @@ let subsumed_in k fs r ~upto cand =
          (l - Array.unsafe_get keys b) land gl = gl
          && (o - Array.unsafe_get keys (b + 1)) land gd = gd
          && (n - Array.unsafe_get keys (b + 2)) land gd = gd
+         && idx.(!i) >= lim
        then begin
          incr calls;
          if Arena.subsumes_with arena fs.sc idx.(!i) cand then hit := true
@@ -183,7 +211,7 @@ let subsumed_in k fs r ~upto cand =
        while !w < kw && (key.(!w) - keys.(b + !w)) land g.(!w) = g.(!w) do
          incr w
        done;
-       if !w = kw then begin
+       if !w = kw && idx.(!i) >= lim then begin
          incr calls;
          if Arena.subsumes_with arena fs.sc idx.(!i) cand then hit := true
        end;
@@ -196,8 +224,6 @@ let subsumed_in k fs r ~upto cand =
 
 type filter_counts = { scanned : int; calls : int; backtracks : int; leaves : int }
 
-let no_filter_counts = { scanned = 0; calls = 0; backtracks = 0; leaves = 0 }
-
 let filter_counts k =
   Array.fold_left
     (fun acc (fs : fscratch) ->
@@ -205,29 +231,29 @@ let filter_counts k =
         calls = acc.calls + fs.calls;
         backtracks = acc.backtracks + Arena.backtracks fs.sc;
         leaves = acc.leaves + Arena.leaves fs.sc })
-    no_filter_counts k.scratches
+    { scanned = 0; calls = 0; backtracks = 0; leaves = 0 }
+    k.scratches
 
-(* Greedy subsumption filter over the candidates in ascending card
-   order, batch by batch (see [filter_batch]), each batch settled by an
-   in-order tail against the reps kept earlier in it. A candidate is
-   dropped iff some rep kept before it subsumes it, as in a
+let by_card k l =
+  List.stable_sort
+    (fun (a, _) (b, _) -> compare (Arena.card k.arena a) (Arena.card k.arena b))
+    l
+
+(* Greedy subsumption filter over one chunk's candidates in ascending
+   card order, batch by batch (see [filter_batch]), each batch settled
+   by an in-order tail against the reps kept earlier in it. A candidate
+   is dropped iff some rep kept before it subsumes it, as in a
    one-at-a-time filter, so survivors, kept order and counts are the
    same at every batch size. Candidates are arena rows, each committed,
-   signed and unequal to every row committed before it. Returns the
-   survivors in kept order, the number of domains used and the
-   filter's counters for these candidates. *)
+   signed and unequal to every row in the arena before it. Returns the
+   survivors in kept order, each already in [k.all], and the number of
+   domains used. *)
 let subsume_filter k cands =
-  let arena = k.arena and domains = Array.length k.scratches in
-  let before = filter_counts k in
-  let cands =
-    Array.of_list
-      (List.stable_sort
-         (fun (a, _) (b, _) -> compare (Arena.card arena a) (Arena.card arena b))
-         cands)
-  in
+  let domains = Array.length k.scratches in
+  let cands = Array.of_list (by_card k cands) in
   let m = Array.length cands in
   let batch =
-    if domains = 1 || m < filter_min_candidates then 1 else filter_batch
+    if m < filter_min_candidates then 1 else filter_batch
   in
   let hit = Array.make (min batch m) false in
   let used = ref 1 and survivors = ref [] and b0 = ref 0 in
@@ -235,11 +261,12 @@ let subsume_filter k cands =
     let lo = !b0 and upto = k.all.len in
     let hi = min m (lo + batch) in
     let workers =
-      Par.iter_chunks ~domains ~chunk:filter_chunk ~lo ~hi
+      Par.iter_chunks ~domains ~chunk:filter_grain ~lo ~hi
         (fun ~worker ~lo:a ~hi:b ->
           for i = a to b - 1 do
             hit.(i - lo) <-
-              subsumed_in k k.scratches.(worker) k.all ~upto (fst cands.(i))
+              subsumed_in k k.scratches.(worker) k.all ~upto ~lim:0
+                (fst cands.(i))
           done)
     in
     used := max !used workers;
@@ -249,7 +276,10 @@ let subsume_filter k cands =
     fresh.len <- 0;
     for i = lo to hi - 1 do
       let ((idx, _) as cand) = cands.(i) in
-      if not (hit.(i - lo) || subsumed_in k tail fresh ~upto:fresh.len idx)
+      if
+        not
+          (hit.(i - lo)
+          || subsumed_in k tail fresh ~upto:fresh.len ~lim:0 idx)
       then begin
         reps_insert k k.all idx;
         reps_insert k fresh idx;
@@ -258,34 +288,90 @@ let subsume_filter k cands =
     done;
     b0 := hi
   done;
-  let after = filter_counts k in
-  ( List.rev !survivors,
-    !used,
-    { scanned = after.scanned - before.scanned;
-      calls = after.calls - before.calls;
-      backtracks = after.backtracks - before.backtracks;
-      leaves = after.leaves - before.leaves } )
+  (List.rev !survivors, !used)
+
+(* Of the arena's rows at or past [from], keep those of [survivors]
+   and drop the rest, renumbering the reps to match (a rep whose row
+   goes, goes too). Returns [survivors], in order, under their new
+   rows. *)
+let drop_rows k ~from survivors =
+  let rows = Array.of_list (List.map fst survivors) in
+  Array.sort compare rows;
+  let renum = Array.make (Arena.length k.arena - from) (-1) in
+  Array.iteri (fun i r -> renum.(r - from) <- from + i) rows;
+  Arena.retain k.arena ~prefix:from rows;
+  let f idx = if idx < from then idx else renum.(idx - from) in
+  reps_remap k k.all f;
+  List.map (fun (idx, x) -> (f idx, x)) survivors
+
+(* The settle pass. [chunks] holds each chunk's survivors, in kept
+   order, the first chunk first; their rows follow [from] in that
+   order. The level's frontier is the greedy filter of all of them in
+   stable card order. A chunk survivor x can lose only to a survivor y
+   of a later chunk with a smaller card: a y of the same or an earlier
+   chunk was a rep while x's chunk was filtered, and an equal card
+   makes x and y subsume each other, which the later one's filter
+   would have caught. A y that lost in turn lost to a survivor that
+   also beats x, so every x is tested once against the reps whose row
+   lies past its own chunk, on every domain, and x is dropped iff one
+   of them subsumes it. Returns the frontier with the arena and
+   [k.all] stripped of the losers, and the number of domains used. *)
+let settle k ~from chunks =
+  match chunks with
+  | [] | [ _ ] -> (List.concat chunks, 1)
+  | _ ->
+      let cands = Array.of_list (List.concat chunks) in
+      let m = Array.length cands in
+      (* each candidate's bound: the first row of the next chunk *)
+      let lim = Array.make m 0 and i = ref 0 and row = ref from in
+      List.iter
+        (fun chunk ->
+          row := !row + List.length chunk;
+          List.iter
+            (fun _ ->
+              lim.(!i) <- !row;
+              incr i)
+            chunk)
+        chunks;
+      let hit = Array.make m false in
+      let domains =
+        if m < filter_min_candidates then 1 else Array.length k.scratches
+      in
+      let upto = k.all.len in
+      let used =
+        Par.iter_chunks ~domains ~chunk:filter_grain ~lo:0 ~hi:m
+          (fun ~worker ~lo ~hi ->
+            for i = lo to hi - 1 do
+              hit.(i) <-
+                subsumed_in k k.scratches.(worker) k.all ~upto ~lim:lim.(i)
+                  (fst cands.(i))
+            done)
+      in
+      let survivors =
+        List.filteri (fun i _ -> not hit.(i)) (Array.to_list cands)
+      in
+      (by_card k (drop_rows k ~from survivors), used)
 
 (* --- checkpoint / resume --- *)
 
-(* -3: [s_kept] holds bare states; the boxed subsumption fingerprints
-   it used to carry were never read back. Older snapshots deserialize
-   into a different record layout, so the kind is bumped and they are
-   rejected as a whole — rerunning is always sound, resuming into a
-   wrong layout never is. *)
-let checkpoint_kind = "snlb-search-driver-3"
+(* -4: the subsumption search drops the rows its filter rejects, so
+   the dedup memory holds the representatives only, and a -3 snapshot
+   (every row ever committed) would resume into other deduped and
+   subsumed counts. Rows are stored in arena order, so a resumed arena
+   numbers them as the interrupted one did. *)
+let checkpoint_kind = "snlb-search-driver-4"
 
 (* Everything run needs to continue from a level boundary exactly as
-   if it had never stopped: the frontier (with the move prefixes that
-   produced it), the cross-level equality and subsumption memories,
-   every counter, and the wall/CPU time already spent (so budgets and
-   reported stats cover the whole logical run, not just the last
-   incarnation). *)
+   if it had never stopped: the arena's rows (the dedup memory), the
+   kept representatives, the frontier (with the move prefixes that
+   produced it), every counter, and the wall/CPU time already spent
+   (so budgets and reported stats cover the whole logical run, not
+   just the last incarnation). *)
 type 'm snapshot = {
   s_level : int;  (* next level to expand (1-based) *)
+  s_rows : State.t list;  (* every row, in row order *)
+  s_kept : State.t list;  (* in kept order *)
   s_frontier : (State.t * 'm list) list;
-  s_seen : (int array, unit) Hashtbl.t;
-  s_kept : State.t list;
   s_nodes : int;
   s_pruned : int;
   s_deduped : int;
@@ -313,15 +399,17 @@ let checkpoint_spec ~max_depth sys =
     step = "level" }
 
 (* The level loop. The whole dedup memory lives in one {!Arena} (flat
-   int64 rows + open addressing, no boxed keys), a child is built on the
-   arena's staging row by the system's [stage], and subsumption runs on
-   packed signatures. A level runs in three phases: the expansion,
-   sequential because staging and dedup commits mutate the arena; one
-   signature pass over the level's fresh rows; and the greedy
-   subsumption filter. The last two fan out over [domains] and decide
-   the same at every domain count. Snapshots convert to boxed
-   [State.t] structures at flush time, so the checkpoint format does
-   not depend on the arena's layout. *)
+   int64 rows + open addressing, no boxed keys), and a child is built
+   on the arena's staging row by the system's [stage]. The expansion
+   is sequential because staging and dedup commits mutate the arena.
+   With subsumption, every [chunk_candidates] fresh children (at a
+   parent boundary) are signed in one pass, filtered against every
+   representative kept so far, and their losing rows dropped; once the
+   level's parents are done, a settle pass re-filters the chunks'
+   survivors against each other. Signing, filtering and settling fan
+   out over [domains] and decide the same at every domain count.
+   Snapshots convert to boxed [State.t] keys at flush time, so the
+   checkpoint format does not depend on the arena's layout. *)
 let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
     ?frontier_log ?cancel ?checkpoint ?(resume = false) ~max_depth sys =
   if max_depth < 0 then invalid_arg "Driver.run: max_depth must be >= 0";
@@ -386,6 +474,7 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
   let levels () =
     let arena = Arena.create ~with_sigs:(sys.dedup = Subsume) ~n:sys.n () in
     let kept = kept ~domains arena in
+    let scratches = Array.map (fun fs -> fs.sc) kept.scratches in
     let commit_existing st =
       Arena.stage_state arena st;
       match Arena.commit arena ~level:0 with `Fresh i | `Dup i -> i
@@ -394,26 +483,21 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
     (match snap with
     | None -> frontier := [ (commit_existing sys.initial, []) ]
     | Some s ->
-        (* rehydrate the snapshot: every seen state becomes a committed
-           row, then kept and frontier resolve to their indices by
-           dedup *)
-        Hashtbl.iter
-          (fun key () -> ignore (commit_existing (State.of_key ~n:sys.n key)))
-          s.s_seen;
-        List.iter
-          (fun st -> reps_insert kept kept.all (commit_existing st))
-          (List.rev s.s_kept);
+        (* rehydrate the snapshot: its rows, committed in order, take
+           their old numbers back, and kept and frontier resolve to
+           them by dedup *)
+        List.iter (fun st -> ignore (commit_existing st)) s.s_rows;
+        List.iter (fun st -> reps_insert kept kept.all (commit_existing st)) s.s_kept;
         frontier := List.map (fun (st, pre) -> (commit_existing st, pre)) s.s_frontier);
     let result = ref None in
     let level = ref (match snap with Some s -> s.s_level | None -> 1) in
     (* Capture the boundary NOW but serialize lazily, when the writer
        writes it: the scalars below are overwritten by the very next
-       level, so they are pinned eagerly, while the frontier and the
-       committed rows up to the boundary hold still until the next
-       boundary replaces this thunk. An interrupted level's commits
-       are truncated back to the boundary's row count before its rows
-       are read. Skipped boundaries therefore cost a closure, not a
-       Marshal of the whole search state. *)
+       level, so they are pinned eagerly, while the arena, the kept
+       reps and the frontier hold still until the next boundary
+       replaces this thunk — a level that does not complete is rolled
+       back to them before the loop ends. Skipped boundaries therefore
+       cost a closure, not a Marshal of the whole search state. *)
     let cut_boundary () =
       let s_level = !level
       and s_nodes = !nodes
@@ -423,25 +507,14 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       and s_redundant = !redundant_total
       and s_sizes = !sizes
       and s_elapsed = Clock.wall () -. w0
-      and s_elapsed_cpu = Clock.cpu () -. cpu0
-      and rows = Arena.length arena in
+      and s_elapsed_cpu = Clock.cpu () -. cpu0 in
       Checkpoint.boundary ckpt ~step:s_level @@ fun () ->
-      Arena.truncate arena rows;
-      let seen = Hashtbl.create (2 * rows) in
-      for idx = 0 to rows - 1 do
-        Hashtbl.replace seen (State.key (Arena.to_state arena idx)) ()
-      done;
-      let s_kept =
-        List.init kept.all.len (fun k -> Arena.to_state arena kept.all.idx.(k))
-      in
-      let s_frontier =
-        List.map (fun (idx, pre) -> (Arena.to_state arena idx, pre)) !frontier
-      in
+      let state idx = Arena.to_state arena idx in
       Marshal.to_string
         { s_level;
-          s_frontier;
-          s_seen = seen;
-          s_kept;
+          s_rows = List.init (Arena.length arena) state;
+          s_kept = List.init kept.all.len (fun i -> state kept.all.idx.(i));
+          s_frontier = List.map (fun (idx, pre) -> (state idx, pre)) !frontier;
           s_nodes;
           s_pruned;
           s_deduped;
@@ -465,15 +538,50 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       (* nested under the "search" span: the event path is
          "search/level" *)
       Span.run ~sink ~name:"level" @@ fun sp ->
-      let t_expand = clock () in
       let moves = sys.moves_at ~level:lvl in
       let remaining = max_depth - lvl in
       let last = lvl = max_depth in
-      let candidates = ref [] in
-      (* equality-dup hits are tallied locally and folded in only when
-         the level completes: an interrupted or over-budget level never
-         reaches its dedup count *)
-      let level_deduped = ref 0 in
+      let level_start = Arena.length arena in
+      let counts0 = filter_counts kept in
+      (* the current chunk's fresh rows, newest first (the arena's
+         last [chunk_len] rows), and the survivors of the chunks
+         already filtered, newest chunk first *)
+      let chunk = ref [] and chunk_len = ref 0 in
+      let settled = ref [] and parents_done = ref 0 in
+      (* equality-dup hits and filter drops are tallied locally and
+         folded in only when the level completes: an interrupted or
+         over-budget level never reaches its counts *)
+      let level_deduped = ref 0 and level_subsumed = ref 0 in
+      let expand_s = ref 0. and sign_s = ref 0. and filter_s = ref 0.
+      and settle_s = ref 0. and filter_domains = ref 0 in
+      let t_expand = ref (clock ()) in
+      (* sign the chunk, filter it against every rep kept so far and
+         drop its losing rows *)
+      let settle_chunk () =
+        let t_sign = clock () in
+        Arena.sign_pending arena scratches;
+        let t_filter = clock () in
+        let survivors, used = subsume_filter kept (List.rev !chunk) in
+        let survivors =
+          drop_rows kept ~from:(Arena.length arena - !chunk_len) survivors
+        in
+        let t_done = clock () in
+        settled := survivors :: !settled;
+        sign_s := !sign_s +. (t_filter -. t_sign);
+        filter_s := !filter_s +. (t_done -. t_filter);
+        filter_domains := max !filter_domains used;
+        let kept_rows = List.length survivors in
+        level_subsumed := !level_subsumed + !chunk_len - kept_rows;
+        if timed then
+          Sink.emit sink ~ev:"progress" ~name:"search/chunk"
+            [ ("level", Sink.Int lvl);
+              ("parents", Sink.Int !parents_done);
+              ("candidates", Sink.Int !chunk_len);
+              ("survivors", Sink.Int kept_rows);
+              ("arena_bytes", Sink.Int (Arena.bytes arena)) ];
+        chunk := [];
+        chunk_len := 0
+      in
       let found = ref None in
       (try
          List.iter
@@ -527,70 +635,81 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
                  then incr pruned_total
                  else
                    match Arena.commit_unsigned arena ~level:lvl with
-                   | `Fresh idx -> candidates := (idx, m :: pre) :: !candidates
+                   | `Fresh idx ->
+                       chunk := (idx, m :: pre) :: !chunk;
+                       incr chunk_len
                    | `Dup _ -> incr level_deduped)
-               live)
+               live;
+             incr parents_done;
+             if sys.dedup = Subsume && !chunk_len >= chunk_candidates then begin
+               expand_s := !expand_s +. (clock () -. !t_expand);
+               settle_chunk ();
+               t_expand := clock ()
+             end)
            !frontier
        with Exit -> ());
-      let expand_s = clock () -. t_expand in
-      let sign_s = ref 0. and filter_s = ref 0. and filter_domains = ref 0 in
-      let fc = ref no_filter_counts in
+      expand_s := !expand_s +. (clock () -. !t_expand);
       let surviving =
-        match !found with
-        | Some rev_moves ->
-            result :=
-              Some
-                (Sorted
-                   { depth = lvl;
-                     moves = List.rev rev_moves;
-                     stats = mk_stats (lvl - 1) });
-            0
-        | None ->
-            if !over_budget then begin
-              result := Some (Inconclusive (mk_stats (lvl - 1)));
-              0
-            end
-            else if cancelled () then begin
+        if Option.is_some !found || !over_budget || cancelled () then begin
+          (* the level is abandoned: its rows and reps go, so the
+             arena and the kept reps are the last boundary's again *)
+          ignore (drop_rows kept ~from:level_start []);
+          (match !found with
+          | Some rev_moves ->
+              result :=
+                Some
+                  (Sorted
+                     { depth = lvl;
+                       moves = List.rev rev_moves;
+                       stats = mk_stats (lvl - 1) })
+          | None when !over_budget ->
+              result := Some (Inconclusive (mk_stats (lvl - 1)))
+          | None ->
               (* killed mid-level: the current level's partial work is
                  discarded; the checkpoint (if any) holds the last
                  completed boundary, so a resumed run repeats exactly
                  this level and the cumulative counts match a
                  never-interrupted run *)
-              result := Some (Interrupted (mk_stats (lvl - 1)));
-              0
-            end
-            else begin
-              deduped_total := !deduped_total + !level_deduped;
-              let fresh = List.rev !candidates in
-              let survivors =
-                match sys.dedup with
-                | Equal -> fresh
-                | Subsume ->
-                    let t_sign = clock () in
-                    Arena.sign_pending arena
-                      (Array.map (fun fs -> fs.sc) kept.scratches);
-                    let t_filter = clock () in
-                    sign_s := t_filter -. t_sign;
-                    let survivors, used, counts = subsume_filter kept fresh in
-                    subsumed_total :=
-                      !subsumed_total + List.length fresh - List.length survivors;
-                    filter_s := clock () -. t_filter;
-                    filter_domains := used;
-                    fc := counts;
-                    survivors
-              in
-              let width = List.length survivors in
-              (match frontier_log with
-              | Some f ->
-                  f ~level:lvl
-                    (List.map (fun (idx, _) -> Arena.to_state arena idx)
-                       survivors)
-              | None -> ());
-              sizes := width :: !sizes;
-              frontier := survivors;
-              incr level;
-              width
-            end
+              result := Some (Interrupted (mk_stats (lvl - 1))));
+          0
+        end
+        else begin
+          let survivors =
+            match sys.dedup with
+            | Equal -> List.rev !chunk
+            | Subsume ->
+                if !chunk_len > 0 then settle_chunk ();
+                let t_settle = clock () in
+                let chunk_survivors = Arena.length arena - level_start in
+                let survivors, used =
+                  settle kept ~from:level_start (List.rev !settled)
+                in
+                settle_s := clock () -. t_settle;
+                filter_domains := max !filter_domains used;
+                level_subsumed :=
+                  !level_subsumed + chunk_survivors - List.length survivors;
+                survivors
+          in
+          deduped_total := !deduped_total + !level_deduped;
+          subsumed_total := !subsumed_total + !level_subsumed;
+          let width = List.length survivors in
+          (match frontier_log with
+          | Some f ->
+              f ~level:lvl
+                (List.map (fun (idx, _) -> Arena.to_state arena idx) survivors)
+          | None -> ());
+          sizes := width :: !sizes;
+          frontier := survivors;
+          incr level;
+          width
+        end
+      in
+      let fc =
+        let c = filter_counts kept in
+        { scanned = c.scanned - counts0.scanned;
+          calls = c.calls - counts0.calls;
+          backtracks = c.backtracks - counts0.backtracks;
+          leaves = c.leaves - counts0.leaves }
       in
       (* per-level deltas: summing these fields over all level events
          reproduces the run's final stats exactly *)
@@ -601,19 +720,23 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       Span.add sp "subsumed" (Sink.Int (!subsumed_total - subsumed0));
       Span.add sp "redundant" (Sink.Int (!redundant_total - redundant0));
       Span.add sp "frontier" (Sink.Int surviving);
-      (* phase times (0 when the phase did not run) and the domains the
-         filter used (0 when it did not run) *)
-      Span.add sp "expand_s" (Sink.Float expand_s);
+      (* phase times summed over the level's chunks (0 when the phase
+         did not run), the chunks filtered, and the most domains a
+         filter or the settle pass used (0 when none ran) *)
+      Span.add sp "expand_s" (Sink.Float !expand_s);
       Span.add sp "sign_s" (Sink.Float !sign_s);
       Span.add sp "filter_s" (Sink.Float !filter_s);
+      Span.add sp "settle_s" (Sink.Float !settle_s);
+      Span.add sp "chunks" (Sink.Int (List.length !settled));
       Span.add sp "filter_domains" (Sink.Int !filter_domains);
-      (* the filter's work (0 when it did not run): kept reps scanned,
-         full subsumption tests, tests that reached the permutation
-         search, and permutations tested; then the arena's size *)
-      Span.add sp "filter_scanned" (Sink.Int !fc.scanned);
-      Span.add sp "filter_calls" (Sink.Int !fc.calls);
-      Span.add sp "filter_backtracks" (Sink.Int !fc.backtracks);
-      Span.add sp "filter_leaves" (Sink.Int !fc.leaves);
+      (* the filter's work over the chunks and the settle pass (0 when
+         none ran): kept reps scanned, full subsumption tests, tests
+         that reached the permutation search, and permutations tested;
+         then the arena's size *)
+      Span.add sp "filter_scanned" (Sink.Int fc.scanned);
+      Span.add sp "filter_calls" (Sink.Int fc.calls);
+      Span.add sp "filter_backtracks" (Sink.Int fc.backtracks);
+      Span.add sp "filter_leaves" (Sink.Int fc.leaves);
       Span.add sp "arena_bytes" (Sink.Int (Arena.bytes arena));
       (match on_level with
       | Some f when !result = None ->
@@ -697,11 +820,12 @@ let network_system ?(restrict = true) ~n () =
   let redundant_of ~level st =
     if not restrict || level <= 2 then fun _ -> false
     else begin
-      let tbl = lazy (State.unordered_pairs st) in
-      fun layer ->
-        List.exists
-          (fun (i, j) -> not (State.pair_unordered (Lazy.force tbl) ~n i j))
-          layer
+      let tbl = State.unordered_pairs st in
+      let rec has_dead = function
+        | [] -> false
+        | (i, j) :: rest -> (not (State.pair_unordered tbl ~n i j)) || has_dead rest
+      in
+      has_dead
     end
   in
   { n;

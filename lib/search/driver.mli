@@ -25,9 +25,21 @@
     the first level at which a sorted child appears is the exact
     optimum.
 
-    Each level expands sequentially on the calling domain; the
-    signature pass and the subsumption filter that follow it fan out
-    over [domains] ({!Par.iter_chunks}) and decide exactly as on one
+    Each level expands sequentially on the calling domain. With
+    subsumption, the expansion stops at the first parent boundary
+    after every 16,384 fresh children (a constant, never tied to
+    [domains]); that chunk is signed, filtered against every
+    representative kept so far, and its losing rows are dropped from
+    the arena ({!Arena.retain}). When the level's parents are done, a
+    settle pass re-filters the chunks' survivors against each other in
+    stable cardinality order. The result is the frontier a single
+    filter over the whole level keeps, state for state and in the same
+    order: both keep the earliest-committed member of every
+    subsumption-minimal class of the level's children that no earlier
+    level dominates. The arena so holds every representative ever
+    kept plus about one chunk, not every child ever made. The
+    signature pass, the filter and the settle pass fan out over
+    [domains] ({!Par.iter_chunks}) and decide exactly as on one
     domain, so every output is identical at every domain count.
 
     Observability: a run wrapped around an {!Obs.Sink} emits one
@@ -36,13 +48,18 @@
     summing them over all level events reproduces the final {!stats}
     exactly — plus a closing ["search"] event with the totals. Each
     level event also carries [expand_s], [sign_s] and [filter_s], the
-    wall seconds of its three phases (0 for a phase that did not run;
-    together at most the level's [wall_s]), and [filter_domains], the
-    number of domains its subsumption filter used (1 below the fan-out
-    threshold, 0 when no filter ran); the phase clocks are read only
-    when the sink is enabled. The [on_level] callback delivers live
-    cumulative stats after each completed level. Both cost nothing
-    when absent.
+    wall seconds of its phases summed over its chunks, [settle_s], the
+    settle pass's (0 for a phase that did not run; together at most
+    the level's [wall_s]), [chunks], the number of chunks filtered,
+    and [filter_domains], the most domains a filter or the settle pass
+    used (1 below the fan-out threshold, 0 when none ran). Each
+    filtered chunk emits a ["progress"] event (name ["search/chunk"])
+    with its [level], the [parents] of the level expanded so far, its
+    [candidates] and [survivors], and [arena_bytes], so a run stopped
+    mid-level still shows how far the level got. The phase clocks are
+    read, and chunk events built, only when the sink is enabled. The
+    [on_level] callback delivers live cumulative stats after each
+    completed level. Both cost nothing when absent.
 
     Crash safety: with [~checkpoint:(path, interval)] the driver cuts
     a snapshot of its whole loop state at every level boundary (the
@@ -53,9 +70,10 @@
     costs a closure, not a serialization. A run interrupted by a
     {!Cancel} token, a signal handler tripping one, or an injected
     ["kill-level"] {!Fault} returns [Interrupted] after writing the
-    newest unwritten boundary. [~resume:true] reads the snapshot at
-    [path] back through {!Checkpoint.resume}, checking its kind
-    (["snlb-search-driver-3"]) and its keys: the move tag, [n],
+    newest unwritten boundary, after rolling the in-flight level's
+    rows and representatives back. [~resume:true] reads the snapshot
+    at [path] back through {!Checkpoint.resume}, checking its kind
+    (["snlb-search-driver-4"]) and its keys: the move tag, [n],
     [max_depth] and the dedup mode. A snapshot that passes prints
     [snlb: resuming <tag> search, n=<n>, max_depth=<d>, next level
     <l>] to [stderr], and the run continues from that boundary with
@@ -78,7 +96,13 @@ val default_budget : budget
 type stats = {
   nodes : int;  (** move applications performed *)
   pruned : int;  (** children dropped by the system's prune test *)
-  deduped : int;  (** children dropped as equal to a seen state *)
+  deduped : int;
+      (** children dropped as equal to a state in the dedup memory: with
+          equality dedup every state seen, with subsumption the
+          representatives kept and the rows of the chunk being
+          expanded. A child equal to a row the filter dropped is
+          dropped by that row's subsumer instead, and counted in
+          [subsumed]; the sum of the two does not depend on it. *)
   subsumed : int;  (** children dropped by subsumption *)
   redundant : int;
       (** moves skipped before application by the system's
@@ -156,12 +180,13 @@ val run :
   'm outcome
 (** [run ~max_depth sys] searches prefixes of up to [max_depth] moves.
     Each level expands on the calling domain, then fans its signature
-    pass and subsumption filter out over [domains] (default 1, clamped
-    to [\[1, {!Par.clamp_max}\]]): the filter tests fixed-size
-    batches of candidates on every domain against the representatives
-    kept before the batch, then settles each batch in order, so the
-    output — outcome, witness, stats, frontier log, checkpoints — is
-    identical at every domain count. Small levels stay on one domain.
+    passes, subsumption filters and settle pass out over [domains]
+    (default 1, clamped to [\[1, {!Par.clamp_max}\]]): a chunk's
+    filter tests fixed-size batches of candidates on every domain
+    against the representatives kept before the batch, then settles
+    each batch in order, so the output — outcome, witness, stats,
+    frontier log, checkpoints — is identical at every domain count.
+    Small chunks stay on one domain.
     [sink] (default {!Sink.null}) receives the per-level and closing
     span events; [on_level ~level ~frontier stats] fires after each
     {e completed} level with the surviving frontier size and a

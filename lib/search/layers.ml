@@ -54,15 +54,26 @@ let apply_group_elt g layer =
          (min i' j', max i' j'))
        layer)
 
+(* Each orbit is walked once, from its first member in [all]'s order:
+   every image is marked seen, and the orbit's least image is its
+   representative. *)
 let second ~n =
-  let group = stabilizer ~n in
-  let canonical layer =
-    List.fold_left
-      (fun best g ->
-        let img = apply_group_elt g layer in
-        if compare img best < 0 then img else best)
-      layer group
-  in
-  List.filter (fun l -> canonical l = l) (all ~n)
+  let group = stabilizer ~n and all = all ~n in
+  let seen = Hashtbl.create 1024 and reps = Hashtbl.create 64 in
+  List.iter
+    (fun layer ->
+      if not (Hashtbl.mem seen layer) then begin
+        let least =
+          List.fold_left
+            (fun best g ->
+              let img = apply_group_elt g layer in
+              Hashtbl.replace seen img ();
+              if compare img best < 0 then img else best)
+            layer group
+        in
+        Hashtbl.replace reps least ()
+      end)
+    all;
+  List.filter (Hashtbl.mem reps) all
 
 let gates layer = List.map (fun (i, j) -> Gate.compare_up i j) layer

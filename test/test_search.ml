@@ -198,6 +198,55 @@ let test_layer_counts () =
         (List.mem layer (Layers.all ~n:6)))
     (Layers.second ~n:6)
 
+(* The fold [Layers.second] replaced, kept as its oracle: a layer is
+   its orbit's representative iff no image under the first layer's
+   stabilizer (permute the pairs, flip within a pair) is smaller. *)
+let reference_second ~n =
+  let k = n / 2 in
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) xs)))
+          xs
+  in
+  let group =
+    List.concat_map
+      (fun sigma ->
+        let sigma = Array.of_list sigma in
+        List.init (1 lsl k) (fun flips ->
+            Array.init n (fun c ->
+                if c >= 2 * k then c
+                else
+                  let p = c / 2 and b = c land 1 in
+                  (2 * sigma.(p)) + (b lxor ((flips lsr p) land 1)))))
+      (perms (List.init k Fun.id))
+  in
+  let image g layer =
+    List.sort compare
+      (List.map
+         (fun (i, j) ->
+           let i' = g.(i) and j' = g.(j) in
+           (min i' j', max i' j'))
+         layer)
+  in
+  let canonical layer =
+    List.fold_left
+      (fun best g ->
+        let img = image g layer in
+        if compare img best < 0 then img else best)
+      layer group
+  in
+  List.filter (fun l -> canonical l = l) (Layers.all ~n)
+
+let test_second_orbits () =
+  for n = 2 to 9 do
+    check_bool
+      (Printf.sprintf "n=%d: second = the group fold" n)
+      true
+      (Layers.second ~n = reference_second ~n)
+  done
+
 (* --- Driver --- *)
 
 let optimal n =
@@ -730,7 +779,9 @@ let prop_arena_witness_identity =
 (* Outcomes recorded when a second, boxed search engine still
    cross-checked this one decision for decision: the depth, every
    decision counter and the frontier sizes of [optimal_depth ~n] must
-   not move *)
+   not move. Since the filter drops the rows it rejects, a child equal
+   to one of them counts as subsumed, not deduped: n=7 moved from
+   362 / 2273 and n=8 from 680 / 5328, sums unchanged. *)
 let test_pinned_optimal_depths () =
   List.iter
     (fun (n, want, (nodes, deduped, subsumed, redundant, peak), sizes) ->
@@ -752,8 +803,8 @@ let test_pinned_optimal_depths () =
     [ (4, 3, (6, 2, 1, 8, 1), [ 1; 1 ]);
       (5, 5, (46, 7, 28, 162, 5), [ 1; 2; 5; 2 ]);
       (6, 5, (165, 17, 136, 520, 5), [ 1; 3; 5; 2 ]);
-      (7, 6, (2707, 362, 2273, 12557, 39), [ 1; 3; 39; 23; 3 ]);
-      (8, 6, (6075, 680, 5328, 39725, 29), [ 1; 4; 29; 26; 4 ]) ];
+      (7, 6, (2707, 359, 2276, 12557, 39), [ 1; 3; 39; 23; 3 ]);
+      (8, 6, (6075, 675, 5333, 39725, 29), [ 1; 4; 29; 26; 4 ]) ];
   (* the equality-dedup (unrestricted) system, witness included *)
   match Driver.optimal_depth ~restrict:false ~n:4 () with
   | Driver.Sorted { depth; moves; stats = s } ->
@@ -818,8 +869,8 @@ let test_arena_unsigned_rows_refused () =
   Arena.sign_pending arena [| Arena.scratch arena; Arena.scratch arena |];
   check_bool "signed child subsumes the initial state" true
     (Arena.subsumes arena child 0);
-  check_bool "truncated rows are refused" true
-    (Arena.truncate arena 1;
+  check_bool "dropped rows are refused" true
+    (Arena.retain arena ~prefix:1 [||];
      refused (fun () -> Arena.subsumes arena 0 child));
   (* an arena without signatures never signs a row *)
   let plain = Arena.create ~with_sigs:false ~n () in
@@ -828,6 +879,95 @@ let test_arena_unsigned_rows_refused () =
   Arena.sign_pending plain [| Arena.scratch plain |];
   check_bool "no signatures, no subsumption" true
     (refused (fun () -> Arena.subsumes plain 0 0))
+
+(* Dropping rows: the kept rows keep their masks, card, key, dedup
+   hits and subsumes answers under their new numbers; the dropped rows
+   are gone from the dedup table and past the arena's end; an unsigned
+   row stays unsigned. *)
+let prop_arena_retain =
+  QCheck.Test.make
+    ~name:"Arena.retain keeps rows, keys, dedup and subsumes; drops the rest (n=4..8)"
+    ~count:30
+    QCheck.(pair (int_range 0 1_000_000) (int_range 4 8))
+    (fun (seed, n) ->
+      let rng = Xoshiro.of_seed seed in
+      let arena = Arena.create ~n () in
+      let ok, _ = random_frontier rng arena n 60 in
+      (* a few unsigned rows at the end *)
+      let parent = Xoshiro.int rng ~bound:(Arena.length arena) in
+      for _ = 1 to 5 do
+        Arena.stage_child arena ~parent (random_layer rng n);
+        ignore (Arena.commit_unsigned arena ~level:2)
+      done;
+      let len = Arena.length arena in
+      let prefix = Xoshiro.int rng ~bound:(len + 1) in
+      let rows =
+        Array.of_list
+          (List.filter
+             (fun _ -> Xoshiro.int rng ~bound:3 > 0)
+             (List.init (len - prefix) (fun i -> prefix + i)))
+      in
+      let kept = Array.append (Array.init prefix Fun.id) rows in
+      let signed r =
+        match Arena.subsumes arena r r with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      let key r =
+        let k = Array.make (Arena.key_words arena) 0 in
+        if signed r then Arena.blit_key arena r k 0;
+        k
+      in
+      let snapshot r = (Arena.to_state arena r, Arena.card arena r, signed r, key r) in
+      (* row [kept.(i)] becomes row [i] *)
+      let answers rows =
+        Array.map
+          (fun a ->
+            Array.map
+              (fun b ->
+                match Arena.subsumes arena a b with
+                | v -> Some v
+                | exception Invalid_argument _ -> None)
+              rows)
+          rows
+      in
+      let before = Array.map snapshot kept and subsumes_before = answers kept in
+      let dropped =
+        List.filter_map
+          (fun r -> if Array.mem r kept then None else Some (Arena.to_state arena r))
+          (List.init len Fun.id)
+      in
+      Arena.retain arena ~prefix rows;
+      let m = Array.length kept in
+      let same =
+        Arena.length arena = m
+        && Array.for_all2
+             (fun (st, card, sg, k) (st', card', sg', k') ->
+               State.equal st st' && card = card' && sg = sg' && k = k')
+             before
+             (Array.init m snapshot)
+        && answers (Array.init m Fun.id) = subsumes_before
+      in
+      let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+      let past_end = refused (fun () -> Arena.subsumes arena 0 m) in
+      let dedup_kept =
+        Array.for_all
+          (fun i ->
+            let st, _, _, _ = before.(i) in
+            Arena.stage_state arena st;
+            Arena.commit_unsigned arena ~level:3 = `Dup i)
+          (Array.init m Fun.id)
+      in
+      let dedup_dropped =
+        List.for_all
+          (fun st ->
+            Arena.stage_state arena st;
+            match Arena.commit_unsigned arena ~level:3 with
+            | `Fresh i -> i >= m
+            | `Dup _ -> false)
+          dropped
+      in
+      ok && same && past_end && dedup_kept && dedup_dropped)
 
 let test_arena_signatures_stop_at_10 () =
   let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
@@ -943,6 +1083,120 @@ let test_arena_checkpoint_across_domains () =
     (log = List.filter (fun (l, _) -> l > 3) log1);
   check_bool "resumed run filtered in parallel" true (fd > 1)
 
+(* Hex MD5 of a logged frontier: each state's key words in decimal,
+   a comma after each word and a semicolon after each state. *)
+let frontier_digest keys =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun key ->
+      Array.iter
+        (fun w ->
+          Buffer.add_string b (string_of_int w);
+          Buffer.add_char b ',')
+        key;
+      Buffer.add_char b ';')
+    keys;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* n = 10 through level 3: 23,886 children, the first 19,092 fresh ones
+   filtered as one chunk after the fifth of the six level-2 parents and
+   the rest after the sixth; the budget trips early in level 4. *)
+let n10_budget = { Driver.max_nodes = 30_000; max_seconds = None }
+
+(* the level-3 frontier (2314 states) and the counts, except the
+   deduped / subsumed split, recorded when the filter still ran once
+   over the whole level (deduped 816, subsumed 20785: the same sum) *)
+let n10_level3_digest = "c1669b4d96f3598b918237034cdb232f"
+
+let n10_key =
+  (`Inconclusive, ((30817, 0, 447, 21154, 56289), ([ 1; 6; 2314 ], 2314, 3)))
+
+let n10_level3_logged log =
+  match log with
+  | [ (3, keys) ] -> frontier_digest keys = n10_level3_digest
+  | _ -> false
+
+let test_chunked_level () =
+  let sys = Driver.network_system ~n:10 () in
+  let run domains =
+    let sink, events = Sink.memory () in
+    let log = ref [] in
+    let frontier_log ~level states =
+      log := (level, List.map State.key states) :: !log
+    in
+    let o =
+      Driver.run ~domains ~budget:n10_budget ~sink ~frontier_log ~max_depth:6 sys
+    in
+    let chunks =
+      List.filter_map
+        (fun (e : Sink.event) ->
+          match (e.name, List.assoc_opt "level" e.fields) with
+          | "search/chunk", Some (Sink.Int 3) -> List.assoc_opt "candidates" e.fields
+          | _ -> None)
+        (events ())
+    in
+    (outcome_key o, List.rev !log, chunks)
+  in
+  let key1, log1, chunks1 = run 1 in
+  check_bool "n=10 level 3 ran in two chunks" true
+    (chunks1 = [ Sink.Int 19092; Sink.Int 4352 ]);
+  check_bool "level-3 frontier = the whole-level filter's" true
+    (n10_level3_logged (List.filter (fun (l, _) -> l = 3) log1));
+  check_bool "outcome and counts" true (key1 = n10_key);
+  let key2, log2, chunks2 = run 2 in
+  check_bool "2 domains: outcome and counts" true (key2 = key1);
+  check_bool "2 domains: frontier log" true (log2 = log1);
+  check_bool "2 domains: chunks" true (chunks2 = chunks1)
+
+(* A run cancelled in level 3 after its first chunk was filtered rolls
+   the chunk's rows and reps back before its boundary snapshot is
+   written (the interval keeps it from being written earlier), and
+   resumes to the uninterrupted run. *)
+let test_chunk_cancel_resume () =
+  let sys = Driver.network_system ~n:10 () in
+  let path = Filename.temp_file "snlb-chunk" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Atomic_file.backup_path path ])
+  @@ fun () ->
+  let cancel = Cancel.create () and parents = ref 0 in
+  (* the hook runs once per expanded parent; the sixth level-3 parent
+     comes after the first chunk *)
+  let cancelling =
+    { sys with
+      Driver.redundant_of =
+        (fun ~level st ->
+          if level = 3 then begin
+            incr parents;
+            if !parents = 6 then Cancel.cancel cancel
+          end;
+          sys.Driver.redundant_of ~level st) }
+  in
+  let sink, events = Sink.memory () in
+  (match
+     Driver.run ~budget:n10_budget ~sink ~checkpoint:(path, 3600.) ~cancel
+       ~max_depth:6 cancelling
+   with
+  | Driver.Interrupted s -> check_int "levels 1-2 completed" 2 s.Driver.completed_levels
+  | _ -> Alcotest.fail "the cancelled run must stop in level 3");
+  check_int "one chunk filtered before the cancel" 1
+    (List.length
+       (List.filter
+          (fun (e : Sink.event) ->
+            e.name = "search/chunk" && List.assoc_opt "level" e.fields = Some (Sink.Int 3))
+          (events ())));
+  let resumes = Metrics.counter "checkpoint.resumes" in
+  let before = Metrics.value resumes in
+  let key, log, _ =
+    logged_run ~budget:n10_budget ~checkpoint:(path, 3600.) ~resume:true
+      ~domains:2 ~max_depth:6 sys
+  in
+  check_int "resume succeeded" (before + 1) (Metrics.value resumes);
+  check_bool "resumed: outcome and stats" true (key = n10_key);
+  check_bool "resumed: level 3 of the log" true (n10_level3_logged log)
+
 let test_domains2_no_regression () =
   (* The fan-out thresholds of the signature pass and the subsumption
      filter keep small levels on one domain: domains=2 at n=6 once ran
@@ -992,7 +1246,10 @@ let () =
             test_canonical_isomorphic;
           Alcotest.test_case "n=4 exhaustive: collide iff isomorphic" `Quick
             test_canonical_exhaustive_n4 ] );
-      ("layers", [ Alcotest.test_case "counts" `Quick test_layer_counts ]);
+      ( "layers",
+        [ Alcotest.test_case "counts" `Quick test_layer_counts;
+          Alcotest.test_case "second by orbits = group fold, n=2..9" `Quick
+            test_second_orbits ] );
       ( "arena",
         [ QCheck_alcotest.to_alcotest prop_arena_dedup_agrees;
           QCheck_alcotest.to_alcotest prop_arena_stage_directed;
@@ -1004,6 +1261,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_arena_subsumes_other_domain;
           Alcotest.test_case "unsigned rows never reach subsumes" `Quick
             test_arena_unsigned_rows_refused;
+          QCheck_alcotest.to_alcotest prop_arena_retain;
           Alcotest.test_case "arena signatures stop at n=10" `Quick
             test_arena_signatures_stop_at_10;
           Alcotest.test_case "n=6,7,8 identical at 1, 2, 3 domains" `Quick
@@ -1011,7 +1269,11 @@ let () =
           Alcotest.test_case "budget trip identical at 1, 2, 3 domains" `Quick
             test_arena_domain_identity_budget;
           Alcotest.test_case "checkpoint at 1 domain resumes at 2" `Quick
-            test_arena_checkpoint_across_domains ] );
+            test_arena_checkpoint_across_domains;
+          Alcotest.test_case "n=10 level 3 in two chunks = whole-level filter"
+            `Quick test_chunked_level;
+          Alcotest.test_case "cancel after a chunk rolls back and resumes" `Quick
+            test_chunk_cancel_resume ] );
       ( "driver",
         [ Alcotest.test_case "known optima n<=6" `Quick test_known_optimal_depths;
           Alcotest.test_case "reference agreement + 10x pruning" `Quick
