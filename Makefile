@@ -30,7 +30,8 @@ bench:
 # BENCH_search.json, the static
 # analyzer's throughput (networks/sec, comparators/sec) into
 # BENCH_analysis.json, and the serve scheduler's 32-client
-# batched-vs-sequential throughput and lane-fill ratio into
+# batched-vs-sequential throughput and lane-fill ratio, and the verify
+# cache key's microseconds (median and quartiles), into
 # BENCH_serve.json, and the evolutionary search's population-fitness
 # kernel (nets/sec at 1 vs K domains), end-to-end n=6 rediscovery
 # run, and differential-fuzzer checking rate into BENCH_evolve.json.
@@ -82,6 +83,7 @@ bench-json:
 	grep -q '"serve/verify/batched/requests_per_s"' BENCH_serve.json
 	grep -q '"serve/verify/speedup"' BENCH_serve.json
 	grep -q '"serve/eval/lane_fill_ratio"' BENCH_serve.json
+	grep -q '"serve/verify-key/us"' BENCH_serve.json
 	grep -q '"obs/serve.verify.sweeps"' BENCH_serve.json
 	grep -q '"obs/serve.batch.rounds"' BENCH_serve.json
 	awk -F': ' '/"serve\/verify\/speedup"/ { exit !($$2 + 0 >= 3.0) }' BENCH_serve.json

@@ -556,6 +556,47 @@ let serve_json_rows () =
   in
   verify_rows @ eval_rows
 
+(* The verify cache key ([Scache.key]: the reachable set by the
+   set-image kernel, then its canonical form) over a seeded set of 200
+   standard networks shaped like a fresh serve verify request: 8-12
+   wires, 6-10 random partial matchings of ascending comparators, each
+   pair kept with probability 3/4. After one warm-up pass, 11 timed
+   passes each give the mean microseconds per key; the row is their
+   median, with the quartiles beside it. *)
+let verify_key_rows () =
+  let rng = Xoshiro.of_seed 1 in
+  let network () =
+    let wires = 8 + Xoshiro.int rng ~bound:5 in
+    let layer () =
+      let perm = Workload.random_permutation rng ~n:wires in
+      List.filter_map
+        (fun k ->
+          if Xoshiro.int rng ~bound:4 = 0 then None
+          else Some (Gate.compare_up perm.(2 * k) perm.((2 * k) + 1)))
+        (List.init (wires / 2) Fun.id)
+    in
+    let layers = List.init (6 + Xoshiro.int rng ~bound:5) (fun _ -> layer ()) in
+    Network.of_gate_levels ~wires (List.filter (( <> ) []) layers)
+  in
+  let nets = Array.init 200 (fun _ -> network ()) in
+  let pass () =
+    let t0 = Clock.wall () in
+    Array.iter (fun nw -> ignore (Sys.opaque_identity (Scache.key nw))) nets;
+    1e6 *. (Clock.wall () -. t0) /. float_of_int (Array.length nets)
+  in
+  ignore (pass ());
+  let xs = Array.of_list (List.sort compare (List.init 11 (fun _ -> pass ()))) in
+  (* linear interpolation between order statistics *)
+  let quantile p =
+    let pos = p *. float_of_int (Array.length xs - 1) in
+    let i = int_of_float pos in
+    let j = min (i + 1) (Array.length xs - 1) in
+    xs.(i) +. ((pos -. float_of_int i) *. (xs.(j) -. xs.(i)))
+  in
+  [ ("serve/verify-key/us", quantile 0.5);
+    ("serve/verify-key/q1_us", quantile 0.25);
+    ("serve/verify-key/q3_us", quantile 0.75) ]
+
 (* evolve: the population fitness kernel is the hot loop of the
    evolutionary search — one compile plus one lane-packed 2^n sweep
    per genome, fanned out over domains.  Rows give nets/s over a
@@ -647,7 +688,7 @@ let () =
       (match Sys.getenv_opt "SNLB_BENCH_SERVE_JSON" with
        | Some serve_path ->
            Metrics.reset ();
-           let rows = serve_json_rows () in
+           let rows = serve_json_rows () @ verify_key_rows () in
            write_json serve_path (rows @ obs_rows ())
        | None -> ());
       (match Sys.getenv_opt "SNLB_BENCH_EVOLVE_JSON" with

@@ -10,13 +10,10 @@
    hash table keyed by an xxhash64-style hash of the row words — no
    boxed keys, no per-state allocation on the probe path.
 
-   The 64-per-word packing (vs [State]'s 62) is what makes comparator
-   application word-parallel: index bits 0-5 select the bit inside a
-   word and the bits above select the word, so applying a comparator
-   [(i, j)] to the whole reachable set is a butterfly on the row — an
-   intra-word masked shift when [j < 6], a masked cross-word shift when
-   [i < 6 <= j], and whole-word moves when [6 <= i] — O(words) word
-   operations per comparator instead of a per-mask loop.
+   A row is a [Maskset] row: the 64-per-word packing (vs [State]'s 62)
+   is what makes comparator application word-parallel, so a child is
+   staged by [Maskset.apply_cmp], the set-image butterfly — O(words)
+   word operations per comparator instead of a per-mask loop.
 
    Subsumption filters run on packed SWAR signatures: the per-level
    counts and per-channel ones counts are packed into bitfields sized
@@ -28,7 +25,7 @@
    the channels it can still be above) and its transpose are packed n
    bits per channel and prune the permutation search. *)
 
-type row = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type row = Maskset.row
 
 (* field k of a packed signature word: value at [shift], guard bit at
    [shift + width] *)
@@ -94,8 +91,6 @@ type t = {
   mutable table : int array; (* open addressing: 0 = empty, else idx + 1 *)
   mutable mask : int; (* Array.length table - 1 *)
   (* precomputed per n *)
-  intra : int64 array array; (* i, j < 6: positions with bit i set, bit j clear *)
-  bitset : int64 array; (* i < 6: intra positions with bit i set *)
   sorted_row : int64 array;
   byte_pc : int array; (* popcount of each global byte index *)
   byte_hc : int array array; (* per byte position: its high channels 3+d *)
@@ -112,31 +107,6 @@ let c_probes = Metrics.counter "arena.probes"
 let c_collisions = Metrics.counter "arena.collisions"
 let c_resizes = Metrics.counter "arena.resizes"
 let c_bytes = Metrics.counter "arena.bytes"
-
-(* --- bit utilities on int64 words --- *)
-
-let pop64 x =
-  Bitops.popcount (Int64.to_int (Int64.logand x 0x3FFF_FFFF_FFFF_FFFFL))
-  + Bitops.popcount (Int64.to_int (Int64.shift_right_logical x 62))
-
-let debruijn64 = 0x03F79D71B4CB0A89L
-
-let db_tab =
-  let t = Array.make 64 0 in
-  for i = 0 to 63 do
-    t.(Int64.to_int
-         (Int64.shift_right_logical
-            (Int64.mul (Int64.shift_left 1L i) debruijn64)
-            58)
-       land 63) <- i
-  done;
-  t
-
-(* index of the (single) set bit of [b] *)
-let bit_index64 b =
-  Array.unsafe_get db_tab
-    (Int64.to_int (Int64.shift_right_logical (Int64.mul b debruijn64) 58)
-     land 63)
 
 (* Byte tables for the packed signature counts. A mask [m] splits as
    byte position [P = m lsr 3] and in-byte bit [i = m land 7], with
@@ -240,7 +210,7 @@ let create ?(with_sigs = true) ~n () =
   check_n n;
   if with_sigs && n > 10 then
     invalid_arg "Arena.create: signatures need n <= 10";
-  let wpr = max 1 ((1 lsl n) / 64) in
+  let wpr = Maskset.words ~n in
   let cap = 1024 in
   let lay = make_layout (Array.init (n + 1) (binomial n)) in
   let deg_lay = make_layout (Array.make n (n - 1)) in
@@ -249,27 +219,6 @@ let create ?(with_sigs = true) ~n () =
   let prof_cpw = 62 / n in
   let prof_words = (n + prof_cpw - 1) / prof_cpw in
   let sig_stride = prof_off + (2 * prof_words) in
-  let intra =
-    Array.init 6 (fun i ->
-        Array.init 6 (fun j ->
-            if i = j then 0L
-            else begin
-              let p = ref 0L in
-              for b = 0 to 63 do
-                if (b lsr i) land 1 = 1 && (b lsr j) land 1 = 0 then
-                  p := Int64.logor !p (Int64.shift_left 1L b)
-              done;
-              !p
-            end))
-  in
-  let bitset =
-    Array.init 6 (fun i ->
-        let p = ref 0L in
-        for b = 0 to 63 do
-          if (b lsr i) land 1 = 1 then p := Int64.logor !p (Int64.shift_left 1L b)
-        done;
-        !p)
-  in
   let sorted_row =
     let r = Array.make wpr 0L in
     for k = 0 to n do
@@ -299,8 +248,6 @@ let create ?(with_sigs = true) ~n () =
     prof_words;
     table = Array.make 4096 0;
     mask = 4095;
-    intra;
-    bitset;
     sorted_row;
     byte_pc = Array.init (wpr * 8) Bitops.popcount;
     byte_hc =
@@ -383,107 +330,16 @@ let stage_state t st =
            (Int64.shift_left 1L (m land 63))))
     st
 
-(* apply one comparator (i, j), i <> j, to the row at [base]: the
-   minimum goes to channel i and the maximum to channel j, so every mask
-   with bit i set and bit j clear moves by 2^j - 2^i to the mask with
-   those bits exchanged (up for an ascending pair, down for a reversed
-   one); everything else stays. Butterfly by case on whether the
-   affected index bits are intra-word; each direction has its own loop,
-   so neither pays a branch per word. *)
-let apply_cmp t base i j =
-  let words = t.words and wpr = t.wpr in
-  if i < 6 && j < 6 then begin
-    let pat = t.intra.(i).(j) in
-    if i < j then begin
-      let delta = (1 lsl j) - (1 lsl i) in
-      for w = 0 to wpr - 1 do
-        let x = Bigarray.Array1.unsafe_get words (base + w) in
-        let mov = Int64.logand x pat in
-        if mov <> 0L then
-          Bigarray.Array1.unsafe_set words (base + w)
-            (Int64.logor (Int64.logxor x mov) (Int64.shift_left mov delta))
-      done
-    end
-    else begin
-      let delta = (1 lsl i) - (1 lsl j) in
-      for w = 0 to wpr - 1 do
-        let x = Bigarray.Array1.unsafe_get words (base + w) in
-        let mov = Int64.logand x pat in
-        if mov <> 0L then
-          Bigarray.Array1.unsafe_set words (base + w)
-            (Int64.logor (Int64.logxor x mov)
-               (Int64.shift_right_logical mov delta))
-      done
-    end
-  end
-  else if i < 6 then begin
-    (* i < 6 <= j: the bit-i movers of a word with bit j clear land in
-       the word 2^(j-6) above, bit i cleared *)
-    let pat = t.bitset.(i) in
-    let dj = 1 lsl (j - 6) in
-    let shift = 1 lsl i in
-    for w = 0 to wpr - 1 do
-      if w land dj = 0 then begin
-        let x = Bigarray.Array1.unsafe_get words (base + w) in
-        let mov = Int64.logand x pat in
-        if mov <> 0L then begin
-          Bigarray.Array1.unsafe_set words (base + w) (Int64.logxor x mov);
-          let w' = base + w + dj in
-          Bigarray.Array1.unsafe_set words w'
-            (Int64.logor
-               (Bigarray.Array1.unsafe_get words w')
-               (Int64.shift_right_logical mov shift))
-        end
-      end
-    done
-  end
-  else if j < 6 then begin
-    (* j < 6 <= i, reversed: the bit-j-clear positions of a word with
-       bit i set land in the word 2^(i-6) below, bit j set *)
-    let pat = Int64.lognot t.bitset.(j) in
-    let di = 1 lsl (i - 6) in
-    let shift = 1 lsl j in
-    for w = 0 to wpr - 1 do
-      if w land di <> 0 then begin
-        let x = Bigarray.Array1.unsafe_get words (base + w) in
-        let mov = Int64.logand x pat in
-        if mov <> 0L then begin
-          Bigarray.Array1.unsafe_set words (base + w) (Int64.logxor x mov);
-          let w' = base + w - di in
-          Bigarray.Array1.unsafe_set words w'
-            (Int64.logor
-               (Bigarray.Array1.unsafe_get words w')
-               (Int64.shift_left mov shift))
-        end
-      end
-    done
-  end
-  else begin
-    (* whole words move, up or down *)
-    let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
-    for w = 0 to wpr - 1 do
-      if w land di <> 0 && w land dj = 0 then begin
-        let x = Bigarray.Array1.unsafe_get words (base + w) in
-        if x <> 0L then begin
-          let w' = base + w - di + dj in
-          Bigarray.Array1.unsafe_set words w'
-            (Int64.logor (Bigarray.Array1.unsafe_get words w') x);
-          Bigarray.Array1.unsafe_set words (base + w) 0L
-        end
-      end
-    done
-  end
-
 (* Swap index bits [i < j] of the 2^n positions of the row at word
-   offset [base] of [r]: the same butterfly structure as [apply_cmp],
-   but a swap instead of an OR-move. Positions with bits (i, j) = (1, 0)
-   exchange with their (0, 1) partner at distance [2^j - 2^i]; (0, 0)
-   and (1, 1) are fixed. *)
+   offset [base] of [r]: the same butterfly structure as
+   [Maskset.apply_cmp], but a swap instead of an OR-move. Positions
+   with bits (i, j) = (1, 0) exchange with their (0, 1) partner at
+   distance [2^j - 2^i]; (0, 0) and (1, 1) are fixed. *)
 let transpose_row t (r : row) base i j =
   if j < 6 then begin
-    (* delta-swap within each word; [intra.(i).(j)] selects the lower
-       position of every swapped pair *)
-    let pat = t.intra.(i).(j) in
+    (* delta-swap within each word; [Maskset.intra.(i).(j)] selects the
+       lower position of every swapped pair *)
+    let pat = Maskset.intra.(i).(j) in
     let delta = (1 lsl j) - (1 lsl i) in
     for w = 0 to t.wpr - 1 do
       let x = Bigarray.Array1.unsafe_get r (base + w) in
@@ -497,8 +353,8 @@ let transpose_row t (r : row) base i j =
   else if i < 6 then begin
     (* word pair (w, w + 2^(j-6)): bit-i=1 positions of the low word
        exchange with bit-i=0 positions of the high word, 2^i apart *)
-    let bi = t.bitset.(i) and sh = 1 lsl i in
-    let nbi = Int64.lognot t.bitset.(i) in
+    let bi = Maskset.bitset.(i) and sh = 1 lsl i in
+    let nbi = Int64.lognot bi in
     let dj = 1 lsl (j - 6) in
     for w = 0 to t.wpr - 1 do
       if (w lsr (j - 6)) land 1 = 0 then begin
@@ -555,7 +411,7 @@ let stage_child t ?perm ~parent pairs =
       (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
   (match perm with Some pi -> permute_bits t t.words dst pi | None -> ());
-  List.iter (fun (i, j) -> apply_cmp t dst i j) pairs
+  List.iter (fun (i, j) -> Maskset.apply_cmp t.words ~wpr:t.wpr dst i j) pairs
 
 let row_subset t base_a base_b =
   let ok = ref true in
@@ -581,12 +437,7 @@ let staged_is_sorted t =
   done;
   !ok
 
-let row_card t base =
-  let c = ref 0 in
-  for w = 0 to t.wpr - 1 do
-    c := !c + pop64 (Bigarray.Array1.unsafe_get t.words (base + w))
-  done;
-  !c
+let row_card t base = Maskset.card t.words ~wpr:t.wpr base
 
 (* --- hashing and open addressing --- *)
 
@@ -664,17 +515,6 @@ let pack_fields lay vals sigs off =
       sigs.(off + w) <- sigs.(off + w) lor (vals.(k) lsl s)
     done
   end
-
-let iter_row_masks t base f =
-  for w = 0 to t.wpr - 1 do
-    let x = ref (Bigarray.Array1.unsafe_get t.words (base + w)) in
-    let wbase = w lsl 6 in
-    while !x <> 0L do
-      let b = Int64.logand !x (Int64.neg !x) in
-      f (wbase + bit_index64 b);
-      x := Int64.logand !x (Int64.sub !x 1L)
-    done
-  done
 
 (* A signed row has n <= 10, so every count fits 8 bits: one
    [byte_t1] add per nonzero row byte accumulates four level counts at
@@ -1041,12 +881,12 @@ let retain t ~prefix rows =
 
 let state_of_base t base =
   let masks = ref [] in
-  iter_row_masks t base (fun m -> masks := m :: !masks);
+  Maskset.iter t.words ~wpr:t.wpr base (fun m -> masks := m :: !masks);
   State.of_masks ~n:t.n (List.rev !masks)
 
 let to_state t idx = state_of_base t (idx * t.wpr)
 let staged_state t = state_of_base t (stage_off t)
-let iter_masks t idx f = iter_row_masks t (idx * t.wpr) f
+let iter_masks t idx f = Maskset.iter t.words ~wpr:t.wpr (idx * t.wpr) f
 
 (* --- subsumption ---
 

@@ -82,6 +82,8 @@ type fscratch = {
   key : int array;
   mutable scanned : int; (* reps looked at *)
   mutable calls : int; (* full [Arena.subsumes_with] tests *)
+  mutable hit_scanned : int; (* [scanned] by scans that found a subsumer *)
+  mutable hit_calls : int; (* [calls] by scans that found a subsumer *)
 }
 
 (* Representatives as arena indices, sorted by ascending cardinality:
@@ -123,7 +125,9 @@ let kept ~domains arena =
           { sc = Arena.scratch arena;
             key = Array.make kw 0;
             scanned = 0;
-            calls = 0 });
+            calls = 0;
+            hit_scanned = 0;
+            hit_calls = 0 });
     kw;
     guards = Arena.key_guards arena;
     all = empty_reps kw;
@@ -220,18 +224,32 @@ let subsumed_in k fs r ~upto ~lim cand =
    end);
   fs.scanned <- fs.scanned + !i;
   fs.calls <- fs.calls + !calls;
+  if !hit then begin
+    fs.hit_scanned <- fs.hit_scanned + !i;
+    fs.hit_calls <- fs.hit_calls + !calls
+  end;
   !hit
 
-type filter_counts = { scanned : int; calls : int; backtracks : int; leaves : int }
+type filter_counts = {
+  scanned : int;
+  calls : int;
+  hit_scanned : int;
+  hit_calls : int;
+  backtracks : int;
+  leaves : int;
+}
 
 let filter_counts k =
   Array.fold_left
     (fun acc (fs : fscratch) ->
       { scanned = acc.scanned + fs.scanned;
         calls = acc.calls + fs.calls;
+        hit_scanned = acc.hit_scanned + fs.hit_scanned;
+        hit_calls = acc.hit_calls + fs.hit_calls;
         backtracks = acc.backtracks + Arena.backtracks fs.sc;
         leaves = acc.leaves + Arena.leaves fs.sc })
-    { scanned = 0; calls = 0; backtracks = 0; leaves = 0 }
+    { scanned = 0; calls = 0; hit_scanned = 0; hit_calls = 0; backtracks = 0;
+      leaves = 0 }
     k.scratches
 
 let by_card k l =
@@ -708,6 +726,8 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
         let c = filter_counts kept in
         { scanned = c.scanned - counts0.scanned;
           calls = c.calls - counts0.calls;
+          hit_scanned = c.hit_scanned - counts0.hit_scanned;
+          hit_calls = c.hit_calls - counts0.hit_calls;
           backtracks = c.backtracks - counts0.backtracks;
           leaves = c.leaves - counts0.leaves }
       in
@@ -730,11 +750,14 @@ let run ?(domains = 1) ?(budget = default_budget) ?(sink = Sink.null) ?on_level
       Span.add sp "chunks" (Sink.Int (List.length !settled));
       Span.add sp "filter_domains" (Sink.Int !filter_domains);
       (* the filter's work over the chunks and the settle pass (0 when
-         none ran): kept reps scanned, full subsumption tests, tests
-         that reached the permutation search, and permutations tested;
-         then the arena's size *)
+         none ran): kept reps scanned and full subsumption tests, each
+         also counted over the scans that ended on a subsumer alone,
+         tests that reached the permutation search, and permutations
+         tested; then the arena's size *)
       Span.add sp "filter_scanned" (Sink.Int fc.scanned);
       Span.add sp "filter_calls" (Sink.Int fc.calls);
+      Span.add sp "filter_hit_scanned" (Sink.Int fc.hit_scanned);
+      Span.add sp "filter_hit_calls" (Sink.Int fc.hit_calls);
       Span.add sp "filter_backtracks" (Sink.Int fc.backtracks);
       Span.add sp "filter_leaves" (Sink.Int fc.leaves);
       Span.add sp "arena_bytes" (Sink.Int (Arena.bytes arena));

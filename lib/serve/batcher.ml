@@ -11,10 +11,14 @@
      response cache so later resubmissions don't reach the engine at
      all;
 
-   - eval jobs on 0-1 inputs are grouped by network and lane-packed
-     into one Bitslice.eval_masks call, up to 64 unrelated clients'
-     inputs per pass (one word-parallel execution of the compiled
-     stream).
+   - eval jobs on 0-1 inputs are grouped by compiled stream — the
+     [Compiled.t] each caller got from [Cache.compile], compared
+     physically — and lane-packed into one Bitslice.eval_masks call, up
+     to 64 unrelated clients' inputs per pass (one word-parallel
+     execution of the stream). The compile cache hands every
+     structurally equal network the same stream, so two evals on one
+     network share a pass unless the cache evicted the stream between
+     their two lookups.
 
    The linger ends as soon as every request in flight (every caller
    inside [request]) has queued its job or finished, or after [window]
@@ -55,6 +59,8 @@ type verify_result = {
   cached : bool;  (* served from the response cache, no engine pass *)
   coalesced : int;  (* requests sharing this round's sweep (>= 1) *)
   key : string;  (* the cache key used *)
+  key_us : float;  (* deriving [key] *)
+  sweep_us : float option;  (* the sweep that answered, if one ran *)
 }
 
 (* one-shot result cell: the scatter half of gather/batch/scatter *)
@@ -84,9 +90,10 @@ type job =
       nw : Network.t;
       skey : string;
       key : string;
+      key_us : float;
       cell : verify_result Cell.t;
     }
-  | Jeval of { nw : Network.t; skey : string; mask : int; cell : int Cell.t }
+  | Jeval of { compiled : Compiled.t; mask : int; cell : int Cell.t }
 
 type t = {
   config : config;
@@ -110,25 +117,26 @@ let c_eval_passes = Metrics.counter "serve.eval.passes"
 let c_eval_lanes = Metrics.counter "serve.eval.lanes"
 let c_early_closes = Metrics.counter "serve.batch.early_closes"
 let h_linger_ms = Metrics.histogram "serve.batch.linger_ms"
+let h_key_us = Metrics.histogram "serve.phase.key_us"
+let h_sweep_us = Metrics.histogram "serve.phase.sweep_us"
 
 let sweeps () = Metrics.value c_sweeps
 let eval_passes () = Metrics.value c_eval_passes
 let eval_lanes () = Metrics.value c_eval_lanes
 
-(* group jobs by a string key, preserving arrival order within groups *)
-let group_by key_of jobs =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun j ->
+(* group jobs by a key, preserving arrival order within groups; [same]
+   compares keys, and a round holds few distinct ones *)
+let group_by ~same key_of jobs =
+  List.fold_left
+    (fun groups j ->
       let k = key_of j in
-      match Hashtbl.find_opt tbl k with
-      | Some l -> l := j :: !l
-      | None ->
-          Hashtbl.add tbl k (ref [ j ]);
-          order := k :: !order)
-    jobs;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
+      match List.find_opt (fun (k', _) -> same k k') groups with
+      | Some (_, l) ->
+          l := j :: !l;
+          groups
+      | None -> (k, ref [ j ]) :: groups)
+    [] jobs
+  |> List.rev_map (fun (k, l) -> (k, List.rev !l))
 
 let run_verify_group t key jobs =
   let prior =
@@ -136,9 +144,9 @@ let run_verify_group t key jobs =
     | None -> None
     | Some cache -> Scache.peek cache key
   in
-  let entry =
+  let entry, sweep_us =
     match prior with
-    | Some e -> e
+    | Some e -> (e, None)
     | None ->
         let nw, skey =
           match List.hd jobs with
@@ -147,19 +155,23 @@ let run_verify_group t key jobs =
         in
         Metrics.incr c_sweeps;
         Metrics.add c_coalesced (List.length jobs - 1);
+        let t0 = Clock.wall () in
+        let verdict = Zero_one.verify ~domains:t.config.domains nw in
+        let sweep_us = 1e6 *. (Clock.wall () -. t0) in
+        Metrics.observe h_sweep_us sweep_us;
         let entry =
-          match Zero_one.verify ~domains:t.config.domains nw with
+          match verdict with
           | Ok () -> { Scache.sorts = true; witness = None; skey }
           | Error w -> { Scache.sorts = false; witness = Some w; skey }
         in
         Option.iter (fun cache -> Scache.add cache key entry) t.config.cache;
-        entry
+        (entry, Some sweep_us)
   in
   let cached = prior <> None in
   let coalesced = if cached then 1 else List.length jobs in
   List.iter
     (function
-      | Jverify { skey; cell; _ } ->
+      | Jverify { skey; key_us; cell; _ } ->
           (* a witness is a property of the concrete network: only
              hand it to requests whose structural key matches the one
              that produced it (see Scache) *)
@@ -167,15 +179,12 @@ let run_verify_group t key jobs =
             if entry.Scache.skey = skey then entry.Scache.witness else None
           in
           Cell.fill cell
-            { sorts = entry.Scache.sorts; witness; cached; coalesced; key }
+            { sorts = entry.Scache.sorts; witness; cached; coalesced; key;
+              key_us; sweep_us }
       | Jeval _ -> assert false)
     jobs
 
-let run_eval_group _t jobs =
-  let nw =
-    match List.hd jobs with Jeval { nw; _ } -> nw | Jverify _ -> assert false
-  in
-  let compiled = Cache.compile nw in
+let run_eval_group compiled jobs =
   let jobs = Array.of_list jobs in
   let masks =
     Array.map
@@ -200,11 +209,13 @@ let run_round t jobs =
   in
   List.iter
     (fun (key, group) -> run_verify_group t key group)
-    (group_by (function Jverify { key; _ } -> key | Jeval _ -> assert false)
+    (group_by ~same:String.equal
+       (function Jverify { key; _ } -> key | Jeval _ -> assert false)
        verifies);
   List.iter
-    (fun (_skey, group) -> run_eval_group t group)
-    (group_by (function Jeval { skey; _ } -> skey | Jverify _ -> assert false)
+    (fun (compiled, group) -> run_eval_group compiled group)
+    (group_by ~same:( == )
+       (function Jeval { compiled; _ } -> compiled | Jverify _ -> assert false)
        evals)
 
 (* every request in flight has queued its job or finished *)
@@ -331,7 +342,10 @@ let request t f =
 
 let verify t nw =
   let skey = Scache.structural_key nw in
+  let t0 = Clock.wall () in
   let key = if t.config.cache = None then skey else Scache.key nw in
+  let key_us = 1e6 *. (Clock.wall () -. t0) in
+  Metrics.observe h_key_us key_us;
   match
     match t.config.cache with None -> None | Some c -> Scache.find c key
   with
@@ -340,15 +354,16 @@ let verify t nw =
       let witness =
         if entry.Scache.skey = skey then entry.Scache.witness else None
       in
-      { sorts = entry.Scache.sorts; witness; cached = true; coalesced = 1; key }
+      { sorts = entry.Scache.sorts; witness; cached = true; coalesced = 1; key;
+        key_us; sweep_us = None }
   | None ->
       let cell = Cell.create () in
-      submit t (Jverify { nw; skey; key; cell });
+      submit t (Jverify { nw; skey; key; key_us; cell });
       Cell.wait cell
 
 let eval01 t nw mask =
   let cell = Cell.create () in
-  submit t (Jeval { nw; skey = Scache.structural_key nw; mask; cell });
+  submit t (Jeval { compiled = Cache.compile nw; mask; cell });
   Cell.wait cell
 
 let drain t =

@@ -8,9 +8,10 @@
     first. Verify requests group by cache key — one bit-sliced
     [2^n] sweep serves every request in the group, and the verdict is
     published to the response cache — and 0-1 eval requests on the
-    same network go to one {!Bitslice.eval_masks} call, up to
-    {!Bitslice.lanes} per pass, unrelated clients filling unused lanes
-    of one word-parallel batch. [window = 0., max_batch = 1,
+    same compiled stream (the one {!Cache.compile} returns for every
+    structurally equal network) go to one {!Bitslice.eval_masks} call,
+    up to {!Bitslice.lanes} per pass, unrelated clients filling unused
+    lanes of one word-parallel batch. [window = 0., max_batch = 1,
     cache = None] is sequential one-request-per-pass mode, the bench
     baseline.
 
@@ -19,7 +20,11 @@
     [serve.batch.early_closes] counts rounds closed by the in-flight
     rule rather than the window, and the [serve.batch.linger_ms]
     histogram times each lingering round from the start of its linger
-    (its first arrival, when the worker was idle) to its close. *)
+    (its first arrival, when the worker was idle) to its close. Two
+    serve phase histograms are recorded here, in microseconds:
+    [serve.phase.key_us] times each {!verify}'s cache key, and
+    [serve.phase.sweep_us] each verify group's 0-1 sweep in the
+    worker; the same two durations come back in {!verify_result}. *)
 
 type config = {
   window : float;
@@ -39,6 +44,10 @@ type verify_result = {
   cached : bool;  (** served from the response cache, no engine work *)
   coalesced : int;  (** requests sharing this round's sweep ([>= 1]) *)
   key : string;  (** the cache key used *)
+  key_us : float;  (** microseconds spent deriving [key] *)
+  sweep_us : float option;
+      (** microseconds of the sweep that answered this request, shared
+          by its group; [None] when the cache answered *)
 }
 
 type t
@@ -65,8 +74,12 @@ val verify : t -> Network.t -> verify_result
 val eval01 : t -> Network.t -> int -> int
 (** [eval01 t nw mask] evaluates one 0-1 input (bit [w] = wire [w]),
     lane-packed with whatever else the round gathered on the same
-    network. Returns the output mask (through the network's output
-    routing). @raise Invalid_argument after {!drain}. *)
+    compiled stream. The caller's thread fetches the stream from
+    {!Cache.compile}; two evals on one network land in different
+    passes of a round only if the compile cache evicted the stream
+    between their lookups. Returns the output mask (through the
+    network's output routing). @raise Invalid_argument after
+    {!drain}. *)
 
 val drain : t -> unit
 (** Stop accepting, end any linger, finish every queued job, join the

@@ -215,24 +215,37 @@ let canonical_masks ~n masks =
     !best
   end
 
-(* the reachable set of all 2^n 0-1 inputs, ascending, by one
-   bit-sliced sweep *)
+(* The reachable set of a standard network, ascending: the image of
+   the full cube under its comparators, applied in order to one row by
+   the set-image kernel — 2^n/64 words per comparator, no compile and
+   no 2^n-entry arrays. Every mask the network outputs is some input's
+   image, so this is the set of outputs of all 2^n inputs. *)
+let image ~n nw =
+  let wpr = Maskset.words ~n in
+  let row = Maskset.cube ~n in
+  List.iter
+    (fun lvl ->
+      List.iter
+        (function
+          | Gate.Compare { lo; hi } -> Maskset.apply_cmp row ~wpr 0 lo hi
+          | Gate.Exchange _ -> assert false)
+        lvl.Network.gates)
+    (Network.levels nw);
+  Maskset.elements row ~wpr 0
+
+let canonical_width nw =
+  let n = Network.wires nw in
+  is_standard nw && n >= 2 && n <= 16
+
 let reachable_masks nw =
-  let total = 1 lsl Network.wires nw in
-  let reach = Array.make total false in
-  Array.iter
-    (fun o -> reach.(o) <- true)
-    (Bitslice.eval_masks (Cache.compile nw) (Array.init total Fun.id));
-  let masks = ref [] in
-  for m = total - 1 downto 0 do
-    if reach.(m) then masks := m :: !masks
-  done;
-  Array.of_list !masks
+  if not (canonical_width nw) then
+    invalid_arg "Scache.reachable_masks: not a standard network of 2-16 wires";
+  image ~n:(Network.wires nw) nw
 
 let key nw =
-  let n = Network.wires nw in
-  if is_standard nw && n >= 2 && n <= 16 then begin
-    let canon = canonical_masks ~n (reachable_masks nw) in
+  if canonical_width nw then begin
+    let n = Network.wires nw in
+    let canon = canonical_masks ~n (image ~n nw) in
     let b = Buffer.create (10 + (Array.length canon * 5)) in
     Buffer.add_string b ("c:" ^ string_of_int n);
     Array.iter

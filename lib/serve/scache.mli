@@ -64,9 +64,18 @@ val canonical_masks : n:int -> int array -> int array
     beyond it the form is a fixed class-ordered image, losing sharing
     but never soundness. *)
 
+val reachable_masks : Network.t -> int array
+(** The 0-1 reachable set of a standard network of 2–16 wires — the
+    outputs of all [2^wires] 0-1 inputs — ascending and duplicate-free.
+    It is built as the image of the full cube under the comparators,
+    one {!Maskset.apply_cmp} per comparator on a single row of
+    [2^wires / 64] words: no compile, no [2^wires]-entry arrays.
+    @raise Invalid_argument on any other network. *)
+
 val key : Network.t -> string
 (** Canonical key for standard networks of 2–16 wires: ["c:"], the
-    width, then [':']-separated the {!canonical_masks} of the reachable
-    set of all [2^wires] 0-1 inputs (isomorphic networks collide, by
-    design; equal keys mean equal forms, never a hash collision);
-    {!structural_key} otherwise. *)
+    width, then [':']-separated the {!canonical_masks} of
+    {!reachable_masks} (isomorphic networks collide, by design; equal
+    keys mean equal forms, never a hash collision); {!structural_key}
+    otherwise. Neither compiles the network or runs the bit-sliced
+    engine, so a verify answered from the cache never compiles. *)

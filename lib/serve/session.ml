@@ -31,6 +31,19 @@ let c_errors = Metrics.counter "serve.errors"
 let c_idle_closed = Metrics.counter "serve.idle_closed"
 let c_deadline_expired = Metrics.counter "serve.deadline_expired"
 
+(* Phase timers, in microseconds: decode runs from the frame payload
+   to the resolved network, encode from the response value to the
+   frame's payload bytes. The verify key and sweep phases are timed in
+   [Batcher]. Each phase reads one clock pair, whose duration goes both
+   into its histogram and onto the request's span. *)
+let h_decode_us = Metrics.histogram "serve.phase.decode_us"
+let h_encode_us = Metrics.histogram "serve.phase.encode_us"
+
+let phase sp h name t0 =
+  let us = 1e6 *. (Clock.wall () -. t0) in
+  Metrics.observe h us;
+  Span.add sp name (Sink.Float us)
+
 let severity_json d = Json.Str (Diag.severity_name d.Diag.severity)
 
 let diag_json d =
@@ -91,10 +104,14 @@ let cert_fields ~dead want nw =
               (String.concat "\n"
                  (List.map Cert.to_string (sc :: dead_certs))) ) ]
 
-let dispatch config req nw =
+let dispatch config sp req nw =
   match req.Wire.verb with
   | Wire.Verify ->
       let r = Batcher.verify config.batcher nw in
+      Span.add sp "key_us" (Sink.Float r.Batcher.key_us);
+      Option.iter
+        (fun us -> Span.add sp "sweep_us" (Sink.Float us))
+        r.Batcher.sweep_us;
       (* the cache key is internal (and long); clients get a digest
          that is still equal exactly when the keys are *)
       let key_digest = Digest.to_hex (Digest.string r.Batcher.key) in
@@ -238,36 +255,48 @@ let handle config ~conn fd =
         let trace = next_trace () in
         Metrics.incr c_requests;
         let t_req = Unix.gettimeofday () in
-        let response =
-          (* in flight until the response value exists, so a round
-             lingering on this session's job closes once it queued *)
-          Batcher.request config.batcher @@ fun () ->
+        let text =
           Span.run ~sink:config.sink ~name:"serve.request" @@ fun sp ->
           Span.add sp "trace" (Sink.Str trace);
-          match Wire.parse_request payload with
-          | Error (code, msg) ->
-              Metrics.incr c_errors;
-              Wire.error_response ~id:Json.Null ~trace ~code msg
-          | Ok req -> (
-              Span.add sp "verb" (Sink.Str (Wire.verb_name req.Wire.verb));
-              match Wire.resolve_network ~max_wires:config.max_wires req with
-              | Error (code, msg) ->
-                  Metrics.incr c_errors;
-                  Wire.error_response ~id:req.Wire.id ~trace ~code msg
-              | Ok nw -> (
-                  Span.add sp "wires" (Sink.Int (Network.wires nw));
-                  match dispatch config req nw with
-                  | Ok fields -> Wire.ok_response ~id:req.Wire.id ~trace fields
-                  | Error (code, msg) ->
-                      Metrics.incr c_errors;
-                      Wire.error_response ~id:req.Wire.id ~trace ~code msg
-                  | exception Invalid_argument _ ->
-                      (* the batcher stopped under us: a request racing
-                         the drain gets a typed answer, not a dead
-                         socket; the connection closes right after *)
-                      Metrics.incr c_errors;
-                      Wire.error_response ~id:req.Wire.id ~trace
-                        ~code:Wire.e_shutting_down "daemon is draining"))
+          let response =
+            (* in flight until the response value exists, so a round
+               lingering on this session's job closes once it queued *)
+            Batcher.request config.batcher @@ fun () ->
+            let t_decode = Clock.wall () in
+            let decoded =
+              match Wire.parse_request payload with
+              | Error e -> Error (Json.Null, e)
+              | Ok req -> (
+                  Span.add sp "verb" (Sink.Str (Wire.verb_name req.Wire.verb));
+                  let max_wires = config.max_wires in
+                  match Wire.resolve_network ~max_wires req with
+                  | Error e -> Error (req.Wire.id, e)
+                  | Ok nw -> Ok (req, nw))
+            in
+            phase sp h_decode_us "decode_us" t_decode;
+            match decoded with
+            | Error (id, (code, msg)) ->
+                Metrics.incr c_errors;
+                Wire.error_response ~id ~trace ~code msg
+            | Ok (req, nw) -> (
+                Span.add sp "wires" (Sink.Int (Network.wires nw));
+                match dispatch config sp req nw with
+                | Ok fields -> Wire.ok_response ~id:req.Wire.id ~trace fields
+                | Error (code, msg) ->
+                    Metrics.incr c_errors;
+                    Wire.error_response ~id:req.Wire.id ~trace ~code msg
+                | exception Invalid_argument _ ->
+                    (* the batcher stopped under us: a request racing
+                       the drain gets a typed answer, not a dead
+                       socket; the connection closes right after *)
+                    Metrics.incr c_errors;
+                    Wire.error_response ~id:req.Wire.id ~trace
+                      ~code:Wire.e_shutting_down "daemon is draining")
+          in
+          let t_encode = Clock.wall () in
+          let text = Json.to_string response in
+          phase sp h_encode_us "encode_us" t_encode;
+          text
         in
         if
           config.request_deadline > 0.
@@ -284,7 +313,7 @@ let handle config ~conn fd =
                   config.request_deadline))
         end
         else begin
-          respond fd response;
+          Frame.write fd text;
           loop ()
         end
   in

@@ -1038,6 +1038,45 @@ let test_arena_domain_identity () =
     [ 6; 7; 8 ];
   check_bool "some level filtered on more than one domain" true !parallel
 
+let test_filter_hit_counts () =
+  (* the filter's counts over the scans that ended on a subsumer are
+     parts of its totals and repeat at every domain count, like them *)
+  let counts ~domains =
+    let sink, events = Sink.memory () in
+    ignore (Driver.run ~domains ~sink ~max_depth:8 (Driver.network_system ~n:8 ()));
+    List.filter_map
+      (fun e ->
+        let int k =
+          match List.assoc_opt k e.Sink.fields with Some (Sink.Int v) -> v | _ -> -1
+        in
+        if e.Sink.name <> "search/level" then None
+        else
+          Some
+            ( List.map int
+                [ "filter_scanned"; "filter_calls"; "filter_hit_scanned";
+                  "filter_hit_calls" ],
+              int "filter_domains" ))
+      (events ())
+  in
+  let one = counts ~domains:1 and two = counts ~domains:2 in
+  check_bool "counts repeat at 1 and 2 domains" true (List.map fst one = List.map fst two);
+  check_bool "a level filtered on 2 domains" true (List.exists (fun (_, d) -> d > 1) two);
+  List.iter
+    (function
+      | [ scanned; calls; hit_scanned; hit_calls ], _ ->
+          check_bool "hit scans within the scans" true
+            (0 <= hit_scanned && hit_scanned <= scanned);
+          check_bool "hit calls within the calls" true
+            (0 <= hit_calls && hit_calls <= calls && hit_calls <= hit_scanned)
+      | _ -> Alcotest.fail "four counts per level")
+    one;
+  check_bool "some scan ended on a subsumer, and some did not" true
+    (List.exists
+       (function
+         | [ scanned; _; hit_scanned; _ ], _ -> 0 < hit_scanned && hit_scanned < scanned
+         | _ -> false)
+       one)
+
 let test_arena_domain_identity_budget () =
   (* n=8 spends 4832 nodes on levels 1-4 and 1240 on level 5: this
      budget trips in level 5, after the parallel level 4 *)
@@ -1266,6 +1305,8 @@ let () =
             test_arena_signatures_stop_at_10;
           Alcotest.test_case "n=6,7,8 identical at 1, 2, 3 domains" `Quick
             test_arena_domain_identity;
+          Alcotest.test_case "filter hit counts repeat at 1 and 2 domains" `Quick
+            test_filter_hit_counts;
           Alcotest.test_case "budget trip identical at 1, 2, 3 domains" `Quick
             test_arena_domain_identity_budget;
           Alcotest.test_case "checkpoint at 1 domain resumes at 2" `Quick

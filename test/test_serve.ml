@@ -174,6 +174,79 @@ let test_scache_eviction () =
   check_bool "k2 evicted" true (Scache.peek c "k2" = None);
   check_bool "k3 present" true (Scache.peek c "k3" <> None)
 
+(* The oracle for the set-image kernel: the reachable set swept the
+   long way, every 0-1 input through the compiled bit-sliced engine,
+   the distinct outputs ascending. *)
+let swept_masks nw =
+  let total = 1 lsl Network.wires nw in
+  let reach = Array.make total false in
+  Array.iter
+    (fun o -> reach.(o) <- true)
+    (Bitslice.eval_masks (Compiled.of_network nw) (Array.init total Fun.id));
+  Array.of_list (List.filter (fun m -> reach.(m)) (List.init total Fun.id))
+
+(* the key text of a standard network whose reachable set is [masks] *)
+let key_of_masks ~n masks =
+  String.concat ":"
+    (("c:" ^ string_of_int n)
+    :: List.map string_of_int (Array.to_list (Scache.canonical_masks ~n masks)))
+
+(* a standard network shaped like a fresh verify request: random
+   partial matchings of ascending comparators, each pair kept with
+   probability 3/4 *)
+let random_standard rng ~wires ~layers =
+  let layer () =
+    let perm = Workload.random_permutation rng ~n:wires in
+    List.filter_map
+      (fun k ->
+        if Xoshiro.int rng ~bound:4 = 0 then None
+        else Some (Gate.compare_up perm.(2 * k) perm.((2 * k) + 1)))
+      (List.init (wires / 2) Fun.id)
+  in
+  Network.of_gate_levels ~wires
+    (List.filter (( <> ) []) (List.init layers (fun _ -> layer ())))
+
+(* the same network with its first comparator reversed, if it has one *)
+let reverse_first nw =
+  let flipped = ref false in
+  let levels =
+    List.map
+      (fun lvl ->
+        List.map
+          (fun g ->
+            match g with
+            | Gate.Compare { lo; hi } when not !flipped ->
+                flipped := true;
+                Gate.compare_down lo hi
+            | g -> g)
+          lvl.Network.gates)
+      (Network.levels nw)
+  in
+  if !flipped then Some (Network.of_gate_levels ~wires:(Network.wires nw) levels)
+  else None
+
+let prop_image_is_sweep =
+  QCheck.Test.make
+    ~name:"reachable set by the set-image kernel = the 2^n sweep (n=2..16)"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 16))
+    (fun (seed, wires) ->
+      let rng = Xoshiro.of_seed seed in
+      let nw = random_standard rng ~wires ~layers:(1 + Xoshiro.int rng ~bound:10) in
+      let swept = swept_masks nw in
+      Scache.is_standard nw
+      && Scache.reachable_masks nw = swept
+      && Scache.key nw = key_of_masks ~n:wires swept
+      &&
+      match reverse_first nw with
+      | None -> true
+      | Some down ->
+          Scache.key down = Scache.structural_key down
+          && String.sub (Scache.key down) 0 2 = "s:"
+          && (match Scache.reachable_masks down with
+             | _ -> false
+             | exception Invalid_argument _ -> true))
+
 (* --- Batcher: coalescing and caching --- *)
 
 let oem8 = Odd_even_merge.network ~n:8
@@ -267,6 +340,47 @@ let test_verify_coalescing_and_cache () =
   check_string "same canonical key" r3.Batcher.key r4.Batcher.key;
   Batcher.drain b
 
+let test_eval_groups_by_stream () =
+  (* one round: evals on two distinct networks and on two separately
+     built copies of a third, which the compile cache gives one stream;
+     every request is in flight before any queues, so the round closes
+     on the last of them *)
+  let b =
+    Batcher.create { Batcher.window = 2.0; max_batch = 256; domains = 1; cache = None }
+  in
+  let a = cmp_net ~wires:6 [ [ (0, 1); (2, 3) ]; [ (1, 2); (4, 5) ] ] in
+  let c1 = Bitonic.network ~n:8 and c2 = Bitonic.network ~n:8 in
+  check_bool "the copies are separate values" true (c1 != c2);
+  let jobs =
+    [ (a, 0x2D); (oem8, 0x5A); (c1, 0xA5); (c2, 0x3C); (a, 0x11); (c2, 0xF0);
+      (oem8, 0x81) ]
+  in
+  let k = List.length jobs in
+  let entered = Atomic.make 0 and results = Array.make k (-1) in
+  let rounds = Metrics.counter "serve.batch.rounds" in
+  let r0 = Metrics.value rounds and p0 = Batcher.eval_passes () in
+  spawn_all
+    (List.mapi
+       (fun i (nw, mask) () ->
+         results.(i) <-
+           Batcher.request b (fun () ->
+               Atomic.incr entered;
+               while Atomic.get entered < k do Thread.yield () done;
+               Batcher.eval01 b nw mask))
+       jobs);
+  let rounds = Metrics.value rounds - r0 and passes = Batcher.eval_passes () - p0 in
+  Batcher.drain b;
+  List.iteri
+    (fun i (nw, mask) ->
+      let wires = Network.wires nw in
+      let out = Network.eval nw (Array.init wires (fun w -> (mask lsr w) land 1)) in
+      let m = ref 0 in
+      Array.iteri (fun w v -> if v = 1 then m := !m lor (1 lsl w)) out;
+      check_int "output = Network.eval" !m results.(i))
+    jobs;
+  check_int "one round" 1 rounds;
+  check_int "one pass per distinct network" 3 passes
+
 (* --- Session over a socketpair --- *)
 
 let send_recv fd reader payload =
@@ -282,7 +396,7 @@ let session_batcher ~window =
     { Batcher.window; max_batch = 256; domains = 1; cache = Some (Scache.create ()) }
 
 let with_session ?(max_request = 4096) ?(idle_timeout = 0.)
-    ?(request_deadline = 0.) ?(window = 0.001) ?batcher f =
+    ?(request_deadline = 0.) ?(window = 0.001) ?batcher ?(sink = Sink.null) f =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
    with Invalid_argument _ -> ());
   let server_fd, client_fd =
@@ -293,7 +407,7 @@ let with_session ?(max_request = 4096) ?(idle_timeout = 0.)
   in
   let config =
     { Session.batcher; max_request; max_wires = 16; idle_timeout;
-      request_deadline; sink = Sink.null }
+      request_deadline; sink }
   in
   let th =
     (* close our end when the session loop exits, as Server.spawn
@@ -364,6 +478,44 @@ let test_session_verbs () =
 (* a network wider than any server could hold is refused by the parse
    with an error reply naming its line, and the session goes on
    answering *)
+let test_session_phase_timers () =
+  (* a fresh verify times all four phases, an eval decode and encode:
+     each into its histogram and onto the request's span *)
+  let phases = [ "decode_us"; "key_us"; "sweep_us"; "encode_us" ] in
+  let count p =
+    (Metrics.snapshot (Metrics.histogram ("serve.phase." ^ p))).Metrics.count
+  in
+  let before = List.map count phases in
+  let sink, events = Sink.memory () in
+  (with_session ~sink @@ fun fd reader ->
+   let net = cmp_net ~wires:7 [ [ (0, 6); (1, 5) ]; [ (2, 4); (0, 3) ] ] in
+   let req id verb extra =
+     Json.to_string
+       (Json.Obj
+          ([ ("id", Json.Int id); ("verb", Json.Str verb);
+             ("network", Json.Str (Network_io.to_string net)) ]
+          @ extra))
+   in
+   let r = send_recv fd reader (req 1 "verify" []) in
+   check_bool "fresh verify" true (jmember "cached" r = Json.Bool false);
+   let input = Json.List (List.init 7 (fun w -> Json.Int (w land 1))) in
+   ignore (send_recv fd reader (req 2 "eval" [ ("input", input) ])));
+  List.iter2
+    (fun p (b, want) -> check_int ("serve.phase." ^ p ^ " count") want (count p - b))
+    phases
+    (List.combine before [ 2; 1; 1; 2 ]);
+  let spans =
+    List.filter (fun e -> e.Sink.name = "serve.request") (events ())
+  in
+  let has e k = List.mem_assoc k e.Sink.fields in
+  match spans with
+  | [ v; e ] ->
+      List.iter (fun p -> check_bool ("verify span " ^ p) true (has v p)) phases;
+      check_bool "eval span decode_us" true (has e "decode_us");
+      check_bool "eval span encode_us" true (has e "encode_us");
+      check_bool "eval span has no key" false (has e "key_us")
+  | _ -> Alcotest.fail "one serve.request span per request"
+
 let test_session_huge_width () =
   with_session @@ fun fd reader ->
   let r =
@@ -712,14 +864,18 @@ let () =
             test_wire_width_before_build ] );
       ( "scache",
         [ Alcotest.test_case "canonical keys" `Quick test_scache_keys;
+          QCheck_alcotest.to_alcotest prop_image_is_sweep;
           Alcotest.test_case "second-chance eviction" `Quick test_scache_eviction ] );
       ( "batcher",
         [ Alcotest.test_case "eval lanes coalesce (>=3x)" `Quick
             test_batch_coalescing_lanes;
           Alcotest.test_case "verify coalescing + canonical cache" `Quick
-            test_verify_coalescing_and_cache ] );
+            test_verify_coalescing_and_cache;
+          Alcotest.test_case "evals group by compiled stream" `Quick
+            test_eval_groups_by_stream ] );
       ( "session",
         [ Alcotest.test_case "verbs over a socketpair" `Quick test_session_verbs;
+          Alcotest.test_case "phase timers" `Quick test_session_phase_timers;
           Alcotest.test_case "huge width is a typed error" `Quick
             test_session_huge_width;
           Alcotest.test_case "idle reaper" `Quick test_session_idle_reaper;
