@@ -78,6 +78,7 @@ bench-json:
 	grep -q '"obs/arena.probes"' BENCH_search.json
 	grep -q '"obs/arena.bytes"' BENCH_search.json
 	grep -q '"analysis/bitonic-n=16/networks_per_s"' BENCH_analysis.json
+	grep -q '"analysis/transposition-n=12/networks_per_s"' BENCH_analysis.json
 	grep -q '"analysis/bitonic-n=32/comparators_per_s"' BENCH_analysis.json
 	grep -q '"obs/analysis.networks"' BENCH_analysis.json
 	grep -q '"serve/verify/batched/requests_per_s"' BENCH_serve.json

@@ -439,15 +439,16 @@ let search_json_rows () =
       phased ~domains:1;
       phased ~domains:2 ]
 
-(* Analyzer throughput: repeated full analyses (structural lints, both
-   abstract domains' walk, conformance recognizers) of mid-size bitonic
-   networks, reported as networks/sec and comparators/sec so analyzer
-   perf regressions show up in the same trajectory as engine ns/op.
-   n = 16/32 sit above the exact-domain cutoff, so these rows time the
-   order-bounds domain — the one that scales with network size. One
-   analysis takes tens of microseconds, so the repetition count doubles
-   until a batch takes 0.2 s, and each row reports the median of 5 such
-   batches. *)
+(* Analyzer throughput: repeated full analyses (structural lints, the
+   abstract domain's walk, conformance recognizers), reported as
+   networks/sec and comparators/sec so analyzer perf regressions show
+   up in the same trajectory as engine ns/op. Bitonic n = 8 and
+   transposition n = 12 sit inside the default exact-domain cutoff, so
+   their rows time the exact set-image walk (12 wires: 64-word rows
+   through 66 comparators); bitonic n = 16/32 sit above it and time
+   the order-bounds domain. One analysis takes microseconds to tens of
+   microseconds, so the repetition count doubles until a batch takes
+   0.2 s, and each row reports the median of 5 such batches. *)
 let analysis_json_rows () =
   let time_net ~name nw =
     let comparators = Network.size nw in
@@ -471,7 +472,9 @@ let analysis_json_rows () =
         if per > 0. then float_of_int comparators /. per else 0. ) ]
   in
   List.concat
-    [ time_net ~name:"bitonic-n=16" (Bitonic.network ~n:16);
+    [ time_net ~name:"bitonic-n=8" (Bitonic.network ~n:8);
+      time_net ~name:"transposition-n=12" (Transposition.network ~n:12);
+      time_net ~name:"bitonic-n=16" (Bitonic.network ~n:16);
       time_net ~name:"bitonic-n=32" (Bitonic.network ~n:32) ]
 
 (* Serve scheduler throughput: the in-process Batcher under a 32-client

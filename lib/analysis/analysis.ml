@@ -45,23 +45,36 @@ let gate_verdicts nw level_verdicts =
     (Network.levels nw);
   List.rev !dead
 
-(* The exact domain is the kernel's sweep over all 2^n inputs: a
-   comparator is dead iff it never fires. An exchange never is: two
-   distinct wires differ on some reachable vector (DESIGN.md). *)
-let exact_verdicts nw c =
-  let { Bitslice.fires; least_unsorted } = Bitslice.gate_activity c in
+(* The exact domain is the set-image walk: a comparator is dead iff it
+   never fires on the set reaching it, and an exchange never is (two
+   distinct wires differ on some reachable vector, DESIGN.md). The
+   final row is iterated in ascending order, so its first unsorted mask
+   is the least. *)
+let exact_verdicts ?on_level nw =
+  let n = Network.wires nw in
+  let fired =
+    Array.of_list
+      (List.map
+         (fun (l : Network.level) -> Array.make (List.length l.gates) false)
+         (Network.levels nw))
+  in
+  let row =
+    Maskset.walk nw ?on_level ~on_gate:(fun li gi f -> fired.(li).(gi) <- f)
+  in
   let dead =
     gate_verdicts nw (fun li (level : Network.level) ->
         List.mapi
-          (fun gi g ->
-            Gate.is_comparator g
-            && not fires.(c.Compiled.level_off.(li) + gi))
+          (fun gi g -> Gate.is_comparator g && not fired.(li).(gi))
           level.gates)
   in
+  let exception Unsorted of int in
   let sortedness =
-    match least_unsorted with
-    | None -> Sorting_proved
-    | Some m -> Sorting_refuted m
+    match
+      Maskset.iter row ~wpr:(Maskset.words ~n) 0 (fun m ->
+          if not (Bitslice.mask_sorted ~wires:n m) then raise (Unsorted m))
+    with
+    | () -> Sorting_proved
+    | exception Unsorted m -> Sorting_refuted m
   in
   (sortedness, dead)
 
@@ -89,7 +102,7 @@ let analyze_gen ?(exact_max_wires = default_exact_max_wires)
   let n = Network.wires nw in
   let exact = n <= min exact_max_wires exact_cap in
   let sortedness, dead =
-    if exact then exact_verdicts nw (Compiled.of_network nw)
+    if exact then exact_verdicts nw
     else bounds_verdicts nw ~on_level:ignore
   in
   let comparators = Network.size nw in

@@ -4,13 +4,14 @@
 
     Domain choice: networks with at most [exact_max_wires] wires
     (default {!default_exact_max_wires}, never above {!exact_cap}) use
-    the exact 0-1 domain: the compiled kernel's sweep over all [2^n]
-    zero-one inputs ({!Bitslice.gate_activity}) — sortedness is then
-    decided (proved {e or} refuted), and the dead classification is
-    exact on 0-1 behaviour. Wider networks use the polynomial
-    order-bounds domain ({!Bounds}) — sortedness can only be proved,
-    never refuted, and dead is a sound under-approximation (every
-    flagged gate really is dead; unflagged gates are unclassified).
+    the exact 0-1 domain: the set of vectors all [2^n] zero-one inputs
+    reach, carried level by level through the network as one bit row
+    ({!Maskset.walk}) — sortedness is then decided (proved {e or}
+    refuted), and the dead classification is exact on 0-1 behaviour.
+    Wider networks use the polynomial order-bounds domain ({!Bounds})
+    — sortedness can only be proved, never refuted, and dead is a
+    sound under-approximation (every flagged gate really is dead;
+    unflagged gates are unclassified).
 
     Definitions (see DESIGN.md for the soundness argument):
     - a comparator is {b dead} when it never exchanges on any
@@ -56,9 +57,10 @@ val exact_cap : int
 
 val analyze : ?exact_max_wires:int -> ?cross_check:bool -> Network.t -> report
 (** [cross_check] (default false): when the exact domain decided
-    sortedness, re-derive the verdict independently through the
-    compiled bit-sliced engine; a disagreement — an analyzer bug —
-    yields an SNL999 error diagnostic (and is counted). *)
+    sortedness, re-derive the verdict through a second kernel, the
+    compiled bit-sliced sweep of every input ({!Bitslice}); a
+    disagreement — a bug in one of them — yields an SNL999 error
+    diagnostic (and is counted). *)
 
 val remove_dead : Network.t -> facts -> Network.t
 (** The network with every comparator in [facts.dead] removed
@@ -70,10 +72,12 @@ val remove_dead : Network.t -> facts -> Network.t
     {!Analysis_cert} emitters. Each returns the sortedness verdict and
     the [dead] list of {!facts}. *)
 
-val exact_verdicts : Network.t -> Compiled.t -> sortedness * gate_ref list
-(** [exact_verdicts nw c], with [c] compiled from [nw]: one
-    {!Bitslice.gate_activity} sweep. A comparator is dead iff it never
-    fires. [Sorting_refuted] carries the least unsorted output mask. *)
+val exact_verdicts :
+  ?on_level:(Maskset.row -> unit) -> Network.t -> sortedness * gate_ref list
+(** [exact_verdicts nw]: one {!Maskset.walk} of [nw] (at most 16
+    wires). A comparator is dead iff it never fires on the set reaching
+    it. [Sorting_refuted] carries the least unsorted output mask, the
+    first unsorted mask of the final row. [on_level] is the walk's. *)
 
 val bounds_verdicts :
   Network.t -> on_level:(Bounds.t -> unit) -> sortedness * gate_ref list

@@ -24,18 +24,32 @@ let bounds_claims b =
   done;
   !pairs
 
+(* the exact walk's verdicts, with the set reaching each level's end *)
+let exact nw =
+  let wpr = Maskset.words ~n:(Network.wires nw) in
+  let sets = ref [] in
+  let verdict, dead =
+    Analysis.exact_verdicts nw ~on_level:(fun r ->
+        sets := Array.to_list (Maskset.elements r ~wpr 0) :: !sets)
+  in
+  (verdict, dead, Array.of_list (List.rev !sets))
+
 let sortedness ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
   let n = Network.wires nw in
   if n <= min exact_max_wires Analysis.exact_cap then begin
-    let c = Compiled.of_network nw in
-    (* refute with a concrete input: the smallest 0-1 vector whose
-       output is unsorted *)
-    match Bitslice.find_unsorted c with
-    | Some witness -> self_check (Cert.Refutation { network = nw; witness })
-    | None ->
+    match exact nw with
+    | Analysis.Sorting_refuted _, _, _ -> (
+        (* refute with a concrete input: the smallest 0-1 vector whose
+           output is unsorted *)
+        match Bitslice.find_unsorted (Compiled.of_network nw) with
+        | Some witness -> self_check (Cert.Refutation { network = nw; witness })
+        | None ->
+            Error
+              "the exact walk refutes sortedness but the input sweep finds \
+               no unsorted input")
+    | _, _, sets ->
         self_check
-          (Cert.Sortedness
-             { network = nw; domain = Cert.Reach_sets (Bitslice.level_images c) })
+          (Cert.Sortedness { network = nw; domain = Cert.Reach_sets sets })
   end
   else begin
     let lvls = ref [] in
@@ -60,10 +74,9 @@ let sortedness ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
 let dead_gates ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
   if Network.wires nw > min exact_max_wires Analysis.exact_cap then Ok None
   else begin
-    let c = Compiled.of_network nw in
-    match Analysis.exact_verdicts nw c with
-    | _, [] -> Ok None
-    | _, dead ->
+    match exact nw with
+    | _, [], _ -> Ok None
+    | _, dead, sets ->
         let claims =
           List.map
             (fun (r : Analysis.gate_ref) ->
@@ -71,7 +84,5 @@ let dead_gates ?(exact_max_wires = Analysis.default_exact_max_wires) nw =
             dead
         in
         Result.map Option.some
-          (self_check
-             (Cert.Dead_gates
-                { network = nw; sets = Bitslice.level_images c; claims }))
+          (self_check (Cert.Dead_gates { network = nw; sets; claims }))
   end

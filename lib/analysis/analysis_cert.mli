@@ -1,13 +1,14 @@
 (** Proof-carrying output for the analyzer's verdicts.
 
-    Each emitter takes the analyzer's facts — the kernel's 0-1 sweeps
-    ({!Bitslice.gate_activity}, {!Bitslice.level_images},
-    {!Bitslice.find_unsorted}) in the exact domain, {!Analysis}'s
-    order-bounds walk above it — records the per-level annotations a
-    {!Cert} checker needs, and validates the finished certificate with
-    {!Cert.check} before returning it. So an [Ok] certificate has
-    already been accepted by the independent checker, and an analyzer
-    bug surfaces here as an [Error], never as a bogus certificate. *)
+    Each emitter takes the analyzer's facts — in the exact domain the
+    verdicts and per-level sets of {!Analysis.exact_verdicts}'s walk,
+    and a refutation's witness input from {!Bitslice.find_unsorted};
+    {!Analysis}'s order-bounds walk above it — records the per-level
+    annotations a {!Cert} checker needs, and validates the finished
+    certificate with {!Cert.check} before returning it. So an [Ok]
+    certificate has already been accepted by the independent checker,
+    and an analyzer bug surfaces here as an [Error], never as a bogus
+    certificate. *)
 
 val sortedness :
   ?exact_max_wires:int -> Network.t -> (Cert.t, string) result

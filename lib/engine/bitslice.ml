@@ -24,12 +24,11 @@ let check_wires fn (c : Compiled.t) =
     invalid_arg (Printf.sprintf "Bitslice.%s: %d wires (2^n inputs)" fn n);
   n
 
-(* Gates [lo, hi) of the instruction stream. Gate endpoints were
-   checked against [wires] at compile time, so every row index is below
-   64. *)
-let run_range (c : Compiled.t) (rows : block) lo hi =
+(* The whole instruction stream. Gate endpoints were checked against
+   [wires] at compile time, so every row index is below 64. *)
+let run (c : Compiled.t) (rows : block) =
   let kinds = c.Compiled.kinds and ga = c.Compiled.ga and gb = c.Compiled.gb in
-  for i = lo to hi - 1 do
+  for i = 0 to Bytes.length kinds - 1 do
     let a = Array.unsafe_get ga i and b = Array.unsafe_get gb i in
     let x = A.unsafe_get rows a and y = A.unsafe_get rows b in
     if Bytes.unsafe_get kinds i = '\000' then begin
@@ -41,9 +40,6 @@ let run_range (c : Compiled.t) (rows : block) lo hi =
       A.unsafe_set rows b x
     end
   done
-
-let run (c : Compiled.t) rows =
-  run_range c rows 0 (Bytes.length c.Compiled.kinds)
 
 (* Output register [r] reads row [outs.(r)]: the final routing map when
    the source network permutes its outputs, else the identity. *)
@@ -264,111 +260,3 @@ let count_unsorted ?(domains = 1) c =
     |> List.fold_left ( + ) 0
 
 let is_sorting_network ?domains c = find_unsorted ?domains c = None
-
-(* --- whole-network facts for the static analyzer ---------------------
-
-   Two more sweeps over all [2^wires] inputs in range blocks. Lanes past
-   [2^wires] (when [wires < 6]) repeat inputs below it, so they may
-   join any union over inputs. *)
-
-type activity = { fires : bool array; least_unsorted : int option }
-
-(* The least output mask among the lanes of [v] (nonzero): from the top
-   register down, keep the lanes holding 0 there whenever any do; the
-   lanes left all hold the minimum, so read it off the lowest. *)
-let least_output outs (rows : block) v =
-  let cand = ref v in
-  for r = Array.length outs - 1 downto 0 do
-    let out = A.unsafe_get rows (Array.unsafe_get outs r) in
-    let zero = Int64.logand !cand (Int64.lognot out) in
-    if zero <> 0L then cand := zero
-  done;
-  let k = lowest_bit !cand in
-  let m = ref 0 in
-  Array.iteri
-    (fun r s ->
-      if Int64.logand (Int64.shift_right_logical (A.unsafe_get rows s) k) 1L = 1L
-      then m := !m lor (1 lsl r))
-    outs;
-  !m
-
-(* [run] with one per-gate predicate read before the gate acts: some
-   lane with 1 on [ga] and 0 on [gb]. [run] itself stays free of it,
-   so verify sweeps do not pay for this. *)
-let gate_activity c =
-  let n = check_wires "gate_activity" c in
-  let kinds = c.Compiled.kinds and ga = c.Compiled.ga and gb = c.Compiled.gb in
-  let gates = Bytes.length kinds in
-  let fires = Array.make gates false in
-  let outs = outputs c and rows = block () in
-  let hi = 1 lsl n in
-  let least = ref None in
-  let base = ref 0 in
-  while !base < hi do
-    load_range rows n !base;
-    for i = 0 to gates - 1 do
-      let a = Array.unsafe_get ga i and b = Array.unsafe_get gb i in
-      let x = A.unsafe_get rows a and y = A.unsafe_get rows b in
-      if Int64.logand x (Int64.lognot y) <> 0L then
-        Array.unsafe_set fires i true;
-      if Bytes.unsafe_get kinds i = '\000' then begin
-        A.unsafe_set rows a (Int64.logand x y);
-        A.unsafe_set rows b (Int64.logor x y)
-      end
-      else begin
-        A.unsafe_set rows a y;
-        A.unsafe_set rows b x
-      end
-    done;
-    let v = Int64.logand (violations outs rows) (lane_mask ~lo:0 ~hi !base) in
-    (if v <> 0L then
-       let m = least_output outs rows v in
-       match !least with
-       | Some best when best <= m -> ()
-       | _ -> least := Some m);
-    base := !base + lanes
-  done;
-  { fires; least_unsorted = !least }
-
-(* After each level, route the rows into register order through that
-   level's slot map, transpose them into one mask per lane and mark the
-   masks in the level's [2^wires] bitmap. *)
-let level_images c =
-  let n = check_wires "level_images" c in
-  let size = 1 lsl n in
-  let levels = Compiled.levels c in
-  let level_off = c.Compiled.level_off in
-  let identity = Array.init n Fun.id in
-  let route li =
-    match c.Compiled.slots with Some s -> s.(li) | None -> identity
-  in
-  let seen = Array.init levels (fun _ -> Bytes.make size '\000') in
-  let rows = block () and routed = block () in
-  let base = ref 0 in
-  while !base < size do
-    load_range rows n !base;
-    for li = 0 to levels - 1 do
-      run_range c rows level_off.(li) level_off.(li + 1);
-      let slot = route li in
-      for r = 0 to n - 1 do
-        A.unsafe_set routed r (A.unsafe_get rows (Array.unsafe_get slot r))
-      done;
-      for r = n to lanes - 1 do
-        A.unsafe_set routed r 0L
-      done;
-      transpose routed;
-      let bitmap = seen.(li) in
-      for k = 0 to min lanes size - 1 do
-        Bytes.unsafe_set bitmap (Int64.to_int (A.unsafe_get routed k)) '\001'
-      done
-    done;
-    base := !base + lanes
-  done;
-  Array.map
-    (fun bitmap ->
-      let masks = ref [] in
-      for m = size - 1 downto 0 do
-        if Bytes.unsafe_get bitmap m <> '\000' then masks := m :: !masks
-      done;
-      !masks)
-    seen

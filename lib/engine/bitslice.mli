@@ -25,7 +25,13 @@
 
     Range sweeps compose with {!Par.map_ranges} for multicore fan-out;
     a shared {!Stdlib.Atomic} stop flag lets one domain's discovery
-    short-circuit the others mid-range. *)
+    short-circuit the others mid-range.
+
+    This module answers questions about inputs: which ones a network
+    leaves unsorted, how many, and what given masks map to. Questions
+    about the set of vectors a network reaches — whether a comparator
+    ever fires, what set a level leaves — are {!Maskset}'s, which maps
+    the set itself. *)
 
 val lanes : int
 (** Test inputs per block pass: 64. *)
@@ -60,8 +66,7 @@ val eval_masks : Compiled.t -> int array -> int array
 val count_sorted_masks : Compiled.t -> int array -> int
 (** Number of masks whose outputs are sorted: {!eval_masks} followed by
     {!mask_sorted}, except that the verdict is read off the output rows
-    as one violation word per block, with no transpose back. The
-    population-fitness primitive on an explicit input sample. Raises
+    as one violation word per block, with no transpose back. Raises
     like {!eval_masks}. *)
 
 val mask_sorted : wires:int -> int -> bool
@@ -82,30 +87,3 @@ val count_unsorted : ?domains:int -> Compiled.t -> int
 
 val is_sorting_network : ?domains:int -> Compiled.t -> bool
 (** [find_unsorted c = None]. *)
-
-(** {1 Whole-network facts}
-
-    Two sweeps over all [2^wires] 0-1 inputs for the static analyzer:
-    the exact per-gate and per-level facts its verdicts and
-    certificates need. Both are exponential in [wires], like
-    {!find_unsorted}; the caller guards the width. *)
-
-type activity = {
-  fires : bool array;
-      (** per gate of the instruction stream: some input reaches it
-          with 1 on [ga] and 0 on [gb] (a comparator exchanges) *)
-  least_unsorted : int option;
-      (** the least unsorted output mask in register coordinates (bit
-          [r] = output register [r]), or [None] when [c] sorts *)
-}
-
-val gate_activity : Compiled.t -> activity
-(** The per-gate bit is read before the gate acts. A gate's index
-    is its position in the stream; gate [g] of source level [l] is
-    [level_off.(l) + g]. *)
-
-val level_images : Compiled.t -> int list array
-(** For each source level (gate-free permutation levels included), the
-    distinct masks the [2^wires] inputs reach after it, in register
-    coordinates (bit [r] = register [r], through the level's [slots]
-    map) and increasing order. *)

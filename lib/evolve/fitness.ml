@@ -52,13 +52,3 @@ let population ?(domains = 1) gs =
     List.iter (fun (i, c) -> out.(i) <- out.(i) + c) counts;
     out
   end
-
-let sample g ~masks =
-  Metrics.incr c_evals;
-  Bitslice.count_sorted_masks (Compiled.of_network (Genome.to_network g)) masks
-
-let population_sample ?(domains = 1) gs ~masks =
-  Array.of_list
-    (Par.map_list ~min_per_domain:16 ~domains
-       (fun g -> sample g ~masks)
-       (Array.to_list gs))

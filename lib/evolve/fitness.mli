@@ -11,9 +11,7 @@
     otherwise feed every domain, each genome's [2^wires] sweep splits
     into subranges whose exact counts are summed back per genome — so
     evaluating millions of genomes is the engine's sustained-throughput
-    story (the [BENCH_evolve.json] rows assert nets/s). Sampled
-    fitness counts sorted outputs over an explicit mask array
-    ({!Bitslice.count_sorted_masks}, 64 lanes per pass).
+    story (the [BENCH_evolve.json] rows assert nets/s).
 
     Observability: every genome evaluated bumps ["evolve.evals"]. *)
 
@@ -33,13 +31,3 @@ val population : ?domains:int -> Genome.t array -> int array
     across domains (a work-size threshold keeps small populations of
     narrow genomes sequential). The result is independent of
     [domains]. *)
-
-val sample : Genome.t -> masks:int array -> int
-(** Sorted count over an explicit input sample instead of the full
-    sweep ({!Bitslice.count_sorted_masks}) — restricted-input fitness
-    for wide genomes where [2^wires] is out of reach. *)
-
-val population_sample : ?domains:int -> Genome.t array -> masks:int array -> int array
-(** [population_sample gs ~masks] is {!sample} for every genome, in
-    order, fanned out across domains like {!population}. The result is
-    independent of [domains]. *)

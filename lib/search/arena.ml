@@ -12,8 +12,9 @@
 
    A row is a [Maskset] row: the 64-per-word packing (vs [State]'s 62)
    is what makes comparator application word-parallel, so a child is
-   staged by [Maskset.apply_cmp], the set-image butterfly — O(words)
-   word operations per comparator instead of a per-mask loop.
+   staged by [Maskset]'s butterflies — [permute] for a move's channel
+   permutation, [apply_cmp] for each comparator — O(words) word
+   operations per step instead of a per-mask loop.
 
    Subsumption filters run on packed SWAR signatures: the per-level
    counts and per-channel ones counts are packed into bitfields sized
@@ -330,79 +331,6 @@ let stage_state t st =
            (Int64.shift_left 1L (m land 63))))
     st
 
-(* Swap index bits [i < j] of the 2^n positions of the row at word
-   offset [base] of [r]: the same butterfly structure as
-   [Maskset.apply_cmp], but a swap instead of an OR-move. Positions
-   with bits (i, j) = (1, 0) exchange with their (0, 1) partner at
-   distance [2^j - 2^i]; (0, 0) and (1, 1) are fixed. *)
-let transpose_row t (r : row) base i j =
-  if j < 6 then begin
-    (* delta-swap within each word; [Maskset.intra.(i).(j)] selects the
-       lower position of every swapped pair *)
-    let pat = Maskset.intra.(i).(j) in
-    let delta = (1 lsl j) - (1 lsl i) in
-    for w = 0 to t.wpr - 1 do
-      let x = Bigarray.Array1.unsafe_get r (base + w) in
-      let d =
-        Int64.logand (Int64.logxor x (Int64.shift_right_logical x delta)) pat
-      in
-      Bigarray.Array1.unsafe_set r (base + w)
-        (Int64.logxor (Int64.logxor x d) (Int64.shift_left d delta))
-    done
-  end
-  else if i < 6 then begin
-    (* word pair (w, w + 2^(j-6)): bit-i=1 positions of the low word
-       exchange with bit-i=0 positions of the high word, 2^i apart *)
-    let bi = Maskset.bitset.(i) and sh = 1 lsl i in
-    let nbi = Int64.lognot bi in
-    let dj = 1 lsl (j - 6) in
-    for w = 0 to t.wpr - 1 do
-      if (w lsr (j - 6)) land 1 = 0 then begin
-        let a = Bigarray.Array1.unsafe_get r (base + w) in
-        let b = Bigarray.Array1.unsafe_get r (base + w + dj) in
-        Bigarray.Array1.unsafe_set r (base + w)
-          (Int64.logor (Int64.logand a nbi)
-             (Int64.shift_left (Int64.logand b nbi) sh));
-        Bigarray.Array1.unsafe_set r (base + w + dj)
-          (Int64.logor (Int64.logand b bi)
-             (Int64.shift_right_logical (Int64.logand a bi) sh))
-      end
-    done
-  end
-  else begin
-    (* whole-word swap w <-> w - 2^(i-6) + 2^(j-6) *)
-    let di = 1 lsl (i - 6) and dj = 1 lsl (j - 6) in
-    for w = 0 to t.wpr - 1 do
-      if (w lsr (i - 6)) land 1 = 1 && (w lsr (j - 6)) land 1 = 0 then begin
-        let w' = base + w - di + dj in
-        let a = Bigarray.Array1.unsafe_get r (base + w) in
-        Bigarray.Array1.unsafe_set r (base + w) (Bigarray.Array1.unsafe_get r w');
-        Bigarray.Array1.unsafe_set r w' a
-      end
-    done
-  end
-
-(* Permute the positions of the row at word offset [base] of [r] by
-   the channel permutation [pi] (bit [pi.(c)] of an image index = bit
-   [c] of the source index), as a product of index-bit transpositions:
-   each cycle (c1 c2 ... cl) of [pi] is T(c1,c2) then T(c1,c3) ...
-   T(c1,cl) applied to the row in that order. Word-parallel — about
-   (n - 1) * wpr word ops for a worst-case permutation, versus a
-   per-bit loop over every mask of the row. *)
-let permute_bits t (r : row) base pi =
-  let visited = ref 0 in
-  for c = 0 to t.n - 1 do
-    if (!visited lsr c) land 1 = 0 then begin
-      visited := !visited lor (1 lsl c);
-      let d = ref pi.(c) in
-      while !d <> c do
-        visited := !visited lor (1 lsl !d);
-        transpose_row t r base (min c !d) (max c !d);
-        d := pi.(!d)
-      done
-    end
-  done
-
 let stage_child t ?perm ~parent pairs =
   if t.len >= t.cap then grow t;
   let src = parent * t.wpr and dst = stage_off t in
@@ -410,8 +338,12 @@ let stage_child t ?perm ~parent pairs =
     Bigarray.Array1.unsafe_set t.words (dst + w)
       (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
-  (match perm with Some pi -> permute_bits t t.words dst pi | None -> ());
-  List.iter (fun (i, j) -> Maskset.apply_cmp t.words ~wpr:t.wpr dst i j) pairs
+  (match perm with
+  | Some pi -> Maskset.permute t.words ~wpr:t.wpr ~n:t.n dst pi
+  | None -> ());
+  List.iter
+    (fun (i, j) -> ignore (Maskset.apply_cmp t.words ~wpr:t.wpr dst i j : bool))
+    pairs
 
 let row_subset t base_a base_b =
   let ok = ref true in
@@ -919,7 +851,7 @@ let permute_row t sc src pi =
   for w = 0 to t.wpr - 1 do
     Bigarray.Array1.unsafe_set r w (Bigarray.Array1.unsafe_get t.words (src + w))
   done;
-  permute_bits t r 0 pi
+  Maskset.permute r ~wpr:t.wpr ~n:t.n 0 pi
 
 (* the scratch row is a subset of committed row [base_b] (word offset) *)
 let perm_subset t sc base_b =

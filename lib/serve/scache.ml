@@ -215,23 +215,10 @@ let canonical_masks ~n masks =
     !best
   end
 
-(* The reachable set of a standard network, ascending: the image of
-   the full cube under its comparators, applied in order to one row by
-   the set-image kernel — 2^n/64 words per comparator, no compile and
-   no 2^n-entry arrays. Every mask the network outputs is some input's
-   image, so this is the set of outputs of all 2^n inputs. *)
-let image ~n nw =
-  let wpr = Maskset.words ~n in
-  let row = Maskset.cube ~n in
-  List.iter
-    (fun lvl ->
-      List.iter
-        (function
-          | Gate.Compare { lo; hi } -> Maskset.apply_cmp row ~wpr 0 lo hi
-          | Gate.Exchange _ -> assert false)
-        lvl.Network.gates)
-    (Network.levels nw);
-  Maskset.elements row ~wpr 0
+(* The reachable set of a standard network, ascending: the set-image
+   walk's final row — 2^n/64 words per comparator, no compile and no
+   2^n-entry arrays. *)
+let image ~n nw = Maskset.elements (Maskset.walk nw) ~wpr:(Maskset.words ~n) 0
 
 let canonical_width nw =
   let n = Network.wires nw in

@@ -67,9 +67,9 @@ val canonical_masks : n:int -> int array -> int array
 val reachable_masks : Network.t -> int array
 (** The 0-1 reachable set of a standard network of 2–16 wires — the
     outputs of all [2^wires] 0-1 inputs — ascending and duplicate-free.
-    It is built as the image of the full cube under the comparators,
-    one {!Maskset.apply_cmp} per comparator on a single row of
-    [2^wires / 64] words: no compile, no [2^wires]-entry arrays.
+    It is the final row of {!Maskset.walk}, one {!Maskset.apply_cmp}
+    per comparator on a single row of [2^wires / 64] words: no
+    compile, no [2^wires]-entry arrays.
     @raise Invalid_argument on any other network. *)
 
 val key : Network.t -> string

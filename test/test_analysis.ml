@@ -72,7 +72,7 @@ let test_random_agreement () =
    has no equal-wires class; checked here too), the refuted mask is
    the least unsorted output, and each level's reached set is the set
    of masks the inputs reach after it. Checked against
-   [Analysis.analyze], the kernel's [level_images] and both
+   [Analysis.analyze], the per-level rows of [Maskset.walk] and both
    [Analysis_cert] emitters, on networks with pre permutations,
    exchanges and descending comparators, some of them completed to
    sorters. (Note: "live" does not mean "removal changes the
@@ -185,7 +185,12 @@ let prop_exact_domain_reference =
          | Analysis.Sorting_proved, None -> true
          | Analysis.Sorting_refuted m, Some m' -> m = m'
          | _ -> false)
-      && Bitslice.level_images (Compiled.of_network nw) = sets
+      && (let wpr = Maskset.words ~n and walked = ref [] in
+          ignore
+            (Maskset.walk nw ~on_level:(fun r ->
+                 walked := Array.to_list (Maskset.elements r ~wpr 0) :: !walked)
+              : Maskset.row);
+          Array.of_list (List.rev !walked) = sets)
       && (match (Analysis_cert.sortedness nw, !witness) with
          | Ok (Cert.Sortedness { domain = Cert.Reach_sets s; _ }), None ->
              s = sets

@@ -264,6 +264,112 @@ let prop_sorted_depth_agrees =
              if i = 0 then Array.init n (fun j -> j) (* already sorted *)
              else random_input rng n)))
 
+(* --- the set-image kernels against their definition: random rows
+   on 1-16 wires, every mask mapped on its own --- *)
+
+let row_mem (r : Maskset.row) m =
+  Int64.logand (Bigarray.Array1.get r (m lsr 6)) (Int64.shift_left 1L (m land 63))
+  <> 0L
+
+let empty_row n =
+  let r = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Maskset.words ~n) in
+  Bigarray.Array1.fill r 0L;
+  r
+
+let row_add (r : Maskset.row) m =
+  Bigarray.Array1.set r (m lsr 6)
+    (Int64.logor (Bigarray.Array1.get r (m lsr 6)) (Int64.shift_left 1L (m land 63)))
+
+(* each mask present with probability 1/2, 1/8 or 1/32: rows from
+   dense to a handful of masks *)
+let random_row rng n =
+  let r = empty_row n in
+  let odds = 1 lsl (1 + (2 * Xoshiro.int rng ~bound:3)) in
+  for m = 0 to (1 lsl n) - 1 do
+    if Xoshiro.int rng ~bound:odds = 0 then row_add r m
+  done;
+  r
+
+(* the set [{ f m | m in r }] *)
+let image_row n r f =
+  let out = empty_row n in
+  for m = 0 to (1 lsl n) - 1 do
+    if row_mem r m then row_add out (f m)
+  done;
+  out
+
+let copy_row (r : Maskset.row) =
+  let c = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Bigarray.Array1.dim r) in
+  Bigarray.Array1.blit r c;
+  c
+
+let bit m c = (m lsr c) land 1
+
+let prop_maskset_apply_cmp =
+  QCheck.Test.make
+    ~name:"Maskset.apply_cmp = per-mask comparator image, fires iff a mask has i=1, j=0 (n=2..16)"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 2 + Xoshiro.int rng ~bound:15 in
+      let r = random_row rng n in
+      let i = Xoshiro.int rng ~bound:n in
+      let j = (i + 1 + Xoshiro.int rng ~bound:(n - 1)) mod n in
+      (* both orientations: the minimum to i, then to j *)
+      List.for_all
+        (fun (i, j) ->
+          let moves m = bit m i = 1 && bit m j = 0 in
+          let expected =
+            image_row n r (fun m ->
+                if moves m then m - (1 lsl i) + (1 lsl j) else m)
+          in
+          let fires = ref false in
+          for m = 0 to (1 lsl n) - 1 do
+            if row_mem r m && moves m then fires := true
+          done;
+          let got = copy_row r in
+          let fired = Maskset.apply_cmp got ~wpr:(Maskset.words ~n) 0 i j in
+          got = expected && fired = !fires)
+        [ (i, j); (j, i) ])
+
+let prop_maskset_transpose =
+  QCheck.Test.make ~name:"Maskset.transpose = per-mask bit exchange (n=2..16)"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 2 + Xoshiro.int rng ~bound:15 in
+      let r = random_row rng n in
+      let i = Xoshiro.int rng ~bound:(n - 1) in
+      let j = i + 1 + Xoshiro.int rng ~bound:(n - 1 - i) in
+      let expected =
+        image_row n r (fun m ->
+            if bit m i = bit m j then m else m lxor ((1 lsl i) lor (1 lsl j)))
+      in
+      Maskset.transpose r ~wpr:(Maskset.words ~n) 0 i j;
+      r = expected)
+
+let prop_maskset_permute =
+  QCheck.Test.make ~name:"Maskset.permute = per-mask bit permutation (n=1..16)"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Xoshiro.of_seed seed in
+      let n = 1 + Xoshiro.int rng ~bound:16 in
+      let r = random_row rng n in
+      let pi = Perm.to_array (Perm.random rng n) in
+      let expected =
+        image_row n r (fun m ->
+            let m' = ref 0 in
+            for c = 0 to n - 1 do
+              m' := !m' lor (bit m c lsl pi.(c))
+            done;
+            !m')
+      in
+      Maskset.permute r ~wpr:(Maskset.words ~n) ~n 0 pi;
+      r = expected)
+
 (* --- exhaustive agreement on every registry sorter --- *)
 
 let registry_agreement n =
@@ -470,6 +576,10 @@ let () =
             test_bitslice_rejects_wide_networks;
           Alcotest.test_case "bad ranges" `Quick
             test_bitslice_rejects_bad_ranges ] );
+      ( "maskset",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_maskset_apply_cmp; prop_maskset_transpose;
+            prop_maskset_permute ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_compiled_eval_agrees; prop_compiled_shape;

@@ -147,29 +147,6 @@ let test_fitness_population_subranges () =
   check_bool "subrange-split population = per-genome map" true
     (Fitness.population ~domains:4 gs = single)
 
-let test_fitness_population_sample () =
-  let rng = Xoshiro.of_seed 23 in
-  let gs = Array.init 33 (fun _ -> Genome.random rng ~wires:9 ~depth:4 ()) in
-  let masks = Array.init 500 (fun _ -> Xoshiro.int rng ~bound:(1 lsl 9)) in
-  let single = Array.map (fun g -> Fitness.sample g ~masks) gs in
-  check_bool "population_sample = per-genome sample" true
-    (Fitness.population_sample ~domains:1 gs ~masks = single);
-  check_bool "independent of domains" true
-    (Fitness.population_sample ~domains:3 gs ~masks = single);
-  (* against the interpretive evaluator, mask by mask *)
-  let oracle g =
-    let nw = Genome.to_network g in
-    Array.fold_left
-      (fun acc mask ->
-        let input =
-          Array.init (Network.wires nw) (fun w -> (mask lsr w) land 1)
-        in
-        if Sortedness.is_sorted (Network.eval nw input) then acc + 1 else acc)
-      0 masks
-  in
-  check_bool "sample = Network.eval sorted count" true
-    (single = Array.map oracle gs)
-
 let test_count_sorted_consistency () =
   let rng = Xoshiro.of_seed 11 in
   for _ = 1 to 20 do
@@ -573,8 +550,6 @@ let () =
             test_fitness_population_matches;
           Alcotest.test_case "population subrange split" `Quick
             test_fitness_population_subranges;
-          Alcotest.test_case "population_sample = oracle count" `Quick
-            test_fitness_population_sample;
           Alcotest.test_case "count_sorted consistency" `Quick
             test_count_sorted_consistency ] );
       ( "driver",
